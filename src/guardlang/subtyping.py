@@ -119,6 +119,10 @@ class Stats:
     backtracks: int = 0
     subtype_queries: int = 0
     entailment_queries: int = 0
+    # Lookups in the typechecker's checking-mode memo (subtyping's own
+    # per-query memo is not counted).
+    memo_hits: int = 0
+    memo_misses: int = 0
     wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
@@ -127,6 +131,8 @@ class Stats:
             "backtracks": self.backtracks,
             "subtype_queries": self.subtype_queries,
             "entailment_queries": self.entailment_queries,
+            "memo_hits": self.memo_hits,
+            "memo_misses": self.memo_misses,
             "wall_ms": round(self.wall_ms, 3),
         }
 

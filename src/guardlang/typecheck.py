@@ -9,8 +9,11 @@ subtyping equalities solve them.
 
 A `some` binder substitutes a fresh metavariable for its variable and
 requires it solved by the end of that subterm's derivation.  Checking-mode
-results are memoized when the call touched no metavariables, which is where
-repeated checking under intersection introduction would otherwise blow up.
+results are memoized per occurrence, which is where repeated checking under
+intersection introduction would otherwise blow up.  A result is reused while
+the metavariable store is unchanged since it was computed; a failure of a
+query whose term, type and context hold no metavariables is reused always,
+even when the call solved and undid metavariables of its own.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ class Checker:
         self.memoize = memoize
         self.metas = MetaStore()
         self.stats = Stats()
-        self._memo: dict = {}
+        self._memo: dict[int, tuple] = {}
         self._budget = max_depth
 
     def fresh_ctx(self) -> Context:
@@ -270,16 +273,35 @@ class Checker:
     # -- checking -------------------------------------------------------------
 
     def _check(self, ctx: Context, e: Term, ty: Type) -> Union[TypingDerivation, Fail]:
-        key = None
-        if self.memoize:
-            key = (e, ty, ctx.entries, self.metas.stamp)
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
+        if not self.memoize:
+            return self._check_dispatch(ctx, e, ty)
+        # Spans are left out of term equality, so the key carries the
+        # occurrence's span as well.  The memo is indexed by the key's hash,
+        # which is computed once per call: hashing deep terms is a large
+        # share of checking time.  An entry is (key, stamp, result), valid
+        # while the store is at that stamp, or at any stamp when it is None.
+        key = (e, e.span, ty, ctx.entries)
+        h = hash(key)
         stamp0 = self.metas.stamp
+        hit = self._memo.get(h)
+        if (
+            hit is not None
+            and (hit[1] is None or hit[1] == stamp0)
+            and hit[0] == key
+        ):
+            self.stats.memo_hits += 1
+            return hit[2]
+        self.stats.memo_misses += 1
         res = self._check_dispatch(ctx, e, ty)
-        if self.memoize and self.metas.stamp == stamp0:
-            self._memo[key] = res
+        if self.metas.stamp == stamp0:
+            self._memo[h] = (key, stamp0, res)
+        elif isinstance(res, Fail) and not (
+            metas_of(e) or metas_of(ty) or any(map(metas_of, ctx.entries))
+        ):
+            # Every alternative was undone, and a query without
+            # metavariables cannot read the store: the failure holds at
+            # every stamp.
+            self._memo[h] = (key, None, res)
         return res
 
     def _check_dispatch(self, ctx, e, ty) -> Union[TypingDerivation, Fail]:
@@ -684,10 +706,10 @@ _MAX_DIAGNOSTICS = 24
 
 def _diagnostics_from(f: Fail) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    seen: set[str] = set()
+    seen: set[tuple[str, Optional[Span]]] = set()
     for node in f.walk():
-        if node.reason not in seen:
-            seen.add(node.reason)
+        if (node.reason, node.span) not in seen:
+            seen.add((node.reason, node.span))
             out.append(Diagnostic(node.reason, node.span))
         if len(out) >= _MAX_DIAGNOSTICS:
             break

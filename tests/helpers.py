@@ -847,3 +847,69 @@ def gen_indexed_program(rng: random.Random) -> Program:
         "a", INT, TArrow(TCon("list", goal_arg), TCon("list", goal_res))
     )
     return Program(sig, main, goal)
+
+
+# ---------------------------------------------------------------------------
+# Scaling families: programs whose verdict is known by construction
+
+
+def snoc_chain_program(n: int) -> Program:
+    """`snoc1 (... (snoc1 b1))`, n deep, against the parity its length
+    gives: `b1` is odd and each `snoc1` flips the parity.  Well typed."""
+    body = "b1"
+    for _ in range(n):
+        body = f"snoc1 ({body})"
+    goal = "odd" if n % 2 == 0 else "even"
+    return parse_program(
+        "datasort odd <: bits\n"
+        "datasort even <: bits\n"
+        "prim snoc1 : (odd -> even) /\\ (even -> odd)\n"
+        "prim b1 : odd\n"
+        f"val main : {goal} =\n  {body}\n"
+    )
+
+
+def idx_chain_program(n: int) -> Program:
+    """`fn x => idcast (... (idcast x))`, n deep, against
+    `Pi a : int . list(a*2) -> list(a*2)`.  Well typed through the Pi
+    conjunct of `idcast`; the `unit -> unit` conjunct is tried first at
+    every level and fails."""
+    body = "x"
+    for _ in range(n):
+        body = f"idcast ({body})"
+    return parse_program(
+        "indexcon list :: int\n"
+        "prim idcast : (unit -> unit) /\\ (Pi c : int . list(c) -> list(c))\n"
+        "val main : Pi a : int . list(a*2) -> list(a*2) =\n"
+        f"  fn x => {body}\n"
+    )
+
+
+KWAY_VARIANTS = ("guarded", "plain", "ctxanno", "swapped")
+
+
+def kway_program(k: int, variant: str) -> Program:
+    """k datasorts c0..c(k-1), `step : /\\_i (c_i -> c_(i+1 mod k))`, and
+    `main = fn x => ...` checked against that intersection.  The body is a
+    k-way merge of `where x : c_i do (step x : c_(i+1))` ("guarded"), plain
+    `step x`, or one contextual annotation ("ctxanno"); all three are well
+    typed.  "swapped" guards branch i on c_(i+1) instead, so the only branch
+    whose guard passes claims the wrong result type: ill typed."""
+    ty = " /\\ ".join(f"(c{i} -> c{(i + 1) % k})" for i in range(k))
+    if variant in ("guarded", "swapped"):
+        shift = 0 if variant == "guarded" else 1
+        body = " ,, ".join(
+            f"(where x : c{(i + shift) % k} do (step x : c{(i + 1) % k}))"
+            for i in range(k)
+        )
+    elif variant == "plain":
+        body = "step x"
+    elif variant == "ctxanno":
+        typings = " ; ".join(f"x : c{i} |- c{(i + 1) % k}" for i in range(k))
+        body = f"((step x) :: [{typings}])"
+    else:
+        raise ValueError(f"unknown kway variant {variant!r}")
+    header = "".join(f"datasort c{i}\n" for i in range(k))
+    return parse_program(
+        header + f"prim step : {ty}\nval main : {ty} =\n  fn x => {body}\n"
+    )

@@ -54,6 +54,8 @@ class TestCheck:
             "backtracks",
             "subtype_queries",
             "entailment_queries",
+            "memo_hits",
+            "memo_misses",
             "wall_ms",
         ):
             assert key in stats

@@ -1,9 +1,13 @@
 from conftest import ACCEPTED_PROGRAMS, REJECTED_PROGRAMS, program_path
 from helpers import (
+    KWAY_VARIANTS,
     brute_check,
     duplicate_with_merge,
+    idx_chain_program,
+    kway_program,
     lattice_closure,
     load_program,
+    snoc_chain_program,
     walk_nodes,
 )
 from guardlang.parser import parse_program, parse_term, parse_type
@@ -387,6 +391,78 @@ class TestMemoEquivalence:
             without = typecheck_program(prog, memoize=False)
             assert with_memo.verdict == without.verdict, name
             assert with_memo.derivation == without.derivation, name
+
+    @staticmethod
+    def _agree(prog, verdict):
+        with_memo = typecheck_program(prog, max_depth=10**6, memoize=True)
+        without = typecheck_program(prog, max_depth=10**6, memoize=False)
+        assert with_memo.verdict == without.verdict == verdict
+        assert with_memo.derivation == without.derivation
+
+    def test_idx_chains(self):
+        for n in range(1, 11):
+            self._agree(idx_chain_program(n), "accept")
+
+    def test_kway(self):
+        for k in (2, 3, 5, 8):
+            for variant in KWAY_VARIANTS:
+                verdict = "reject" if variant == "swapped" else "accept"
+                self._agree(kway_program(k, variant), verdict)
+
+    def test_snoc_chains(self):
+        for n in range(1, 10):
+            self._agree(snoc_chain_program(n), "accept")
+
+
+# Two structurally equal occurrences of `(b1 : even)`, on lines 4 and 5,
+# that fail for the same reason.
+TWIN_FAILURES = (
+    "datasort odd <: bits\n"
+    "datasort even <: bits\n"
+    "prim b1 : odd\n"
+    "val main : (even -> even) /\\ (even -> even) = fn x => (b1 : even) ,,\n"
+    "  (b1 : even)\n"
+)
+TWIN_REASON = "cannot check (b1 : even) against even"
+
+
+class TestFailureLocations:
+    def test_memo_hit_keeps_the_occurrence_span(self):
+        prog = parse_program(TWIN_FAILURES, "twins.gl")
+        for memoize in (True, False):
+            checker = Checker(prog.sig, memoize=memoize)
+            res = checker.check(checker.fresh_ctx(), prog.main, prog.goal)
+            lines = {
+                node.span.start_line
+                for node in res.walk()
+                if node.reason == TWIN_REASON
+            }
+            assert lines == {4, 5}, memoize
+
+    def test_diagnostics_keep_repeated_reasons_at_each_location(self):
+        report = typecheck_program(parse_program(TWIN_FAILURES, "twins.gl"))
+        lines = [
+            d.span.start_line
+            for d in report.diagnostics
+            if d.message == TWIN_REASON
+        ]
+        assert lines == [4, 5]
+
+
+class TestSearchGrowth:
+    """Failures of metavariable-free queries stay memoized across the
+    metavariables their own subgoals solve and undo, so the search on an
+    idx-chain no longer doubles with each level."""
+
+    def test_idx_chains_fit_the_default_budget(self):
+        for n in range(7, 11):
+            assert typecheck_program(idx_chain_program(n)).accepted, n
+
+    def test_idx_chain_rules_grow_slowly(self):
+        report = typecheck_program(idx_chain_program(20), max_depth=10**6)
+        assert report.accepted
+        assert report.stats.rule_applications < 2000
+        assert report.stats.memo_hits > 0
 
 
 class TestEliminationPaths:
