@@ -2,7 +2,8 @@
 
 Exit codes: 0 on acceptance/success, 1 on type errors (and on stuck or
 out-of-fuel evaluation, or an encoding gap), 2 on usage, missing-file and
-parse errors.
+parse errors, 3 when `check --certify` finds that the accepted derivation
+does not replay.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from typing import Optional
 
 from . import ctxanno, interp
 from .parser import ParseError, format_derivation, parse_program, pretty_program, pretty_term
-from .subtyping import SubDerivation
+from .subtyping import SubDerivation, VerifyError
 from .syntax import Program
-from .typecheck import Report, typecheck_program
+from .typecheck import Report, typecheck_program, verify_typing
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_USAGE = 2
+EXIT_NOT_CERTIFIED = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,6 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the typing derivation")
     p_check.add_argument("--trace-sub", action="store_true",
                          help="print the subtyping derivations used")
+    p_check.add_argument("--certify", action="store_true",
+                         help="replay the accepted derivation rule by rule")
 
     p_eval = sub.add_parser("eval", help="typecheck, then evaluate main")
     common(p_eval)
@@ -130,7 +134,16 @@ def cmd_check(args) -> int:
         prog, max_depth=args.max_depth, ctx_anno=not args.no_ctx_anno
     )
     _print_report(report, args)
-    return EXIT_OK if report.accepted else EXIT_TYPE_ERROR
+    if not report.accepted:
+        return EXIT_TYPE_ERROR
+    if args.certify:
+        try:
+            verify_typing(prog.sig, report.derivation)
+        except VerifyError as ex:
+            print(f"error: derivation does not replay: {ex}", file=sys.stderr)
+            return EXIT_NOT_CERTIFIED
+        print("certified", file=sys.stderr)
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:

@@ -61,6 +61,7 @@ from .syntax import (
     Type,
     Unit,
     VarDecl,
+    Zonker,
     alpha_eq,
     fresh_name,
     free_index_vars,
@@ -92,35 +93,6 @@ class CtxSubDerivation:
 
     def size(self) -> int:
         return 1 + sum(p.size() for p in self.premises)
-
-    def meta_carriers(self):
-        carriers = [self.inner, self.goal]
-        if self.witness is not None:
-            carriers.append(self.witness)
-        return carriers
-
-    def zonked(self, store: MetaStore) -> "CtxSubDerivation":
-        return CtxSubDerivation(
-            self.rule,
-            _zonk_ctx_typing(store, self.inner),
-            self.ctx_entries,
-            zonk_type(store, self.goal),
-            tuple(p.zonked(store) for p in self.premises),
-            zonk_index(store, self.witness) if self.witness is not None else None,
-        )
-
-
-def _zonk_ctx_typing(store: MetaStore, t: CtxTyping) -> CtxTyping:
-    return CtxTyping(
-        tuple(
-            VarDecl(d.name, zonk_type(store, d.ty), span=d.span)
-            if isinstance(d, VarDecl)
-            else d
-            for d in t.entries
-        ),
-        zonk_type(store, t.goal),
-        span=t.span,
-    )
 
 
 def _wf_typing(ctx: Context, typing: CtxTyping) -> None:
@@ -304,7 +276,7 @@ def ctx_subsumes(
             "index instantiation of the contextual typing is undetermined",
             inner.span,
         )
-    return node.zonked(store)
+    return Zonker(store).visit(node)
 
 
 def check_ctx_anno(

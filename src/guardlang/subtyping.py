@@ -30,6 +30,7 @@ from .syntax import (
     TPi,
     TSect,
     Type,
+    Zonker,
     alpha_eq,
     fresh_name,
     free_index_vars,
@@ -93,24 +94,6 @@ class SubDerivation:
 
     def size(self) -> int:
         return 1 + sum(p.size() for p in self.premises)
-
-    def zonked(self, store: MetaStore) -> "SubDerivation":
-        return SubDerivation(
-            self.rule,
-            tuple(_zonk_decl(store, d) for d in self.ctx_entries),
-            zonk_type(store, self.lhs),
-            zonk_type(store, self.rhs),
-            tuple(p.zonked(store) for p in self.premises),
-            zonk_index(store, self.witness) if self.witness is not None else None,
-        )
-
-
-def _zonk_decl(store: MetaStore, d: Decl):
-    from .syntax import VarDecl
-
-    if isinstance(d, VarDecl):
-        return VarDecl(d.name, zonk_type(store, d.ty), span=d.span)
-    return d
 
 
 @dataclass
@@ -343,7 +326,7 @@ def subtype(
     if isinstance(res, Fail):
         store.undo(mark)
         return res
-    return res.zonked(store)
+    return Zonker(store).visit(res) if store.any_solved() else res
 
 
 # ---------------------------------------------------------------------------

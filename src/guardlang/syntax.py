@@ -13,7 +13,7 @@ names to avoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Optional, Union
 
 
@@ -413,6 +413,9 @@ class MetaStore:
         info.solution = expr
         self._trail.append(uid)
         self.stamp += 1
+
+    def any_solved(self) -> bool:
+        return bool(self._trail)
 
     def mark(self) -> int:
         return len(self._trail)
@@ -886,8 +889,11 @@ def subst_term_var(repl: Term, var: str, e: Term) -> Term:
 
 
 def alpha_eq(x: Syntax, y: Syntax) -> bool:
-    """Equality up to consistent renaming of bound term and index variables."""
-    return _aeq(x, y, {}, {}, {}, {}, 0)
+    """Equality up to consistent renaming of bound term and index variables.
+
+    An object is equal to itself; `_aeq` cannot take that shortcut below
+    the top, where the two sides' binder maps can differ."""
+    return x is y or _aeq(x, y, {}, {}, {}, {}, 0)
 
 
 def _aeq(
@@ -1022,78 +1028,124 @@ def _aeq(
 
 # ---------------------------------------------------------------------------
 # Zonking: replacing solved metavariables by their solutions
+#
+# Zonking preserves identity: an object in which no metavariable is solved
+# comes back as the same object, and only the path down to a solved one is
+# rebuilt.  Derivations share their terms and types with the program and with
+# each other, so that sharing survives zonking and replay can see that two
+# sides are the same object.
 
 
+# With nothing solved in the store every object is already zonked, so the
+# search's frequent zonks of metavariable-free types cost nothing.
 def zonk_index(store: MetaStore, i: IndexExpr) -> IndexExpr:
-    match i:
-        case IMeta(uid):
-            sol = store.solution(uid) if uid in store else None
-            return zonk_index(store, sol) if sol is not None else i
-        case IVar(_) | ILit(_):
-            return i
-        case IAdd(l, r):
-            return IAdd(zonk_index(store, l), zonk_index(store, r), span=i.span)
-        case ISub(l, r):
-            return ISub(zonk_index(store, l), zonk_index(store, r), span=i.span)
-        case IMul(c, f):
-            return IMul(c, zonk_index(store, f), span=i.span)
-    raise TypeError(f"zonk_index: unexpected {i!r}")
+    return _zonk_index(store, i) if store.any_solved() else i
 
 
 def zonk_type(store: MetaStore, ty: Type) -> Type:
+    return _zonk_type(store, ty) if store.any_solved() else ty
+
+
+def _zonk_index(store: MetaStore, i: IndexExpr) -> IndexExpr:
+    match i:
+        case IMeta(uid):
+            sol = store.solution(uid) if uid in store else None
+            return i if sol is None else _zonk_index(store, sol)
+        case IVar(_) | ILit(_):
+            return i
+        case IAdd(l, r) | ISub(l, r):
+            l2, r2 = _zonk_index(store, l), _zonk_index(store, r)
+            return i if l2 is l and r2 is r else type(i)(l2, r2, span=i.span)
+        case IMul(c, f):
+            f2 = _zonk_index(store, f)
+            return i if f2 is f else IMul(c, f2, span=i.span)
+    raise TypeError(f"zonk_index: unexpected {i!r}")
+
+
+def _zonk_type(store: MetaStore, ty: Type) -> Type:
     match ty:
         case TUnit() | TAtom(_):
             return ty
-        case TArrow(a, b):
-            return TArrow(zonk_type(store, a), zonk_type(store, b), span=ty.span)
-        case TSect(a, b):
-            return TSect(zonk_type(store, a), zonk_type(store, b), span=ty.span)
+        case TArrow(a, b) | TSect(a, b):
+            a2, b2 = _zonk_type(store, a), _zonk_type(store, b)
+            return ty if a2 is a and b2 is b else type(ty)(a2, b2, span=ty.span)
         case TCon(c, i):
-            return TCon(c, zonk_index(store, i), span=ty.span)
+            i2 = _zonk_index(store, i)
+            return ty if i2 is i else TCon(c, i2, span=ty.span)
         case TPi(a, s, body):
-            return TPi(a, s, zonk_type(store, body), span=ty.span)
+            body2 = _zonk_type(store, body)
+            return ty if body2 is body else TPi(a, s, body2, span=ty.span)
     raise TypeError(f"zonk_type: unexpected {ty!r}")
 
 
 def zonk_term(store: MetaStore, e: Term) -> Term:
-    match e:
-        case Var(_) | Unit() | Prim(_):
-            return e
-        case Lam(x, body):
-            return Lam(x, zonk_term(store, body), span=e.span)
-        case App(f, a):
-            return App(zonk_term(store, f), zonk_term(store, a), span=e.span)
-        case Anno(body, ty):
-            return Anno(zonk_term(store, body), zonk_type(store, ty), span=e.span)
-        case Guard(decl, body):
-            decl2 = (
-                VarDecl(decl.name, zonk_type(store, decl.ty), span=decl.span)
-                if isinstance(decl, VarDecl)
-                else decl
-            )
-            return Guard(decl2, zonk_term(store, body), span=e.span)
-        case Merge(l, r):
-            return Merge(zonk_term(store, l), zonk_term(store, r), span=e.span)
-        case Some(a, s, body):
-            return Some(a, s, zonk_term(store, body), span=e.span)
-        case IdxLam(a, s, body):
-            return IdxLam(a, s, zonk_term(store, body), span=e.span)
-        case CtxAnno(body, typings):
-            zts = tuple(
-                CtxTyping(
-                    tuple(
-                        VarDecl(d.name, zonk_type(store, d.ty), span=d.span)
-                        if isinstance(d, VarDecl)
-                        else d
-                        for d in t.entries
-                    ),
-                    zonk_type(store, t.goal),
-                    span=t.span,
-                )
-                for t in typings
-            )
-            return CtxAnno(zonk_term(store, body), zts, span=e.span)
-    raise TypeError(f"zonk_term: unexpected {e!r}")
+    return Zonker(store).visit(e)
+
+
+# Leaves of the syntax: names, numbers, sorts and absent fields.
+_ATOMIC = (str, int, IndexSort, type(None))
+# Per dataclass, the fields that take part in equality (spans do not).
+_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+class Zonker:
+    """One zonking pass over syntax and over anything built from it out of
+    frozen dataclasses and tuples, derivations included.
+
+    Each distinct object is visited once: results are memoized on `id` for
+    the life of the pass, and the memo keeps every visited object alive so
+    that no id is reused meanwhile.  Drop the pass when done with it.  The
+    uids of the metavariables left unsolved are collected in `unsolved` as
+    the pass goes.
+    """
+
+    def __init__(self, store: MetaStore) -> None:
+        self.store = store
+        self.unsolved: set[int] = set()
+        self._memo: dict[int, tuple[object, object]] = {}
+
+    def visit(self, x):
+        hit = self._memo.get(id(x))
+        if hit is not None:
+            return hit[1]
+        # Atomic fields are skipped before the call, and plain loops are
+        # used, not comprehensions or map: each derivation level then costs
+        # two Python frames, which keeps deep chains inside the default
+        # recursion limit.
+        if isinstance(x, IMeta):
+            sol = self.store.solution(x.uid) if x.uid in self.store else None
+            if sol is None:
+                self.unsolved.add(x.uid)
+                out = x
+            else:
+                out = self.visit(sol)
+        elif isinstance(x, tuple):
+            items = None
+            for k, old in enumerate(x):
+                if isinstance(old, _ATOMIC):
+                    continue
+                new = self.visit(old)
+                if new is not old:
+                    if items is None:
+                        items = list(x)
+                    items[k] = new
+            out = x if items is None else tuple(items)
+        else:
+            cls = type(x)
+            names = _FIELDS.get(cls)
+            if names is None:
+                names = _FIELDS[cls] = tuple(f.name for f in fields(cls) if f.compare)
+            changed = {}
+            for name in names:
+                old = getattr(x, name)
+                if isinstance(old, _ATOMIC):
+                    continue
+                new = self.visit(old)
+                if new is not old:
+                    changed[name] = new
+            out = replace(x, **changed) if changed else x
+        self._memo[id(x)] = (x, out)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,16 @@ intersection introduction would otherwise blow up.  A result is reused while
 the metavariable store is unchanged since it was computed; a failure of a
 query whose term, type and context hold no metavariables is reused always,
 even when the call solved and undid metavariables of its own.
+
+Derivations share their terms and types with the program and with each
+other: a node holds the very term object it was checked on, its premises
+hold the subterms, and memoized results are shared by every parent that
+uses them.  Zonking preserves identity (it rebuilds only the path down to a
+solved metavariable), and the finalize pass visits each distinct object once
+while it collects the unsolved metavariables, so finalize and replay are
+linear in the size of the shared structure.  Replay compares the two sides
+of an equation with `alpha_eq`, which answers at once when they are the
+same object.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from .syntax import (
     Unit,
     Var,
     VarDecl,
+    Zonker,
     alpha_eq,
     fresh_name,
     free_index_vars,
@@ -71,8 +82,6 @@ from .syntax import (
     subst_index_in_term,
     subst_index_in_type,
     subst_term_var,
-    zonk_index,
-    zonk_term,
     zonk_type,
 )
 
@@ -81,6 +90,17 @@ CandidateStream = Iterator[tuple[Type, "TypingDerivation"]]
 
 @dataclass(frozen=True)
 class TypingDerivation:
+    """One node of a typing derivation: `ctx_entries |- term <= ty` or
+    `=> ty` by `rule`, from its premises.
+
+    Nodes share their objects instead of copying them: `term` is the
+    program's own subterm (or the substituted body a binder rule made),
+    `ty` a part of the type it was checked against, and `ctx_entries` the
+    tuple of the context it was built in.  A premise may be shared by
+    several parents.  `zonked` keeps that sharing: every object in which
+    no metavariable is solved comes back as the same object.
+    """
+
     rule: str
     mode: str  # "check" | "synth"
     ctx_entries: tuple[Decl, ...]
@@ -94,21 +114,8 @@ class TypingDerivation:
         return 1 + sum(p.size() for p in self.premises)
 
     def zonked(self, store: MetaStore) -> "TypingDerivation":
-        return TypingDerivation(
-            self.rule,
-            self.mode,
-            tuple(
-                VarDecl(d.name, zonk_type(store, d.ty), span=d.span)
-                if isinstance(d, VarDecl)
-                else d
-                for d in self.ctx_entries
-            ),
-            zonk_term(store, self.term),
-            zonk_type(store, self.ty) if self.ty is not None else None,
-            tuple(p.zonked(store) for p in self.premises),
-            zonk_index(store, self.witness) if self.witness is not None else None,
-            self.branch,
-        )
+        """This derivation with the solved metavariables replaced."""
+        return Zonker(store).visit(self)
 
 
 class IllFormedType(Exception):
@@ -183,8 +190,7 @@ class Checker:
             )
         if isinstance(res, Fail):
             return res
-        zonked = res.zonked(self.metas)
-        leftover = self._unsolved_in(zonked)
+        zonked, leftover = self._unsolved_in(res)
         if leftover:
             return Fail(
                 "derivation left index metavariables unresolved: "
@@ -201,10 +207,9 @@ class Checker:
         out: list[tuple[Type, TypingDerivation]] = []
         try:
             for ty, d in self._synth(ctx, e, fails):
-                zty = zonk_type(self.metas, ty)
-                zd = d.zonked(self.metas)
-                if not self._unsolved_in(zd) and not metas_of(zty):
-                    out.extend(self._projections(ctx, zty, zd))
+                zd, leftover = self._unsolved_in(d)
+                if not leftover:
+                    out.extend(self._projections(ctx, zd.ty, zd))
         except DepthExceeded:
             fails.append(
                 Fail(f"typing search exceeded {self.max_depth} rule applications")
@@ -226,29 +231,13 @@ class Checker:
                 )
                 yield from self._projections(ctx, side, node)
 
-    def _unsolved_in(self, d) -> set[int]:
-        out: set[int] = set()
-
-        def walk(node) -> None:
-            if isinstance(node, TypingDerivation):
-                out.update(metas_of(node.term))
-                if node.ty is not None:
-                    out.update(metas_of(node.ty))
-                if node.witness is not None:
-                    out.update(metas_of(node.witness))
-            elif isinstance(node, SubDerivation):
-                out.update(metas_of(node.lhs))
-                out.update(metas_of(node.rhs))
-                if node.witness is not None:
-                    out.update(metas_of(node.witness))
-            else:  # contextual-subsumption node
-                for x in node.meta_carriers():
-                    out.update(metas_of(x))
-            for p in node.premises:
-                walk(p)
-
-        walk(d)
-        return {u for u in out if self.metas.solution(u) is None}
+    def _unsolved_in(
+        self, d: TypingDerivation
+    ) -> tuple[TypingDerivation, set[int]]:
+        """Finalize d: zonk it in one pass over its distinct objects, and
+        collect the uids of the metavariables it leaves unsolved."""
+        zonk = Zonker(self.metas)
+        return zonk.visit(d), zonk.unsolved
 
     # -- search plumbing ------------------------------------------------------
 
@@ -705,14 +694,19 @@ _MAX_DIAGNOSTICS = 24
 
 
 def _diagnostics_from(f: Fail) -> list[Diagnostic]:
+    """The failure tree in preorder, one diagnostic per distinct (message,
+    span).  A failure without a span, such as a subtyping failure, takes the
+    span of its nearest ancestor that has one."""
     out: list[Diagnostic] = []
     seen: set[tuple[str, Optional[Span]]] = set()
-    for node in f.walk():
-        if (node.reason, node.span) not in seen:
-            seen.add((node.reason, node.span))
-            out.append(Diagnostic(node.reason, node.span))
-        if len(out) >= _MAX_DIAGNOSTICS:
-            break
+    stack: list[tuple[Fail, Optional[Span]]] = [(f, None)]
+    while stack and len(out) < _MAX_DIAGNOSTICS:
+        node, inherited = stack.pop()
+        span = inherited if node.span is None else node.span
+        if (node.reason, span) not in seen:
+            seen.add((node.reason, span))
+            out.append(Diagnostic(node.reason, span))
+        stack.extend((p, span) for p in reversed(node.parts))
     return out
 
 
@@ -842,10 +836,12 @@ def verify_typing(sig: Signature, d: TypingDerivation) -> None:
             isinstance(last, VarDecl) and alpha_eq(last.ty, ty.arg),
             "bound variable type",
         )
-        req(
-            alpha_eq(p.term, subst_term_var(Var(last.name), e.var, e.body)),
-            "premise term",
+        body = (
+            e.body
+            if last.name == e.var
+            else subst_term_var(Var(last.name), e.var, e.body)
         )
+        req(alpha_eq(p.term, body), "premise term")
         req(alpha_eq(p.ty, ty.res), "premise type")
     elif rule == "sect-i":
         req(isinstance(ty, TSect), "shape")
@@ -893,26 +889,20 @@ def verify_typing(sig: Signature, d: TypingDerivation) -> None:
         last = p.ctx_entries[-1]
         req(isinstance(last, IdxDecl) and last.sort == ty.sort, "bound sort")
         req(alpha_eq(p.term, e), "premise term")
-        req(
-            alpha_eq(p.ty, subst_index_in_type(IVar(last.name), ty.var, ty.body)),
-            "premise type",
-        )
+        req(alpha_eq(p.ty, _renamed_body(ty, last.name)), "premise type")
     elif rule == "pi-i-explicit":
         req(isinstance(e, IdxLam) and isinstance(ty, TPi), "shape")
         req(e.sort == ty.sort, "binder sort")
         p = tprem(0)
         last = p.ctx_entries[-1]
         req(isinstance(last, IdxDecl) and last.sort == ty.sort, "bound sort")
-        req(
-            alpha_eq(
-                p.term, subst_index_in_term(IVar(last.name), e.var, e.body)
-            ),
-            "premise term",
+        body = (
+            e.body
+            if last.name == e.var
+            else subst_index_in_term(IVar(last.name), e.var, e.body)
         )
-        req(
-            alpha_eq(p.ty, subst_index_in_type(IVar(last.name), ty.var, ty.body)),
-            "premise type",
-        )
+        req(alpha_eq(p.term, body), "premise term")
+        req(alpha_eq(p.ty, _renamed_body(ty, last.name)), "premise type")
     elif rule == "pi-e":
         p = tprem(0)
         req(isinstance(p.ty, TPi), "premise not a Pi")
@@ -963,6 +953,14 @@ def verify_typing(sig: Signature, d: TypingDerivation) -> None:
             verify_typing(sig, p)
         # SubDerivation premises are verified where they occur; contextual
         # subsumption nodes are replayed by verify_ctx_anno.
+
+
+def _renamed_body(ty: TPi, name: str) -> Type:
+    """The body of ty with its bound variable named `name`; the body itself
+    when the name is unchanged, so that replay can compare it by identity."""
+    if name == ty.var:
+        return ty.body
+    return subst_index_in_type(IVar(name), ty.var, ty.body)
 
 
 def _verify_guard_evidence(sig, ctx, decl, ev) -> None:

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 
-from conftest import program_path
+import pytest
+
+from conftest import ACCEPTED_PROGRAMS, PROGRAMS_DIR, program_path
 from guardlang.cli import main
 from guardlang.parser import parse_program
 from guardlang.typecheck import typecheck_program
@@ -181,6 +183,54 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "accepted" in proc.stdout
+
+
+class TestCertify:
+    def test_every_accepted_program_certifies(self, capsys):
+        for name in ACCEPTED_PROGRAMS:
+            code, out, err = run_cli(
+                capsys, "check", "--certify", program_path(name)
+            )
+            assert code == 0, name
+            assert out.startswith("accepted"), name
+            assert err.strip().endswith("certified"), name
+
+    def test_rejected_program_is_not_certified(self, capsys):
+        code, _, err = run_cli(
+            capsys, "check", "--certify", program_path("parity_badguard.gl")
+        )
+        assert code == 1
+        assert "certified" not in err
+
+    def test_replay_failure_exits_three(self, capsys, monkeypatch):
+        from guardlang import cli
+        from guardlang.subtyping import VerifyError
+
+        def broken(sig, d):
+            raise VerifyError("[sub] synthesis premise")
+
+        monkeypatch.setattr(cli, "verify_typing", broken)
+        code, _, err = run_cli(capsys, "check", "--certify", program_path("parity.gl"))
+        assert code == 3
+        assert "error: derivation does not replay: [sub] synthesis premise" in err
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+CORPUS = sorted(n for n in os.listdir(PROGRAMS_DIR) if n.endswith(".gl"))
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--trace-sub"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_trace_output_matches_golden(capsys, name, flag):
+    """Standard output of `check --trace` and `check --trace-sub` on each
+    corpus program, byte for byte.  A golden is written from the root of a
+    checkout by `python -m guardlang check --trace programs/NAME.gl >
+    tests/golden/NAME.trace.out`, and likewise for `--trace-sub`; rewrite
+    one only for an intended change of the derivations."""
+    _, out, _ = run_cli(capsys, "check", flag, program_path(name))
+    golden = os.path.join(GOLDEN_DIR, f"{name[:-3]}.{flag[2:]}.out")
+    with open(golden, "rb") as fh:
+        assert out.encode() == fh.read()
 
 
 class TestTraceAllCorpus:

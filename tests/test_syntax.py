@@ -1,29 +1,39 @@
+import copy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
 from helpers import oracle_subst_type
 from guardlang.syntax import (
+    Anno,
     Guard,
+    IAdd,
     ILit,
     IMul,
     INT,
     IVar,
     IdxDecl,
     Lam,
+    MetaStore,
     Some,
+    TArrow,
     TCon,
     TPi,
     TUnit,
     Unit,
     Var,
     VarDecl,
+    Zonker,
     alpha_eq,
     free_index_vars,
     fresh_name,
     subst_index_in_term,
     subst_index_in_type,
     subst_term_var,
+    zonk_index,
+    zonk_term,
+    zonk_type,
 )
 
 
@@ -124,6 +134,62 @@ class TestAlphaEq:
     @given(e=strategies.terms())
     def test_reflexive(self, e):
         assert alpha_eq(e, e)
+
+    # The identity shortcut gives the answer the structural walk gives.
+    @given(e=strategies.terms())
+    def test_identity_agrees_with_a_copy_for_terms(self, e):
+        assert alpha_eq(e, e) == alpha_eq(e, copy.deepcopy(e))
+
+    @given(ty=strategies.types())
+    def test_identity_agrees_with_a_copy_for_types(self, ty):
+        assert alpha_eq(ty, ty) == alpha_eq(ty, copy.deepcopy(ty))
+
+
+def _two_metas():
+    store = MetaStore()
+    return store, store.fresh(INT, frozenset()), store.fresh(INT, frozenset())
+
+
+class TestZonk:
+    """Zonking returns its argument when no metavariable in it is solved,
+    and rebuilds only the path down to a solved one."""
+
+    def test_unsolved_returns_the_argument(self):
+        store, m, other = _two_metas()
+        store.assign(other.uid, ILit(7))  # something is solved, elsewhere
+        i = IAdd(m, IVar("a"))
+        ty = TArrow(TCon("list", i), TUnit())
+        e = Anno(Lam("x", Var("x")), ty)
+        assert zonk_index(store, i) is i
+        assert zonk_type(store, ty) is ty
+        assert zonk_term(store, e) is e
+
+    def test_solved_rebuilds_the_path(self):
+        store, m, _ = _two_metas()
+        i = IAdd(m, IVar("a"))
+        ty = TArrow(TCon("list", i), TUnit())
+        e = Anno(Lam("x", Var("x")), ty)
+        store.assign(m.uid, ILit(3))
+        zi = zonk_index(store, i)
+        assert zi == IAdd(ILit(3), IVar("a")) and zi is not i
+        assert zi.rhs is i.rhs
+        zty = zonk_type(store, ty)
+        assert zty == TArrow(TCon("list", zi), TUnit()) and zty is not ty
+        assert zty.res is ty.res
+        ze = zonk_term(store, e)
+        assert ze == Anno(Lam("x", Var("x")), zty) and ze is not e
+        assert ze.body is e.body
+
+    def test_one_pass_shares_and_collects_unsolved(self):
+        store, m, other = _two_metas()
+        t = TCon("list", m)
+        pair = (TArrow(t, t), t)
+        store.assign(m.uid, IAdd(other, ILit(1)))
+        zonk = Zonker(store)
+        out = zonk.visit(pair)
+        assert out[0].arg is out[0].res is out[1]
+        assert out[1] == TCon("list", IAdd(other, ILit(1)))
+        assert zonk.unsolved == {other.uid}
 
 
 class TestFreeIndexVars:

@@ -15,10 +15,12 @@ from guardlang.subtyping import Fail
 from guardlang.syntax import (
     Anno,
     IVar,
+    MetaStore,
     TAtom,
     Unit,
     Var,
     VarDecl,
+    Zonker,
     alpha_eq,
 )
 from guardlang.typecheck import (
@@ -447,6 +449,84 @@ class TestFailureLocations:
             if d.message == TWIN_REASON
         ]
         assert lines == [4, 5]
+
+
+class TestSpanlessDiagnostics:
+    """A failure without a span is reported at its nearest ancestor's."""
+
+    def test_subsort_failure_at_the_subsumed_term(self):
+        prog = parse_program(
+            "datasort a\ndatasort b\nprim p : a\nval main : b =\n  p\n", "m.gl"
+        )
+        report = typecheck_program(prog)
+        where = {
+            d.message: (d.span.start_line, d.span.start_col)
+            for d in report.diagnostics
+        }
+        assert where["datasort a is not a subsort of b"] == (5, 3)
+
+    def test_badguard_subsort_failure_at_the_guard(self):
+        report = typecheck_program(load_program(program_path("parity_badguard.gl")))
+        spans = [
+            (d.span.start_line, d.span.start_col)
+            for d in report.diagnostics
+            if d.message == "datasort odd is not a subsort of even"
+        ]
+        assert spans[0] == (6, 19)
+
+    def test_every_corpus_diagnostic_has_a_span(self):
+        for name in REJECTED_PROGRAMS:
+            report = typecheck_program(load_program(program_path(name)))
+            assert all(d.span is not None for d in report.diagnostics), name
+
+
+def _sect_i_nodes(d):
+    if isinstance(d, TypingDerivation):
+        if d.rule == "sect-i":
+            yield d
+        for p in d.premises:
+            yield from _sect_i_nodes(p)
+
+
+class TestSharing:
+    """Finalize keeps the checker's objects where nothing was solved, so
+    derivations share their terms with the program and with each other."""
+
+    def test_sect_i_premises_share_the_term(self):
+        progs = [kway_program(5, "guarded"), load_program(program_path("parity.gl"))]
+        for prog in progs:
+            report = typecheck_program(prog)
+            nodes = list(_sect_i_nodes(report.derivation))
+            assert nodes
+            for node in nodes:
+                for p in node.premises:
+                    assert p.term is node.term
+            assert report.derivation.term is prog.main
+
+    def test_solved_metavariables_are_zonked_out(self):
+        # The search solves a metavariable at every idcast; none is left in
+        # the finalized derivation (a fresh store counts every one).
+        prog = idx_chain_program(3)
+        report = typecheck_program(prog)
+        zonk = Zonker(MetaStore())
+        assert zonk.visit(report.derivation) is report.derivation
+        assert zonk.unsolved == set()
+        verify_typing(prog.sig, report.derivation)
+
+    def test_unresolved_metavariable_rejections_keep_their_messages(self):
+        header = "prim f : Pi a : int . unit -> unit\n"
+        checked = typecheck_program(
+            parse_program(header + "val main : unit =\n  f ()\n", "m.gl")
+        )
+        assert [d.message for d in checked.diagnostics] == [
+            "derivation left index metavariables unresolved: ?1"
+        ]
+        synthesized = typecheck_program(
+            parse_program(header + "val main =\n  f ()\n", "m.gl")
+        )
+        assert [d.message for d in synthesized.diagnostics] == [
+            "no type synthesized for f ()"
+        ]
 
 
 class TestSearchGrowth:
