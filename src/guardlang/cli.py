@@ -77,6 +77,11 @@ def _load(path: str) -> Program:
             text = fh.read()
     except OSError as ex:
         raise ParseError(f"cannot read {path}: {ex.strerror}")
+    except UnicodeDecodeError as ex:
+        raise ParseError(
+            f"cannot read {path}: not valid UTF-8 "
+            f"(byte 0x{ex.object[ex.start]:02x} at offset {ex.start})"
+        )
     return parse_program(text, path)
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .indices import NoSolution, entails, solve_meta, sort_of, normalize
-from .parser import pretty_type
 from .subtyping import (
     Fail,
     Stats,
@@ -122,10 +121,12 @@ def _match_entries(
     store: MetaStore,
     stats: Stats,
     max_depth: int,
+    memo: Optional[dict] = None,
 ) -> Union[tuple[CtxSubDerivation, Type], Fail]:
     """Process the inner context left to right, yielding the derivation and
     the substituted goal type (which may still mention the introduced
-    metavariables until they are solved)."""
+    metavariables until they are solved).  `memo` is the subtyping memo to
+    share, as in `subtype`."""
     if not typing.entries:
         node = CtxSubDerivation("empty", typing, ctx.entries, typing.goal)
         return node, typing.goal
@@ -138,14 +139,17 @@ def _match_entries(
                 f"contextual typing requires '{d0.name}', which is not in scope",
                 d0.span,
             )
-        sd = subtype(ctx, got, d0.ty, store=store, stats=stats, max_depth=max_depth)
+        sd = subtype(
+            ctx, got, d0.ty, store=store, stats=stats, max_depth=max_depth, memo=memo
+        )
         if isinstance(sd, Fail):
             return Fail(
-                f"context does not entail {d0.name} : {pretty_type(d0.ty)}",
+                "context does not entail {} : {}",
                 d0.span,
                 (sd,),
+                args=(d0.name, d0.ty),
             )
-        res = _match_entries(ctx, rest, store, stats, max_depth)
+        res = _match_entries(ctx, rest, store, stats, max_depth, memo)
         if isinstance(res, Fail):
             return res
         subnode, goal = res
@@ -156,7 +160,7 @@ def _match_entries(
     assert isinstance(d0, IdxDecl)
     m = store.fresh(d0.sort, scope=ctx.index_vars())
     rest = subst_index_in_ctx_typing(m, d0.name, rest)
-    res = _match_entries(ctx, rest, store, stats, max_depth)
+    res = _match_entries(ctx, rest, store, stats, max_depth, memo)
     if isinstance(res, Fail):
         return res
     subnode, goal = res
@@ -263,9 +267,9 @@ def ctx_subsumes(
     if not _types_match(ctx, store, stats, goal, outer_goal):
         store.undo(mark)
         return Fail(
-            f"contextual typing concludes {pretty_type(zonk_type(store, goal))}, "
-            f"which does not match {pretty_type(outer_goal)}",
+            "contextual typing concludes {}, which does not match {}",
             inner.span,
+            args=(zonk_type(store, goal), outer_goal),
         )
     unsolved = [
         w for w in _ivar_witnesses(node) if store.solution(w.uid) is None
@@ -300,7 +304,7 @@ def check_ctx_anno(
             continue
         mark = store.mark()
         res = _match_entries(
-            ctx, typing, store, checker.stats, checker.max_depth
+            ctx, typing, store, checker.stats, checker.max_depth, checker._sub_memo
         )
         if isinstance(res, Fail):
             reasons.append(Fail(f"typing {k} does not apply", typing.span, (res,)))
@@ -326,10 +330,11 @@ def check_ctx_anno(
         if isinstance(d, Fail):
             fails.append(
                 Fail(
-                    f"contextual typing {k} applies, but the term does not "
-                    f"check against {pretty_type(goal)}",
+                    "contextual typing {} applies, but the term does not "
+                    "check against {}",
                     e.span,
                     tuple(reasons) + (d,),
+                    args=(k, goal),
                 )
             )
             store.undo(mark)

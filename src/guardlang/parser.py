@@ -187,9 +187,9 @@ def tokenize(text: str, path: str = "<string>") -> list[Token]:
             kind = word if word in KEYWORDS else "ident"
             tokens.append(Token(kind, word, span(l0, c0)))
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             word = text[i:j]
             col += j - i

@@ -6,6 +6,13 @@ equality, the two intersection-left projections, and finally Pi-left.
 Pi-left introduces a metavariable for the instantiation witness and lets the
 indexed-constructor equality solve it; a derivation that completes with the
 witness unsolved fails.
+
+Subgoals are memoized on `(a, b, context entries, store stamp)`; a result
+is written only when deciding it moved no metavariable, so a hit is valid in
+the store state it was made in.  The typechecker passes one memo to all the
+subtype queries of its run, so a query asked again under another conjunct
+or merge branch is answered from the memo.  Failure messages are rendered
+only when read (see `Fail`).
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from typing import Optional, Union
 
 from . import indices
 from .indices import NoSolution, UnboundIndexVariable, entails, solve_meta
+from .parser import pretty
 from .syntax import (
     Context,
     Decl,
@@ -40,13 +48,41 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
 class Fail:
-    """A failed goal, with the failed subgoals that explain it."""
+    """A failed goal, with the failed subgoals that explain it.
 
-    reason: str
-    span: Optional[Span] = None
-    parts: tuple["Fail", ...] = ()
+    The search throws most failures away, so a message is rendered only when
+    it is read.  With `args`, `reason` is a format string: the first time
+    `.reason` is read, each `{}` takes the next arg, pretty-printed (strings
+    and numbers are used as they are), and the text is kept.  The
+    pretty-printers do not read the metavariable store, so the text does not
+    depend on when it is read; a message that shows solved metavariables
+    zonks its args when the failure is built.
+    """
+
+    __slots__ = ("_reason", "_args", "span", "parts")
+
+    def __init__(
+        self,
+        reason: str,
+        span: Optional[Span] = None,
+        parts: tuple["Fail", ...] = (),
+        *,
+        args: tuple = (),
+    ) -> None:
+        self._reason = reason
+        self._args = args
+        self.span = span
+        self.parts = parts
+
+    @property
+    def reason(self) -> str:
+        if self._args:
+            self._reason = self._reason.format(
+                *(a if isinstance(a, (str, int)) else pretty(a) for a in self._args)
+            )
+            self._args = ()
+        return self._reason
 
     def walk(self) -> list["Fail"]:
         out: list[Fail] = [self]
@@ -73,6 +109,9 @@ class Fail:
 
     def __str__(self) -> str:
         return self.reason
+
+    def __repr__(self) -> str:
+        return f"Fail({self.reason!r}, {self.span!r}, {self.parts!r})"
 
 
 class DepthExceeded(Exception):
@@ -102,10 +141,12 @@ class Stats:
     backtracks: int = 0
     subtype_queries: int = 0
     entailment_queries: int = 0
-    # Lookups in the typechecker's checking-mode memo (subtyping's own
-    # per-query memo is not counted).
+    # Lookups in the typechecker's checking-mode memo.
     memo_hits: int = 0
     memo_misses: int = 0
+    # Lookups in the subtyping memo, one per `_Search.sub` call.
+    sub_memo_hits: int = 0
+    sub_memo_misses: int = 0
     wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
@@ -116,18 +157,20 @@ class Stats:
             "entailment_queries": self.entailment_queries,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
+            "sub_memo_hits": self.sub_memo_hits,
+            "sub_memo_misses": self.sub_memo_misses,
             "wall_ms": round(self.wall_ms, 3),
         }
 
 
 class _Search:
-    def __init__(self, store: MetaStore, stats: Stats, budget: int) -> None:
+    def __init__(self, store: MetaStore, stats: Stats, budget: int, memo: dict) -> None:
         self.store = store
         self.stats = stats
         self.budget = budget
-        # Per-query memo; entries are only written when the subgoal touched
-        # no metavariables, so a hit is always state-independent.
-        self.memo: dict = {}
+        # Keyed on the store's stamp, and written only when the subgoal moved
+        # no metavariable, so a hit is valid in the state it was made in.
+        self.memo = memo
 
     def tick(self) -> None:
         self.stats.rule_applications += 1
@@ -145,7 +188,9 @@ class _Search:
         key = (a, b, ctx.entries, self.store.stamp)
         hit = self.memo.get(key)
         if hit is not None:
+            self.stats.sub_memo_hits += 1
             return hit
+        self.stats.sub_memo_misses += 1
         stamp0 = self.store.stamp
         res = self._sub_dispatch(ctx, a, b)
         if self.store.stamp == stamp0:
@@ -190,12 +235,8 @@ class _Search:
                 self.stats.backtracks += 1
         if len(fails) == 1:
             return fails[0]
-        from .parser import pretty_type
-
         return Fail(
-            f"{pretty_type(a)} is not a subtype of {pretty_type(b)}",
-            None,
-            tuple(fails),
+            "{} is not a subtype of {}", None, tuple(fails), args=(a, b)
         )
 
     # -- individual rules ---------------------------------------------------
@@ -260,12 +301,7 @@ class _Search:
             return Fail("index constraint with several unsolved metavariables")
         if self.entails(ctx, [], goal):
             return SubDerivation("ilr", ctx.entries, a, b)
-        from .parser import pretty_index
-
-        return Fail(
-            f"index equality {pretty_index(i1)} = {pretty_index(i2)} "
-            "is not entailed"
-        )
+        return Fail("index equality {} = {} is not entailed", args=(i1, i2))
 
     def _pi_r(self, ctx, a, b: TPi):
         var = b.var
@@ -301,12 +337,15 @@ def subtype(
     store: Optional[MetaStore] = None,
     stats: Optional[Stats] = None,
     max_depth: int = 512,
+    memo: Optional[dict] = None,
 ) -> Union[SubDerivation, Fail]:
     """Decide ctx |- a <= b.
 
     On success the returned derivation is fully zonked and any metavariable
     solutions remain recorded in the store; on failure the store is restored
-    to its entry state.
+    to its entry state.  Calls that pass the same `memo` dict share their
+    decided subgoals (a checker passes one for its whole run); without one,
+    the call starts from an empty memo.
     """
     if store is None:
         store = ctx.metas if ctx.metas is not None else MetaStore()
@@ -315,7 +354,7 @@ def subtype(
     if stats is None:
         stats = Stats()
     stats.subtype_queries += 1
-    search = _Search(store, stats, max_depth)
+    search = _Search(store, stats, max_depth, {} if memo is None else memo)
     mark = store.mark()
     try:
         res = search.sub(ctx, a, b)

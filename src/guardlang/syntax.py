@@ -417,6 +417,9 @@ class MetaStore:
     def any_solved(self) -> bool:
         return bool(self._trail)
 
+    def any_created(self) -> bool:
+        return self._next > 1
+
     def mark(self) -> int:
         return len(self._trail)
 

@@ -23,7 +23,16 @@ solved metavariable), and the finalize pass visits each distinct object once
 while it collects the unsolved metavariables, so finalize and replay are
 linear in the size of the shared structure.  Replay compares the two sides
 of an equation with `alpha_eq`, which answers at once when they are the
-same object.
+same object.  A run that has created no metavariable skips finalize: its
+derivation has nothing to zonk and nothing left unsolved.
+
+The search rejects most of the alternatives it tries, so it does no work
+that only a reader of the verdict would need.  A failure keeps the syntax
+objects its message names and renders the message from them only when it
+is read (see `Fail`); the types a message shows with solved metavariables
+are zonked when the failure is built.  The subtyping memo lives for the run:
+every subtype query of a `Checker` shares it, so a query asked again under
+another conjunct or merge branch is decided once.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .indices import UnboundIndexVariable, sort_of
-from .parser import pretty_decl, pretty_term, pretty_type
+from .parser import pretty_term
 from .subtyping import (
     DepthExceeded,
     Fail,
@@ -172,6 +181,8 @@ class Checker:
         self.metas = MetaStore()
         self.stats = Stats()
         self._memo: dict[int, tuple] = {}
+        # One subtyping memo for the run; None gives each query its own.
+        self._sub_memo: Optional[dict] = {} if memoize else None
         self._budget = max_depth
 
     def fresh_ctx(self) -> Context:
@@ -216,11 +227,7 @@ class Checker:
             )
         if out:
             return out
-        return Fail(
-            f"no type synthesized for {pretty_term(e)}",
-            e.span,
-            tuple(fails),
-        )
+        return Fail("no type synthesized for {}", e.span, tuple(fails), args=(e,))
 
     def _projections(self, ctx, ty, d):
         yield ty, d
@@ -235,7 +242,11 @@ class Checker:
         self, d: TypingDerivation
     ) -> tuple[TypingDerivation, set[int]]:
         """Finalize d: zonk it in one pass over its distinct objects, and
-        collect the uids of the metavariables it leaves unsolved."""
+        collect the uids of the metavariables it leaves unsolved.  A run that
+        has created no metavariable has nothing to zonk: d comes back as it
+        is."""
+        if not self.metas.any_created():
+            return d, set()
         zonk = Zonker(self.metas)
         return zonk.visit(d), zonk.unsolved
 
@@ -256,7 +267,8 @@ class Checker:
 
     def _subtype(self, ctx: Context, a: Type, b: Type):
         return subtype(
-            ctx, a, b, store=self.metas, stats=self.stats, max_depth=self.max_depth
+            ctx, a, b, store=self.metas, stats=self.stats,
+            max_depth=self.max_depth, memo=self._sub_memo,
         )
 
     # -- checking -------------------------------------------------------------
@@ -327,22 +339,16 @@ class Checker:
         if len(fails) == 1:
             return fails[0]
         return Fail(
-            f"{pretty_term(e)} does not check against {pretty_type(ty)}",
-            e.span,
-            tuple(fails),
+            "{} does not check against {}", e.span, tuple(fails), args=(e, ty)
         )
 
     def _chk_sect_i(self, ctx, e, ty: TSect):
         d1 = self._check(ctx, e, ty.lhs)
         if isinstance(d1, Fail):
-            return Fail(
-                f"conjunct {pretty_type(ty.lhs)} fails", e.span, (d1,)
-            )
+            return Fail("conjunct {} fails", e.span, (d1,), args=(ty.lhs,))
         d2 = self._check(ctx, e, ty.rhs)
         if isinstance(d2, Fail):
-            return Fail(
-                f"conjunct {pretty_type(ty.rhs)} fails", e.span, (d2,)
-            )
+            return Fail("conjunct {} fails", e.span, (d2,), args=(ty.rhs,))
         return TypingDerivation("sect-i", "check", ctx.entries, e, ty, (d1, d2))
 
     def _chk_pi_i(self, ctx, e, ty: TPi):
@@ -417,9 +423,10 @@ class Checker:
         ev = self.check_guard(ctx, e.decl)
         if isinstance(ev, Fail):
             return Fail(
-                f"guard not satisfied: {pretty_decl(e.decl)}",
+                "guard not satisfied: {}",
                 e.span or e.decl.span,
                 (ev,),
+                args=(e.decl,),
             )
         d = self._check(ctx, e.body, ty)
         if isinstance(d, Fail):
@@ -439,9 +446,7 @@ class Checker:
             self.stats.backtracks += 1
             fails.append(Fail(f"merge branch {k} fails", branch.span, (d,)))
         return Fail(
-            f"no merge branch checks against {pretty_type(ty)}",
-            e.span,
-            tuple(fails),
+            "no merge branch checks against {}", e.span, tuple(fails), args=(ty,)
         )
 
     def _chk_sub(self, ctx, e, ty):
@@ -455,18 +460,16 @@ class Checker:
                 )
             fails.append(
                 Fail(
-                    f"synthesized {pretty_type(zonk_type(self.metas, sty))} is "
-                    f"not a subtype of {pretty_type(ty)}",
+                    "synthesized {} is not a subtype of {}",
                     e.span,
                     (sub,),
+                    args=(zonk_type(self.metas, sty), ty),
                 )
             )
             self.metas.undo(mark)
             self.stats.backtracks += 1
         return Fail(
-            f"cannot check {pretty_term(e)} against {pretty_type(ty)}",
-            e.span,
-            tuple(fails),
+            "cannot check {} against {}", e.span, tuple(fails), args=(e, ty)
         )
 
     # -- guards ----------------------------------------------------------------
@@ -482,10 +485,10 @@ class Checker:
             sd = self._subtype(ctx, got, d.ty)
             if isinstance(sd, Fail):
                 return Fail(
-                    f"'{d.name}' has type {pretty_type(got)}, which does not "
-                    f"entail {pretty_type(d.ty)}",
+                    "'{}' has type {}, which does not entail {}",
                     d.span,
                     (sd,),
+                    args=(d.name, got, d.ty),
                 )
             var_node = TypingDerivation(
                 "var", "synth", ctx.entries, Var(d.name), got
@@ -528,10 +531,10 @@ class Checker:
                 if isinstance(d, Fail):
                     fails.append(
                         Fail(
-                            f"annotated term does not check against "
-                            f"{pretty_type(ty)}",
+                            "annotated term does not check against {}",
                             e.span,
                             (d,),
+                            args=(ty,),
                         )
                     )
                     self.metas.undo(mark)
@@ -546,9 +549,10 @@ class Checker:
                 if isinstance(ev, Fail):
                     fails.append(
                         Fail(
-                            f"guard not satisfied: {pretty_decl(decl)}",
+                            "guard not satisfied: {}",
                             e.span or decl.span,
                             (ev,),
+                            args=(decl,),
                         )
                     )
                     self.metas.undo(mark)
@@ -595,10 +599,10 @@ class Checker:
                         if isinstance(ad, Fail):
                             fails.append(
                                 Fail(
-                                    f"argument does not check against "
-                                    f"{pretty_type(zonk_type(self.metas, aty))}",
+                                    "argument does not check against {}",
                                     arg.span,
                                     (ad,),
+                                    args=(zonk_type(self.metas, aty),),
                                 )
                             )
                             self.metas.undo(mark)
@@ -619,9 +623,9 @@ class Checker:
             case _:
                 fails.append(
                     Fail(
-                        f"{pretty_term(e)} does not synthesize a type "
-                        "(it can only be checked)",
+                        "{} does not synthesize a type (it can only be checked)",
                         e.span,
+                        args=(e,),
                     )
                 )
 
@@ -647,12 +651,7 @@ class Checker:
             )
             yield from self._elim_arrow(ctx, inst, node, fails)
             return
-        fails.append(
-            Fail(
-                f"{pretty_type(ty)} is not a function type",
-                d.term.span,
-            )
-        )
+        fails.append(Fail("{} is not a function type", d.term.span, args=(ty,)))
 
 
 # ---------------------------------------------------------------------------

@@ -889,12 +889,17 @@ KWAY_VARIANTS = ("guarded", "plain", "ctxanno", "swapped")
 
 
 def kway_program(k: int, variant: str) -> Program:
-    """k datasorts c0..c(k-1), `step : /\\_i (c_i -> c_(i+1 mod k))`, and
-    `main = fn x => ...` checked against that intersection.  The body is a
-    k-way merge of `where x : c_i do (step x : c_(i+1))` ("guarded"), plain
-    `step x`, or one contextual annotation ("ctxanno"); all three are well
-    typed.  "swapped" guards branch i on c_(i+1) instead, so the only branch
-    whose guard passes claims the wrong result type: ill typed."""
+    return parse_program(kway_source(k, variant))
+
+
+def kway_source(k: int, variant: str) -> str:
+    """The source text of a kway program: k datasorts c0..c(k-1),
+    `step : /\\_i (c_i -> c_(i+1 mod k))`, and `main = fn x => ...` checked
+    against that intersection.  The body is a k-way merge of
+    `where x : c_i do (step x : c_(i+1))` ("guarded"), plain `step x`, or
+    one contextual annotation ("ctxanno"); all three are well typed.
+    "swapped" guards branch i on c_(i+1) instead, so the only branch whose
+    guard passes claims the wrong result type: ill typed."""
     ty = " /\\ ".join(f"(c{i} -> c{(i + 1) % k})" for i in range(k))
     if variant in ("guarded", "swapped"):
         shift = 0 if variant == "guarded" else 1
@@ -910,6 +915,4 @@ def kway_program(k: int, variant: str) -> Program:
     else:
         raise ValueError(f"unknown kway variant {variant!r}")
     header = "".join(f"datasort c{i}\n" for i in range(k))
-    return parse_program(
-        header + f"prim step : {ty}\nval main : {ty} =\n  fn x => {body}\n"
-    )
+    return header + f"prim step : {ty}\nval main : {ty} =\n  fn x => {body}\n"

@@ -202,3 +202,21 @@ class TestRobustness:
             parse_program(text)
         except ParseError:
             pass
+
+    def test_superscript_digit_is_an_unexpected_character(self):
+        # `²` is a digit to str.isdigit but not a decimal that int() reads.
+        text = "indexcon list :: int\nprim p : list(²)\nval main = p\n"
+        with pytest.raises(ParseError) as info:
+            parse_program(text, "sup.gl")
+        assert info.value.message == "unexpected character '²'"
+        span = info.value.span
+        assert (span.start_line, span.start_col, span.end_col) == (2, 15, 16)
+
+    def test_decimal_digits_of_other_scripts_are_literals(self):
+        ty = parse_type("list(٣)")  # ARABIC-INDIC DIGIT THREE
+        assert isinstance(ty, TCon) and ty.index.value == 3
+
+    def test_superscript_digit_continues_an_identifier(self):
+        term = parse_term("fn x² => x²")
+        assert isinstance(term, Lam) and term.var == "x²"
+        assert term.body == Var("x²")

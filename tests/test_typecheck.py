@@ -400,6 +400,7 @@ class TestMemoEquivalence:
         without = typecheck_program(prog, max_depth=10**6, memoize=False)
         assert with_memo.verdict == without.verdict == verdict
         assert with_memo.derivation == without.derivation
+        assert with_memo.diagnostics == without.diagnostics
 
     def test_idx_chains(self):
         for n in range(1, 11):
@@ -527,6 +528,91 @@ class TestSharing:
         assert [d.message for d in synthesized.diagnostics] == [
             "no type synthesized for f ()"
         ]
+
+
+class TestWorkNotRead:
+    """Failure messages are rendered only when read, and finalize does not
+    run when the run created no metavariable."""
+
+    def test_accepted_kway_calls_no_pretty_printer(self, monkeypatch):
+        import guardlang.ctxanno
+        import guardlang.parser
+        import guardlang.subtyping
+        import guardlang.typecheck
+
+        calls = []
+        for module in (
+            guardlang.parser,
+            guardlang.typecheck,
+            guardlang.subtyping,
+            guardlang.ctxanno,
+        ):
+            for name in dir(module):
+                if name.startswith("pretty") or name == "format_derivation":
+                    fn = getattr(module, name)
+
+                    def counted(*args, _fn=fn, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        for variant in ("guarded", "plain"):
+            prog = kway_program(8, variant)
+            report = typecheck_program(prog, max_depth=10**6)
+            assert report.accepted, variant
+            assert report.stats.backtracks > 0, variant
+        assert calls == []
+
+    def test_message_renders_after_the_store_is_undone(self):
+        # The failure solves the Pi-bound c to a and undoes it; the messages
+        # keep the types as they were zonked at the failure.
+        prog = parse_program(
+            "indexcon list :: int\n"
+            "prim idcast : (unit -> unit) /\\ (Pi c : int . list(c) -> list(c))\n"
+            "val main : Pi a : int . list(a) -> list(a+1) =\n"
+            "  fn x => idcast x\n"
+        )
+        checker = Checker(prog.sig)
+        res = checker.check(checker.fresh_ctx(), prog.main, prog.goal)
+        assert isinstance(res, Fail)
+        assert checker.metas.any_created() and not checker.metas.any_solved()
+        messages = res.messages()
+        assert "synthesized list(a) is not a subtype of list(a + 1)" in messages
+        assert "index equality a = a + 1 is not entailed" in messages
+        assert res.messages() == messages
+
+    def test_plain_string_reason(self):
+        f = Fail("no {} here", None, (Fail("inner {}", args=(TAtom("odd"),)),))
+        assert f.reason == "no {} here"
+        assert f.messages() == ["no {} here", "inner odd"]
+        assert str(f.parts[0]) == "inner odd"
+
+    def test_finalize_returns_the_search_result_without_metavariables(
+        self, monkeypatch
+    ):
+        import guardlang.typecheck
+
+        prog = kway_program(5, "guarded")
+        checker = Checker(prog.sig)
+        d = checker._check(checker.fresh_ctx(), prog.main, prog.goal)
+        assert isinstance(d, TypingDerivation)
+        assert not checker.metas.any_created()
+
+        def no_zonk(store):
+            raise AssertionError("finalize ran a Zonker pass")
+
+        monkeypatch.setattr(guardlang.typecheck, "Zonker", no_zonk)
+        zd, leftover = checker._unsolved_in(d)
+        assert zd is d
+        assert leftover == set()
+
+    def test_subtyping_memo_lives_for_the_run(self):
+        report = typecheck_program(kway_program(8, "guarded"))
+        stats = report.stats
+        assert stats.sub_memo_hits > 0
+        unshared = typecheck_program(kway_program(8, "guarded"), memoize=False)
+        assert unshared.stats.sub_memo_hits < stats.sub_memo_hits
+        assert unshared.stats.subtype_queries == stats.subtype_queries
 
 
 class TestSearchGrowth:
