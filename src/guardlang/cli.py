@@ -3,7 +3,8 @@
 Exit codes: 0 on acceptance/success, 1 on type errors (and on stuck or
 out-of-fuel evaluation, or an encoding gap), 2 on usage, missing-file and
 parse errors, 3 when `check --certify` finds that the accepted derivation
-does not replay.
+does not replay, and 4, no verdict, when the input nests too deeply for the
+parser, checker or evaluator to walk within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_USAGE = 2
 EXIT_NOT_CERTIFIED = 3
+EXIT_TOO_DEEP = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,6 +231,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print(
+            f"error: {args.path}: input nests too deeply for this checker",
+            file=sys.stderr,
+        )
+        return EXIT_TOO_DEEP
     return EXIT_USAGE
 
 

@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .indices import NoSolution, entails, solve_meta, sort_of, normalize
+# `entails` and `solve_meta` are imported for the benchmark's tracer, which
+# wraps them here.
+from .indices import (
+    NoSolution,
+    entails,
+    match_indices,
+    solve_meta,
+    sort_of,
+)
 from .subtyping import (
     Fail,
     Stats,
@@ -31,20 +39,17 @@ from .subtyping import (
     verify_subtyping,
 )
 from .syntax import (
+    INDEX,
     Anno,
-    App,
     Context,
     CtxAnno,
     CtxTyping,
     Decl,
-    Eq,
     Guard,
     IMeta,
     IVar,
     IdxDecl,
-    IdxLam,
     IndexExpr,
-    Lam,
     Merge,
     MetaStore,
     Program,
@@ -58,15 +63,13 @@ from .syntax import (
     TUnit,
     Term,
     Type,
-    Unit,
     VarDecl,
     Zonker,
     alpha_eq,
     fresh_name,
-    free_index_vars,
-    subst_index_in_ctx_typing,
-    subst_index_in_type,
-    zonk_index,
+    free_vars,
+    rewrite,
+    subst,
     zonk_type,
 )
 from .typecheck import (
@@ -109,8 +112,8 @@ def _wf_typing(ctx: Context, typing: CtxTyping) -> None:
     assert isinstance(d0, IdxDecl)
     name = d0.name
     if name in ctx.index_vars():
-        name2 = fresh_name(name, ctx.index_vars() | free_index_vars(rest))
-        rest = subst_index_in_ctx_typing(IVar(name2), name, rest)
+        name2 = fresh_name(name, ctx.index_vars() | free_vars(rest, INDEX))
+        rest = subst(IVar(name2), name, rest)
         name = name2
     _wf_typing(ctx.extend(IdxDecl(name, d0.sort)), rest)
 
@@ -159,7 +162,7 @@ def _match_entries(
         )
     assert isinstance(d0, IdxDecl)
     m = store.fresh(d0.sort, scope=ctx.index_vars())
-    rest = subst_index_in_ctx_typing(m, d0.name, rest)
+    rest = subst(m, d0.name, rest)
     res = _match_entries(ctx, rest, store, stats, max_depth, memo)
     if isinstance(res, Fail):
         return res
@@ -184,27 +187,6 @@ def _ivar_witnesses(node: CtxSubDerivation) -> list[IMeta]:
             return out
 
 
-def _indices_match(ctx, store, stats, i, j) -> bool:
-    i = zonk_index(store, i)
-    j = zonk_index(store, j)
-    unsolved = [
-        k
-        for k in normalize(i).sub(normalize(j)).keys()
-        if k[0] == "m" and store.solution(k[1]) is None
-    ]
-    if len(unsolved) == 1:
-        try:
-            uid, solution = solve_meta(ctx, Eq(i, j))
-        except NoSolution:
-            return False
-        store.assign(uid, solution)
-        return True
-    if unsolved:
-        return False
-    stats.entailment_queries += 1
-    return entails(ctx, [], Eq(i, j))
-
-
 def _types_match(ctx, store, stats, a: Type, b: Type) -> bool:
     """Structural match up to index entailment on constructor indices."""
     a = zonk_type(store, a)
@@ -219,21 +201,26 @@ def _types_match(ctx, store, stats, a: Type, b: Type) -> bool:
                 ctx, store, stats, b1, b2
             )
         case TCon(c1, i1), TCon(c2, i2):
-            return c1 == c2 and _indices_match(ctx, store, stats, i1, i2)
+            if c1 != c2:
+                return False
+            try:
+                return match_indices(ctx, store, stats, i1, i2)
+            except NoSolution:
+                return False
         case TPi(v1, s1, b1), TPi(v2, s2, b2):
             if s1 != s2:
                 return False
             fresh = fresh_name(
                 v1,
-                ctx.index_vars() | free_index_vars(b1) | free_index_vars(b2),
+                ctx.index_vars() | free_vars(b1, INDEX) | free_vars(b2, INDEX),
             )
             ctx2 = ctx.extend(IdxDecl(fresh, s1))
             return _types_match(
                 ctx2,
                 store,
                 stats,
-                subst_index_in_type(IVar(fresh), v1, b1),
-                subst_index_in_type(IVar(fresh), v2, b2),
+                subst(IVar(fresh), v1, b1),
+                subst(IVar(fresh), v2, b2),
             )
     return False
 
@@ -355,30 +342,18 @@ def check_ctx_anno(
 
 def encode(e: Term) -> Term:
     """Remove every contextual annotation; all other forms map homomorphically."""
-    match e:
-        case CtxAnno(body, typings):
-            subject = encode(body)
-            branches = [_encode_typing(t, subject) for t in typings]
-            out = branches[-1]
-            for b in reversed(branches[:-1]):
-                out = Merge(b, out)
-            return out
-        case Lam(x, body):
-            return Lam(x, encode(body), span=e.span)
-        case App(f, a):
-            return App(encode(f), encode(a), span=e.span)
-        case Anno(body, ty):
-            return Anno(encode(body), ty, span=e.span)
-        case Guard(d, body):
-            return Guard(d, encode(body), span=e.span)
-        case Merge(l, r):
-            return Merge(encode(l), encode(r), span=e.span)
-        case Some(a, s, body):
-            return Some(a, s, encode(body), span=e.span)
-        case IdxLam(a, s, body):
-            return IdxLam(a, s, encode(body), span=e.span)
-        case _:
-            return e
+    return rewrite(e, _encode_hook, None)
+
+
+def _encode_hook(e, state):
+    if type(e) is CtxAnno:
+        subject = rewrite(e.body, _encode_hook, state)
+        branches = [_encode_typing(t, subject) for t in e.typings]
+        out = branches[-1]
+        for b in reversed(branches[:-1]):
+            out = Merge(b, out)
+        return out
+    return state if isinstance(e, Term) else e
 
 
 def _encode_typing(t: CtxTyping, subject: Term) -> Term:
@@ -513,7 +488,7 @@ def _replay_subsumption(
                 raise VerifyError("[<~ ivar] missing witness")
             if sort_of(ctx, n.witness) != d0.sort:
                 raise VerifyError("[<~ ivar] witness sort mismatch")
-            cur = subst_index_in_ctx_typing(n.witness, d0.name, rest)
+            cur = subst(n.witness, d0.name, rest)
             n = n.premises[0]
         else:
             raise VerifyError(f"unknown subsumption rule {n.rule!r}")

@@ -1,22 +1,20 @@
 """The index constraint domain: linear integer expressions over `int`.
 
 Provides sorting of index expressions under a context, entailment of index
-propositions (equality and inequalities) by Fourier-Motzkin elimination over
-the rationals, and isolation of a single metavariable from an equality
-constraint.
+equations, isolation of a single metavariable from an equation, and
+`match_indices`, which does whichever of the two an equation of the search
+calls for.
 
-Entailment soundness: a reported entailment holds for every integer
-assignment (integers are a subset of the rationals, and strict inequalities
-are negated with the integer shift-by-one encoding).  The procedure is
-incomplete for integer-only facts such as the unsatisfiability of 2a = 1;
-the type system only needs linear equalities, where this never bites.
+The checker only asks whether `i = j` holds for every assignment of the
+index variables, with no hypotheses.  Two linear forms denote the same
+function exactly when their canonical forms are equal, so entailment is a
+comparison of normal forms: sound and complete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .syntax import (
     Context,
@@ -29,10 +27,9 @@ from .syntax import (
     ISub,
     IVar,
     IndexExpr,
-    IndexProp,
     IndexSort,
-    Le,
-    Lt,
+    MetaStore,
+    zonk_index,
 )
 
 # Keys of a linear form: ("v", name) for index variables, ("m", uid) for
@@ -84,9 +81,6 @@ class LinearForm:
     def keys(self) -> frozenset[Key]:
         return frozenset(k for k, _ in self.terms)
 
-    def is_const(self) -> bool:
-        return not self.terms
-
 
 def normalize(i: IndexExpr) -> LinearForm:
     """Semantics-preserving canonical form of a linear index expression."""
@@ -137,17 +131,6 @@ def eval_index(i: IndexExpr, env: dict[str, int]) -> int:
     raise TypeError(f"eval_index: unexpected {i!r}")
 
 
-def eval_prop(p: IndexProp, env: dict[str, int]) -> bool:
-    match p:
-        case Eq(l, r):
-            return eval_index(l, env) == eval_index(r, env)
-        case Le(l, r):
-            return eval_index(l, env) <= eval_index(r, env)
-        case Lt(l, r):
-            return eval_index(l, env) < eval_index(r, env)
-    raise TypeError(f"eval_prop: unexpected {p!r}")
-
-
 def sort_of(ctx: Context, i: IndexExpr) -> IndexSort:
     """Sort of an index expression; every variable must be declared in ctx."""
     match i:
@@ -173,100 +156,12 @@ def sort_of(ctx: Context, i: IndexExpr) -> IndexSort:
 
 
 # ---------------------------------------------------------------------------
-# Entailment by Fourier-Motzkin elimination
-
-FracForm = tuple[dict[Key, Fraction], Fraction]  # meaning: sum + const <= 0
+# Entailment
 
 
-def _to_frac(lf: LinearForm) -> FracForm:
-    return ({k: Fraction(c) for k, c in lf.terms}, Fraction(lf.const))
-
-
-def _le_zero(lhs: IndexExpr, rhs: IndexExpr, shift: int = 0) -> FracForm:
-    # lhs - rhs + shift <= 0
-    lf = normalize(lhs).sub(normalize(rhs))
-    coeffs, const = _to_frac(lf)
-    return coeffs, const + shift
-
-
-def _prop_constraints(p: IndexProp) -> list[FracForm]:
-    match p:
-        case Eq(l, r):
-            return [_le_zero(l, r), _le_zero(r, l)]
-        case Le(l, r):
-            return [_le_zero(l, r)]
-        case Lt(l, r):
-            # Strict over the integers: l < r  iff  l + 1 <= r.
-            return [_le_zero(l, r, shift=1)]
-    raise TypeError(f"_prop_constraints: unexpected {p!r}")
-
-
-def _negation_disjuncts(p: IndexProp) -> list[list[FracForm]]:
-    match p:
-        case Eq(l, r):
-            return [[_le_zero(l, r, shift=1)], [_le_zero(r, l, shift=1)]]
-        case Le(l, r):
-            return [[_le_zero(r, l, shift=1)]]
-        case Lt(l, r):
-            return [[_le_zero(r, l)]]
-    raise TypeError(f"_negation_disjuncts: unexpected {p!r}")
-
-
-def _fm_unsat(constraints: list[FracForm]) -> bool:
-    """True iff the conjunction of `form <= 0` constraints has no rational
-    solution, by eliminating variables one at a time."""
-    system = [(dict(c), k) for c, k in constraints]
-    while True:
-        keys: set[Key] = set()
-        for coeffs, _ in system:
-            keys.update(k for k, v in coeffs.items() if v != 0)
-        if not keys:
-            break
-        var = sorted(keys)[0]
-        uppers: list[FracForm] = []  # positive coefficient on var
-        lowers: list[FracForm] = []  # negative coefficient
-        rest: list[FracForm] = []
-        for coeffs, const in system:
-            c = coeffs.get(var, Fraction(0))
-            if c > 0:
-                uppers.append((coeffs, const))
-            elif c < 0:
-                lowers.append((coeffs, const))
-            else:
-                rest.append((coeffs, const))
-        new_system = rest
-        for ucoeffs, uconst in uppers:
-            for lcoeffs, lconst in lowers:
-                cu = ucoeffs[var]
-                cl = -lcoeffs[var]
-                combined: dict[Key, Fraction] = {}
-                for k, v in ucoeffs.items():
-                    if k != var:
-                        combined[k] = combined.get(k, Fraction(0)) + v * cl
-                for k, v in lcoeffs.items():
-                    if k != var:
-                        combined[k] = combined.get(k, Fraction(0)) + v * cu
-                const = uconst * cl + lconst * cu
-                new_system.append((combined, const))
-        system = new_system
-    return any(const > 0 for _, const in system)
-
-
-def entails(
-    ctx: Context, hyps: Sequence[IndexProp], goal: IndexProp
-) -> bool:
-    """Does the conjunction of hypotheses entail the goal?
-
-    Valid over the rationals (with integer-shifted strict inequalities),
-    hence sound for every integer assignment.  Total and deterministic.
-    """
-    hyp_constraints: list[FracForm] = []
-    for h in hyps:
-        hyp_constraints.extend(_prop_constraints(h))
-    return all(
-        _fm_unsat(hyp_constraints + disjunct)
-        for disjunct in _negation_disjuncts(goal)
-    )
+def entails(i: IndexExpr, j: IndexExpr) -> bool:
+    """Does `i = j` hold for every assignment of its variables?"""
+    return normalize(i) == normalize(j)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +172,7 @@ class NoSolution(Exception):
     pass
 
 
-def solve_meta(ctx: Context, constraint: IndexProp) -> tuple[int, IndexExpr]:
+def solve_meta(ctx: Context, constraint: Eq) -> tuple[int, IndexExpr]:
     """Isolate the single unsolved metavariable of an equality constraint.
 
     Returns (uid, solution).  The solution exists when the metavariable's
@@ -285,8 +180,6 @@ def solve_meta(ctx: Context, constraint: IndexProp) -> tuple[int, IndexExpr]:
     mention only index variables that were in scope when the metavariable was
     introduced.  Raises NoSolution otherwise.
     """
-    if not isinstance(constraint, Eq):
-        raise NoSolution("only equality constraints can be solved")
     lf = normalize(constraint.lhs).sub(normalize(constraint.rhs))
     store = ctx.metas
     meta_keys = [
@@ -329,3 +222,35 @@ def solve_meta(ctx: Context, constraint: IndexProp) -> tuple[int, IndexExpr]:
                 + ", ".join(sorted(str(v) for v in out))
             )
     return uid, linear_to_expr(solution_lf)
+
+
+def match_indices(
+    ctx: Context, store: MetaStore, stats, i: IndexExpr, j: IndexExpr
+) -> bool:
+    """Make the equation `i = j` of a search hold, in the current state of
+    `store`.
+
+    With one unsolved metavariable on the two sides, it is solved for and
+    the solution recorded in the store; with none, the equation must be
+    entailed, which counts one `stats.entailment_queries`.  Returns whether
+    the equation holds.  Raises NoSolution when several metavariables are
+    unsolved, or the one there is has no solution.
+    """
+    i = zonk_index(store, i)
+    j = zonk_index(store, j)
+    unsolved = [
+        k
+        for k in normalize(i).sub(normalize(j)).keys()
+        if k[0] == "m" and store.solution(k[1]) is None
+    ]
+    if len(unsolved) > 1:
+        raise NoSolution("index constraint with several unsolved metavariables")
+    if unsolved:
+        try:
+            uid, solution = solve_meta(ctx, Eq(i, j))
+        except NoSolution as ex:
+            raise NoSolution(f"index constraint has no solution: {ex}") from None
+        store.assign(uid, solution)
+        return True
+    stats.entailment_queries += 1
+    return entails(i, j)

@@ -45,7 +45,6 @@ from .syntax import (
     CtxAnno,
     CtxTyping,
     Decl,
-    Eq,
     Guard,
     IAdd,
     ILit,
@@ -56,11 +55,8 @@ from .syntax import (
     IdxDecl,
     IdxLam,
     IndexExpr,
-    IndexProp,
     IndexSort,
     Lam,
-    Le,
-    Lt,
     Merge,
     Prim,
     Program,
@@ -79,6 +75,7 @@ from .syntax import (
     Var,
     VarDecl,
     SORTS,
+    rewrite,
 )
 
 KEYWORDS = {
@@ -325,14 +322,6 @@ class _Parser:
             return IMul(-1, inner, span=tok.span)
         raise self.fail("expected an index expression")
 
-    def prop(self) -> IndexProp:
-        lhs = self.index()
-        tok = self.peek()
-        if tok.kind == "=":
-            self.advance()
-            return Eq(lhs, self.index())
-        raise self.fail("expected '=' in index proposition", expected=("=",))
-
     # -- types ---------------------------------------------------------------
 
     def type_(self) -> Type:
@@ -527,42 +516,20 @@ class _Parser:
         return Program(sig, main, goal, path=path)
 
 
-def resolve_prims(e: Term, prims: frozenset[str], bound: frozenset[str] = frozenset()) -> Term:
+def resolve_prims(e: Term, prims: frozenset[str]) -> Term:
     """Rewrite free variables naming declared primitives into Prim nodes."""
-    match e:
-        case Var(name):
-            if name in prims and name not in bound:
-                return Prim(name, span=e.span)
-            return e
-        case Unit() | Prim(_):
-            return e
-        case Lam(x, body):
-            return Lam(x, resolve_prims(body, prims, bound | {x}), span=e.span)
-        case App(f, a):
-            return App(
-                resolve_prims(f, prims, bound),
-                resolve_prims(a, prims, bound),
-                span=e.span,
-            )
-        case Anno(body, ty):
-            return Anno(resolve_prims(body, prims, bound), ty, span=e.span)
-        case Guard(d, body):
-            return Guard(d, resolve_prims(body, prims, bound), span=e.span)
-        case Merge(l, r):
-            return Merge(
-                resolve_prims(l, prims, bound),
-                resolve_prims(r, prims, bound),
-                span=e.span,
-            )
-        case Some(a, s, body):
-            return Some(a, s, resolve_prims(body, prims, bound), span=e.span)
-        case IdxLam(a, s, body):
-            return IdxLam(a, s, resolve_prims(body, prims, bound), span=e.span)
-        case CtxAnno(body, typings):
-            return CtxAnno(
-                resolve_prims(body, prims, bound), typings, span=e.span
-            )
-    raise TypeError(f"resolve_prims: unexpected {e!r}")
+    return rewrite(e, _resolve_hook, (prims, frozenset()))
+
+
+def _resolve_hook(e, state):
+    prims, bound = state
+    if type(e) is Var:
+        if e.name in prims and e.name not in bound:
+            return Prim(e.name, span=e.span)
+        return e
+    if type(e) is Lam:
+        return prims, bound | {e.var}
+    return state if isinstance(e, Term) else e
 
 
 def parse_program(text: str, path: str = "<string>") -> Program:
@@ -604,8 +571,6 @@ def pretty(x) -> str:
         return pretty_type(x)
     if isinstance(x, IndexExpr):
         return pretty_index(x)
-    if isinstance(x, IndexProp):
-        return pretty_prop(x)
     if isinstance(x, Decl):
         return pretty_decl(x)
     if isinstance(x, CtxTyping):
@@ -633,11 +598,6 @@ def pretty_index(i: IndexExpr, level: int = 0) -> str:
             s = f"{c}*{pretty_index(f, 2)}"
             return f"({s})" if level > 1 else s
     raise TypeError(f"pretty_index: unexpected {i!r}")
-
-
-def pretty_prop(p: IndexProp) -> str:
-    ops = {Eq: "=", Le: "<=", Lt: "<"}
-    return f"{pretty_index(p.lhs)} {ops[type(p)]} {pretty_index(p.rhs)}"
 
 
 def pretty_type(ty: Type, level: int = 0) -> str:

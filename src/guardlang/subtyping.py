@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import indices
+# `solve_meta` is imported for the benchmark's tracer, which wraps it here.
 from .indices import NoSolution, UnboundIndexVariable, entails, solve_meta
 from .parser import pretty
 from .syntax import (
     Context,
     Decl,
-    Eq,
     IVar,
     IdxDecl,
     IndexExpr,
@@ -40,9 +40,8 @@ from .syntax import (
     Type,
     Zonker,
     alpha_eq,
-    fresh_name,
-    free_index_vars,
-    subst_index_in_type,
+    bind_fresh,
+    subst,
     zonk_index,
     zonk_type,
 )
@@ -88,14 +87,6 @@ class Fail:
         out: list[Fail] = [self]
         for p in self.parts:
             out.extend(p.walk())
-        return out
-
-    def leaves(self) -> list["Fail"]:
-        if not self.parts:
-            return [self]
-        out: list[Fail] = []
-        for p in self.parts:
-            out.extend(p.leaves())
         return out
 
     def messages(self) -> list[str]:
@@ -177,10 +168,6 @@ class _Search:
         self.budget -= 1
         if self.budget < 0:
             raise DepthExceeded()
-
-    def entails(self, ctx: Context, hyps, goal) -> bool:
-        self.stats.entailment_queries += 1
-        return entails(ctx, hyps, goal)
 
     def sub(self, ctx: Context, a: Type, b: Type) -> Union[SubDerivation, Fail]:
         a = zonk_type(self.store, a)
@@ -282,43 +269,27 @@ class _Search:
     def _con(self, ctx, a: TCon, b: TCon):
         if a.con != b.con:
             return Fail(f"distinct constructors {a.con} and {b.con}")
-        i1 = zonk_index(self.store, a.index)
-        i2 = zonk_index(self.store, b.index)
-        goal = Eq(i1, i2)
-        unsolved = [
-            uid
-            for uid in indices.normalize(i1).sub(indices.normalize(i2)).keys()
-            if uid[0] == "m" and self.store.solution(uid[1]) is None
-        ]
-        if len(unsolved) == 1:
-            try:
-                uid, solution = solve_meta(ctx, goal)
-            except NoSolution as ex:
-                return Fail(f"index constraint has no solution: {ex}")
-            self.store.assign(uid, solution)
-            return SubDerivation("ilr", ctx.entries, a, b)
-        if unsolved:
-            return Fail("index constraint with several unsolved metavariables")
-        if self.entails(ctx, [], goal):
-            return SubDerivation("ilr", ctx.entries, a, b)
-        return Fail("index equality {} = {} is not entailed", args=(i1, i2))
+        try:
+            if indices.match_indices(ctx, self.store, self.stats, a.index, b.index):
+                return SubDerivation("ilr", ctx.entries, a, b)
+        except NoSolution as ex:
+            return Fail(str(ex))
+        return Fail(
+            "index equality {} = {} is not entailed",
+            args=(zonk_index(self.store, a.index), zonk_index(self.store, b.index)),
+        )
 
     def _pi_r(self, ctx, a, b: TPi):
-        var = b.var
-        body = b.body
-        if var in ctx.index_vars():
-            var2 = fresh_name(var, ctx.index_vars() | free_index_vars(body))
-            body = subst_index_in_type(IVar(var2), var, body)
-            var = var2
-        ctx2 = ctx.extend(IdxDecl(var, b.sort))
-        p = self.sub(ctx2, a, body)
+        pi = bind_fresh(b, ctx.index_vars())
+        ctx2 = ctx.extend(IdxDecl(pi.var, b.sort))
+        p = self.sub(ctx2, a, pi.body)
         if isinstance(p, Fail):
             return Fail("right Pi body", None, (p,))
         return SubDerivation("pi-r", ctx.entries, a, b, (p,))
 
     def _pi_l(self, ctx, a: TPi, b):
         m = self.store.fresh(a.sort, scope=ctx.index_vars())
-        inst = subst_index_in_type(m, a.var, a.body)
+        inst = subst(m, a.var, a.body)
         p = self.sub(ctx, inst, b)
         if isinstance(p, Fail):
             return Fail("left Pi instantiation", None, (p,))
@@ -431,7 +402,7 @@ def verify_subtyping(sig, d: SubDerivation) -> None:
             "ilr constructor mismatch",
         )
         _require(
-            entails(ctx, [], Eq(d.lhs.index, d.rhs.index)),
+            entails(d.lhs.index, d.rhs.index),
             d,
             "ilr index equality not entailed",
         )
@@ -447,7 +418,7 @@ def verify_subtyping(sig, d: SubDerivation) -> None:
             d,
             "pi-r bound sort",
         )
-        expect = subst_index_in_type(IVar(last.name), d.rhs.var, d.rhs.body)
+        expect = subst(IVar(last.name), d.rhs.var, d.rhs.body)
         _require(
             alpha_eq(p.lhs, d.lhs) and alpha_eq(p.rhs, expect), d, "pi-r premise"
         )
@@ -458,7 +429,7 @@ def verify_subtyping(sig, d: SubDerivation) -> None:
             indices.sort_of(ctx, d.witness) == d.lhs.sort, d, "pi-l witness sort"
         )
         (p,) = d.premises
-        expect = subst_index_in_type(d.witness, d.lhs.var, d.lhs.body)
+        expect = subst(d.witness, d.lhs.var, d.lhs.body)
         _require(
             alpha_eq(p.lhs, expect) and alpha_eq(p.rhs, d.rhs), d, "pi-l premise"
         )

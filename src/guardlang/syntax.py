@@ -5,16 +5,30 @@ freely and used as dict keys.  Source spans are carried on every node but
 excluded from equality and hashing: two terms are equal iff they are
 structurally equal, regardless of where they were parsed.
 
-Index variables are bound by `Pi` in types and by `some`/`idxfn` binders in
-terms; term variables are bound only by `fn`.  Substitution is
-capture-avoiding, with fresh names chosen deterministically from the set of
-names to avoid.
+The binding structure is declared once, in `BINDERS` and `OCCURRENCES`,
+and every traversal (children, free variables, substitution, renaming,
+alpha-equivalence) is derived from it and from one field table:
+
+- `Lam` binds a term variable; `TPi`, `Some` and `IdxLam` each bind an
+  index variable.  In all four the `var` field names the variable and
+  `body` is its scope.
+- A `CtxTyping` is a telescope: each `IdxDecl` entry binds its variable in
+  the later entries and in the goal.
+- `Var`, `IVar`, guard subjects and the `VarDecl` entries of a contextual
+  typing are occurrences, not binders.
+
+Substitution is capture-avoiding, with fresh names chosen deterministically
+from the set of names to avoid.  A recursive traversal spends exactly one
+Python frame per syntax level, with no helper, lambda or closure between
+the levels, so that deep terms stay inside the default recursion limit.  A
+new syntax form needs only its dataclass and, if it binds or names a
+variable, an entry in `BINDERS` or `OCCURRENCES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Union, get_type_hints
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +111,10 @@ class IMeta(IndexExpr):
     uid: int
 
 
-class IndexProp(Node):
-    pass
-
-
 @dataclass(frozen=True)
-class Eq(IndexProp):
-    lhs: IndexExpr
-    rhs: IndexExpr
+class Eq(Node):
+    """The index equation `lhs = rhs`."""
 
-
-@dataclass(frozen=True)
-class Le(IndexProp):
-    lhs: IndexExpr
-    rhs: IndexExpr
-
-
-@dataclass(frozen=True)
-class Lt(IndexProp):
     lhs: IndexExpr
     rhs: IndexExpr
 
@@ -483,9 +483,6 @@ class Context:
             d.name for d in self.entries if isinstance(d, IdxDecl)
         )
 
-    def key(self) -> tuple[Decl, ...]:
-        return self.entries
-
     def __repr__(self) -> str:
         inner = ", ".join(
             f"{d.name}:{d.ty}" if isinstance(d, VarDecl) else f"{d.name}:{d.sort}"
@@ -508,383 +505,268 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Free variables
+# Binding structure, declared once; every traversal below derives from it.
 
-Syntax = Union[IndexExpr, IndexProp, Type, Term, Decl, CtxTyping]
+TERM = "term"
+INDEX = "index"
+
+# Binders: the `var` field names a variable of the namespace, bound in `body`.
+BINDERS: dict[type, str] = {Lam: TERM, TPi: INDEX, Some: INDEX, IdxLam: INDEX}
+# Occurrences: the `name` field refers to a variable of the namespace.  A
+# declaration occurs as a guard subject or as an entry of a CtxTyping, whose
+# IdxDecl entries are the one exception: they bind (see `_subst_telescope`).
+OCCURRENCES: dict[type, str] = {
+    Var: TERM,
+    VarDecl: TERM,
+    IVar: INDEX,
+    IdxDecl: INDEX,
+}
+# The variable of each namespace, which a renaming substitutes.
+_VARIABLE: dict[str, type] = {TERM: Var, INDEX: IVar}
+
+Syntax = Union[IndexExpr, Type, Term, Decl, CtxTyping]
+
+# Leaves of the syntax: names, numbers, sorts and absent fields.
+_ATOMIC = (str, int, IndexSort, type(None))
+# Per dataclass, the fields that take part in equality (spans do not).
+_FIELDS: dict[type, tuple[str, ...]] = {}
+# Per syntax class, (position in _FIELDS, name) of each field that holds
+# syntax: a node, or a tuple of nodes.
+_KIDS: dict[type, tuple[tuple[int, str], ...]] = {}
+
+
+def _register(cls: type) -> None:
+    hints = get_type_hints(cls)
+    names = _FIELDS[cls] = tuple(f.name for f in fields(cls) if f.compare)
+    _KIDS[cls] = tuple(
+        (k, n) for k, n in enumerate(names) if hints[n] not in _ATOMIC
+    )
+    for sub in cls.__subclasses__():
+        _register(sub)
+
+
+_register(Node)
+
+
+# ---------------------------------------------------------------------------
+# Generic traversal
+#
+# A recursive walk spends one Python frame per syntax level and nothing
+# more: no helper, lambda or closure runs between a node and its children.
+# That keeps deep terms inside the default recursion limit.  Walks that only
+# read (free variables, metavariables, subterms) use an explicit stack.
+
+
+def children(x: Syntax) -> tuple[Syntax, ...]:
+    """The syntax directly inside x, in field order, tuples flattened."""
+    out: list = []
+    for _, name in _KIDS[type(x)]:
+        v = getattr(x, name)
+        if type(v) is tuple:
+            out.extend(v)
+        else:
+            out.append(v)
+    return tuple(out)
+
+
+def rewrite(x: Syntax, hook, state) -> Syntax:
+    """x rebuilt through `hook`, sharing every part that does not change.
+
+    `hook(y, state)` runs on each node before its children.  It returns a
+    node to put in y's place, which is not walked further, or the state to
+    walk y's children with.  A node none of whose children changed comes
+    back as the same object.
+    """
+    state = hook(x, state)
+    if isinstance(state, Node):
+        return state
+    cls = type(x)
+    values = None
+    for k, name in _KIDS[cls]:
+        old = getattr(x, name)
+        if type(old) is tuple:
+            items = None
+            for j, item in enumerate(old):
+                new = rewrite(item, hook, state)
+                if new is not item:
+                    if items is None:
+                        items = list(old)
+                    items[j] = new
+            new = old if items is None else tuple(items)
+        else:
+            new = rewrite(old, hook, state)
+        if new is not old:
+            if values is None:
+                values = [getattr(x, n) for n in _FIELDS[cls]]
+            values[k] = new
+    return x if values is None else cls(*values, span=x.span)
+
+
+def map_children(x: Syntax, f) -> Syntax:
+    """x with f applied to each child; x itself when f returns every child
+    unchanged."""
+    return rewrite(x, lambda y, state: state if y is x else f(y), None)
+
+
+def subterms(e: Term) -> Iterator[Term]:
+    """e and every term inside it, in preorder."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(c for c in reversed(children(x)) if isinstance(c, Term))
+
+
+# ---------------------------------------------------------------------------
+# Free variables and metavariables
+
+
+def free_vars(x: Syntax, ns: str) -> frozenset[str]:
+    """Names of the variables of namespace `ns` that occur free in x."""
+    out: set[str] = set()
+    stack: list[tuple[Syntax, frozenset[str]]] = [(x, frozenset())]
+    while stack:
+        y, bound = stack.pop()
+        cls = type(y)
+        if cls is CtxTyping and ns == INDEX:
+            for d in y.entries:
+                if type(d) is IdxDecl:
+                    bound = bound | {d.name}
+                else:
+                    stack.append((d, bound))
+            stack.append((y.goal, bound))
+            continue
+        if OCCURRENCES.get(cls) == ns and y.name not in bound:
+            out.add(y.name)
+        if BINDERS.get(cls) == ns:
+            bound = bound | {y.var}
+        for z in children(y):
+            stack.append((z, bound))
+    return frozenset(out)
 
 
 def free_index_vars(x: Syntax) -> frozenset[str]:
-    match x:
-        case IVar(name):
-            return frozenset({name})
-        case ILit(_) | IMeta(_):
-            return frozenset()
-        case IAdd(l, r) | ISub(l, r) | Eq(l, r) | Le(l, r) | Lt(l, r):
-            return free_index_vars(l) | free_index_vars(r)
-        case IMul(_, f):
-            return free_index_vars(f)
-        case TUnit() | TAtom(_):
-            return frozenset()
-        case TArrow(a, b) | TSect(a, b):
-            return free_index_vars(a) | free_index_vars(b)
-        case TCon(_, i):
-            return free_index_vars(i)
-        case TPi(a, _, body):
-            return free_index_vars(body) - {a}
-        case VarDecl(_, ty):
-            return free_index_vars(ty)
-        case IdxDecl(name, _):
-            # As a guard subject the declared name is a reference, not a
-            # binder; CtxTyping handles its own binding structure below.
-            return frozenset({name})
-        case CtxTyping(entries, goal):
-            acc = free_index_vars(goal)
-            for d in reversed(entries):
-                if isinstance(d, IdxDecl):
-                    acc = acc - {d.name}
-                else:
-                    acc = acc | free_index_vars(d)
-            return acc
-        case Var(_) | Unit() | Prim(_):
-            return frozenset()
-        case Lam(_, body):
-            return free_index_vars(body)
-        case App(f, a):
-            return free_index_vars(f) | free_index_vars(a)
-        case Anno(body, ty):
-            return free_index_vars(body) | free_index_vars(ty)
-        case Guard(decl, body):
-            return free_index_vars(decl) | free_index_vars(body)
-        case Merge(l, r):
-            return free_index_vars(l) | free_index_vars(r)
-        case Some(a, _, body) | IdxLam(a, _, body):
-            return free_index_vars(body) - {a}
-        case CtxAnno(body, typings):
-            acc = free_index_vars(body)
-            for t in typings:
-                acc |= free_index_vars(t)
-            return acc
-    raise TypeError(f"free_index_vars: unexpected {x!r}")
+    return free_vars(x, INDEX)
 
 
-def free_term_vars(e: Term) -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset({name})
-        case Unit() | Prim(_):
-            return frozenset()
-        case Lam(x, body):
-            return free_term_vars(body) - {x}
-        case App(f, a):
-            return free_term_vars(f) | free_term_vars(a)
-        case Anno(body, _):
-            return free_term_vars(body)
-        case Guard(decl, body):
-            subject = frozenset({decl.name}) if isinstance(decl, VarDecl) else frozenset()
-            return subject | free_term_vars(body)
-        case Merge(l, r):
-            return free_term_vars(l) | free_term_vars(r)
-        case Some(_, _, body) | IdxLam(_, _, body):
-            return free_term_vars(body)
-        case CtxAnno(body, typings):
-            acc = free_term_vars(body)
-            for t in typings:
-                for d in t.entries:
-                    if isinstance(d, VarDecl):
-                        acc |= {d.name}
-            return acc
-    raise TypeError(f"free_term_vars: unexpected {e!r}")
+def free_term_vars(x: Syntax) -> frozenset[str]:
+    return free_vars(x, TERM)
 
 
 def metas_of(x: Syntax) -> frozenset[int]:
     """Uids of all metavariables occurring in x."""
     acc: set[int] = set()
-
-    def walk(y: Syntax) -> None:
-        match y:
-            case IMeta(uid):
-                acc.add(uid)
-            case IVar(_) | ILit(_) | TUnit() | TAtom(_) | Var(_) | Unit() | Prim(_):
-                pass
-            case IAdd(l, r) | ISub(l, r) | Eq(l, r) | Le(l, r) | Lt(l, r):
-                walk(l)
-                walk(r)
-            case IMul(_, f):
-                walk(f)
-            case TArrow(a, b) | TSect(a, b):
-                walk(a)
-                walk(b)
-            case TCon(_, i):
-                walk(i)
-            case TPi(_, _, body):
-                walk(body)
-            case VarDecl(_, ty):
-                walk(ty)
-            case IdxDecl(_, _):
-                pass
-            case CtxTyping(entries, goal):
-                for d in entries:
-                    walk(d)
-                walk(goal)
-            case Lam(_, body):
-                walk(body)
-            case App(f, a):
-                walk(f)
-                walk(a)
-            case Anno(body, ty):
-                walk(body)
-                walk(ty)
-            case Guard(decl, body):
-                walk(decl)
-                walk(body)
-            case Merge(l, r):
-                walk(l)
-                walk(r)
-            case Some(_, _, body) | IdxLam(_, _, body):
-                walk(body)
-            case CtxAnno(body, typings):
-                walk(body)
-                for t in typings:
-                    walk(t)
-            case _:
-                raise TypeError(f"metas_of: unexpected {y!r}")
-
-    walk(x)
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if type(y) is IMeta:
+            acc.add(y.uid)
+        else:
+            stack.extend(children(y))
     return frozenset(acc)
 
 
 # ---------------------------------------------------------------------------
-# Substitution of index expressions
+# Substitution
 
 
-def subst_index_in_index(repl: IndexExpr, var: str, i: IndexExpr) -> IndexExpr:
-    match i:
-        case IVar(name):
-            return repl if name == var else i
-        case ILit(_) | IMeta(_):
-            return i
-        case IAdd(l, r):
-            return IAdd(
-                subst_index_in_index(repl, var, l),
-                subst_index_in_index(repl, var, r),
-                span=i.span,
-            )
-        case ISub(l, r):
-            return ISub(
-                subst_index_in_index(repl, var, l),
-                subst_index_in_index(repl, var, r),
-                span=i.span,
-            )
-        case IMul(c, f):
-            return IMul(c, subst_index_in_index(repl, var, f), span=i.span)
-    raise TypeError(f"subst_index_in_index: unexpected {i!r}")
+def subst(repl: Union[Term, IndexExpr], var: str, x: Syntax) -> Syntax:
+    """x with `repl` for the free occurrences of the variable `var`, renaming
+    the binders that would capture a variable of repl.
+
+    The namespace is repl's kind: a term replaces a term variable, an index
+    expression an index variable.  A guard subject or a contextual-typing
+    entry named `var` is renamed when repl is a variable; otherwise it is
+    discharged, the guard dropped for its body and the entry removed.
+    Renaming `var` to itself returns x, so that replay can compare by
+    identity.
+    """
+    ns = TERM if isinstance(repl, Term) else INDEX
+    cls = type(repl)
+    if cls is IVar or cls is Var:
+        if repl.name == var:
+            return x
+        free = frozenset((repl.name,))
+    elif cls is IMeta:
+        free = frozenset()
+    else:
+        free = free_vars(repl, ns)
+    return rewrite(x, _subst_hook, (repl, var, ns, free))
 
 
-def subst_index_in_type(repl: IndexExpr, var: str, ty: Type) -> Type:
-    match ty:
-        case TUnit() | TAtom(_):
-            return ty
-        case TArrow(a, b):
-            return TArrow(
-                subst_index_in_type(repl, var, a),
-                subst_index_in_type(repl, var, b),
-                span=ty.span,
-            )
-        case TSect(a, b):
-            return TSect(
-                subst_index_in_type(repl, var, a),
-                subst_index_in_type(repl, var, b),
-                span=ty.span,
-            )
-        case TCon(c, i):
-            return TCon(c, subst_index_in_index(repl, var, i), span=ty.span)
-        case TPi(a, sort, body):
-            if a == var:
-                return ty
-            if a in free_index_vars(repl):
-                a2 = fresh_name(
-                    a, free_index_vars(repl) | free_index_vars(body) | {var}
-                )
-                body = subst_index_in_type(IVar(a2), a, body)
-                return TPi(a2, sort, subst_index_in_type(repl, var, body), span=ty.span)
-            return TPi(a, sort, subst_index_in_type(repl, var, body), span=ty.span)
-    raise TypeError(f"subst_index_in_type: unexpected {ty!r}")
+def _subst_hook(x, state):
+    repl, var, ns, free = state
+    cls = type(x)
+    if cls is Var or cls is IVar:
+        return repl if x.name == var and OCCURRENCES[cls] is ns else x
+    if cls is CtxTyping:
+        return _subst_telescope(x, state)
+    if ns is TERM and not isinstance(x, Term):
+        return x  # types and indices hold no term variables
+    if BINDERS.get(cls) is ns:
+        if x.var == var:
+            return x
+        if x.var in free:
+            return rewrite(bind_fresh(x, free | {var}), _subst_hook, state)
+    elif cls is Guard:
+        d = x.decl
+        if d.name == var and OCCURRENCES[type(d)] is ns:
+            body = rewrite(x.body, _subst_hook, state)
+            if type(repl) is not _VARIABLE[ns]:
+                return body
+            return Guard(replace(d, name=repl.name), body, span=x.span)
+    return state
 
 
-def subst_index_in_prop(repl: IndexExpr, var: str, p: IndexProp) -> IndexProp:
-    cls = type(p)
-    return cls(
-        subst_index_in_index(repl, var, p.lhs),
-        subst_index_in_index(repl, var, p.rhs),
-    )
-
-
-def subst_index_in_ctx_typing(repl: IndexExpr, var: str, ct: CtxTyping) -> CtxTyping:
+def _subst_telescope(t: CtxTyping, state) -> CtxTyping:
+    """Substitution into a telescope: each IdxDecl entry binds its variable
+    in the later entries and in the goal; VarDecl entries are occurrences."""
+    repl, var, ns, free = state
+    entries, goal = t.entries, t.goal
     out: list[Decl] = []
-    entries = list(ct.entries)
-    i = 0
-    while i < len(entries):
-        d = entries[i]
-        if isinstance(d, VarDecl):
-            out.append(VarDecl(d.name, subst_index_in_type(repl, var, d.ty), span=d.span))
-            i += 1
-            continue
-        assert isinstance(d, IdxDecl)
-        if d.name == var:
-            # Shadowed from here on.
-            out.extend(entries[i:])
-            return CtxTyping(tuple(out), ct.goal, span=ct.span)
-        if d.name in free_index_vars(repl):
-            rest = CtxTyping(tuple(entries[i + 1 :]), ct.goal)
-            avoid = (
-                free_index_vars(repl)
-                | free_index_vars(rest)
-                | {var, d.name}
-            )
-            d2 = fresh_name(d.name, avoid)
-            rest = subst_index_in_ctx_typing(IVar(d2), d.name, rest)
-            entries = [IdxDecl(d2, d.sort, span=d.span)] + list(rest.entries)
-            ct = CtxTyping(tuple(entries), rest.goal, span=ct.span)
-            i = 0
-            continue
-        out.append(d)
-        i += 1
-    return CtxTyping(tuple(out), subst_index_in_type(repl, var, ct.goal), span=ct.span)
+    k = 0
+    while k < len(entries):
+        d = entries[k]
+        k += 1
+        if ns is INDEX and type(d) is IdxDecl:
+            if d.name == var:
+                out.extend(entries[k - 1 :])
+                break
+            if d.name in free:
+                rest = CtxTyping(entries[k:], goal)
+                name = fresh_name(d.name, free | {var} | free_vars(rest, INDEX))
+                rest = subst(IVar(name), d.name, rest)
+                d = replace(d, name=name)
+                entries, goal, k = rest.entries, rest.goal, 0
+            out.append(d)
+        elif ns is TERM and type(d) is VarDecl and d.name == var:
+            if type(repl) is Var:
+                out.append(replace(d, name=repl.name))
+        else:
+            out.append(rewrite(d, _subst_hook, state))
+    else:
+        goal = rewrite(goal, _subst_hook, state)
+    if goal is t.goal and len(out) == len(t.entries) and all(
+        a is b for a, b in zip(out, t.entries)
+    ):
+        return t
+    return CtxTyping(tuple(out), goal, span=t.span)
 
 
-def subst_index_in_decl(repl: IndexExpr, var: str, d: Decl) -> Decl:
-    if isinstance(d, VarDecl):
-        return VarDecl(d.name, subst_index_in_type(repl, var, d.ty), span=d.span)
-    return d
+def bind_fresh(x: Syntax, avoid: frozenset[str]) -> Syntax:
+    """Binder x with its variable renamed when `avoid` holds it, else x.
+
+    The new name avoids `avoid` and the free variables of x's body."""
+    if x.var not in avoid:
+        return x
+    ns = BINDERS[type(x)]
+    name = fresh_name(x.var, avoid | free_vars(x.body, ns))
+    return replace(x, var=name, body=subst(_VARIABLE[ns](name), x.var, x.body))
 
 
-def subst_index_in_term(repl: IndexExpr, var: str, e: Term) -> Term:
-    match e:
-        case Var(_) | Unit() | Prim(_):
-            return e
-        case Lam(x, body):
-            return Lam(x, subst_index_in_term(repl, var, body), span=e.span)
-        case App(f, a):
-            return App(
-                subst_index_in_term(repl, var, f),
-                subst_index_in_term(repl, var, a),
-                span=e.span,
-            )
-        case Anno(body, ty):
-            return Anno(
-                subst_index_in_term(repl, var, body),
-                subst_index_in_type(repl, var, ty),
-                span=e.span,
-            )
-        case Guard(decl, body):
-            if isinstance(decl, IdxDecl) and decl.name == var:
-                # The guard names the substituted variable.  A variable
-                # replacement renames the subject; any other index expression
-                # discharges the guard (its well-sortedness is the
-                # substituting rule's premise).
-                if isinstance(repl, IVar):
-                    decl2: Decl = IdxDecl(repl.name, decl.sort, span=decl.span)
-                    return Guard(decl2, subst_index_in_term(repl, var, body), span=e.span)
-                return subst_index_in_term(repl, var, body)
-            return Guard(
-                subst_index_in_decl(repl, var, decl),
-                subst_index_in_term(repl, var, body),
-                span=e.span,
-            )
-        case Merge(l, r):
-            return Merge(
-                subst_index_in_term(repl, var, l),
-                subst_index_in_term(repl, var, r),
-                span=e.span,
-            )
-        case Some(a, sort, body):
-            if a == var:
-                return e
-            if a in free_index_vars(repl):
-                a2 = fresh_name(a, free_index_vars(repl) | free_index_vars(body) | {var})
-                body = subst_index_in_term(IVar(a2), a, body)
-                return Some(a2, sort, subst_index_in_term(repl, var, body), span=e.span)
-            return Some(a, sort, subst_index_in_term(repl, var, body), span=e.span)
-        case IdxLam(a, sort, body):
-            if a == var:
-                return e
-            if a in free_index_vars(repl):
-                a2 = fresh_name(a, free_index_vars(repl) | free_index_vars(body) | {var})
-                body = subst_index_in_term(IVar(a2), a, body)
-                return IdxLam(a2, sort, subst_index_in_term(repl, var, body), span=e.span)
-            return IdxLam(a, sort, subst_index_in_term(repl, var, body), span=e.span)
-        case CtxAnno(body, typings):
-            return CtxAnno(
-                subst_index_in_term(repl, var, body),
-                tuple(subst_index_in_ctx_typing(repl, var, t) for t in typings),
-                span=e.span,
-            )
-    raise TypeError(f"subst_index_in_term: unexpected {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Substitution of terms for term variables (used by beta reduction and
-# alpha renaming)
-
-
-def subst_term_var(repl: Term, var: str, e: Term) -> Term:
-    match e:
-        case Var(name):
-            return repl if name == var else e
-        case Unit() | Prim(_):
-            return e
-        case Lam(x, body):
-            if x == var:
-                return e
-            if x in free_term_vars(repl):
-                x2 = fresh_name(x, free_term_vars(repl) | free_term_vars(body) | {var})
-                body = subst_term_var(Var(x2), x, body)
-                return Lam(x2, subst_term_var(repl, var, body), span=e.span)
-            return Lam(x, subst_term_var(repl, var, body), span=e.span)
-        case App(f, a):
-            return App(
-                subst_term_var(repl, var, f),
-                subst_term_var(repl, var, a),
-                span=e.span,
-            )
-        case Anno(body, ty):
-            return Anno(subst_term_var(repl, var, body), ty, span=e.span)
-        case Guard(decl, body):
-            if isinstance(decl, VarDecl) and decl.name == var:
-                # Guard subjects must stay variables: renamings rename the
-                # subject, substituting a non-variable value discharges the
-                # statically checked guard.
-                if isinstance(repl, Var):
-                    decl2 = VarDecl(repl.name, decl.ty, span=decl.span)
-                    return Guard(decl2, subst_term_var(repl, var, body), span=e.span)
-                return subst_term_var(repl, var, body)
-            return Guard(decl, subst_term_var(repl, var, body), span=e.span)
-        case Merge(l, r):
-            return Merge(
-                subst_term_var(repl, var, l),
-                subst_term_var(repl, var, r),
-                span=e.span,
-            )
-        case Some(a, sort, body):
-            return Some(a, sort, subst_term_var(repl, var, body), span=e.span)
-        case IdxLam(a, sort, body):
-            return IdxLam(a, sort, subst_term_var(repl, var, body), span=e.span)
-        case CtxAnno(body, typings):
-            new_typings = []
-            for t in typings:
-                entries = []
-                for d in t.entries:
-                    if isinstance(d, VarDecl) and d.name == var:
-                        if isinstance(repl, Var):
-                            entries.append(VarDecl(repl.name, d.ty, span=d.span))
-                        # else: entry discharged, same as guards
-                    else:
-                        entries.append(d)
-                new_typings.append(CtxTyping(tuple(entries), t.goal, span=t.span))
-            return CtxAnno(
-                subst_term_var(repl, var, body), tuple(new_typings), span=e.span
-            )
-    raise TypeError(f"subst_term_var: unexpected {e!r}")
+subst_index_in_type = subst
+subst_index_in_term = subst
+subst_term_var = subst
 
 
 # ---------------------------------------------------------------------------
@@ -892,141 +774,66 @@ def subst_term_var(repl: Term, var: str, e: Term) -> Term:
 
 
 def alpha_eq(x: Syntax, y: Syntax) -> bool:
-    """Equality up to consistent renaming of bound term and index variables.
-
-    An object is equal to itself; `_aeq` cannot take that shortcut below
-    the top, where the two sides' binder maps can differ."""
-    return x is y or _aeq(x, y, {}, {}, {}, {}, 0)
+    """Equality up to consistent renaming of bound term and index variables."""
+    binders: dict = {}
+    return _aeq(x, y, binders, binders, 0)
 
 
-def _aeq(
-    x: Syntax,
-    y: Syntax,
-    tl: dict[str, int],
-    tr: dict[str, int],
-    il: dict[str, int],
-    ir: dict[str, int],
-    depth: int,
-) -> bool:
-    if type(x) is not type(y):
+def _aeq(x, y, lmap: dict, rmap: dict, depth: int) -> bool:
+    # Each side maps its bound variables, keyed (namespace, name), to the
+    # depth of their binder.  While the two sides share one map they have
+    # bound the same names, so there an object is equal to itself.
+    if x is y and lmap is rmap:
+        return True
+    cls = type(x)
+    if cls is not type(y):
         return False
-    match x, y:
-        case IVar(a), IVar(b):
-            if a in il or b in ir:
-                return il.get(a) == ir.get(b) and il.get(a) is not None
-            return a == b
-        case ILit(a), ILit(b):
-            return a == b
-        case IMeta(a), IMeta(b):
-            return a == b
-        case (IAdd(l1, r1), IAdd(l2, r2)) | (ISub(l1, r1), ISub(l2, r2)):
-            return _aeq(l1, l2, tl, tr, il, ir, depth) and _aeq(
-                r1, r2, tl, tr, il, ir, depth
-            )
-        case IMul(c1, f1), IMul(c2, f2):
-            return c1 == c2 and _aeq(f1, f2, tl, tr, il, ir, depth)
-        case (Eq(l1, r1), Eq(l2, r2)) | (Le(l1, r1), Le(l2, r2)) | (
-            Lt(l1, r1),
-            Lt(l2, r2),
-        ):
-            return _aeq(l1, l2, tl, tr, il, ir, depth) and _aeq(
-                r1, r2, tl, tr, il, ir, depth
-            )
-        case TUnit(), TUnit():
-            return True
-        case TAtom(a), TAtom(b):
-            return a == b
-        case (TArrow(a1, b1), TArrow(a2, b2)) | (TSect(a1, b1), TSect(a2, b2)):
-            return _aeq(a1, a2, tl, tr, il, ir, depth) and _aeq(
-                b1, b2, tl, tr, il, ir, depth
-            )
-        case TCon(c1, i1), TCon(c2, i2):
-            return c1 == c2 and _aeq(i1, i2, tl, tr, il, ir, depth)
-        case TPi(a, s1, b1), TPi(b, s2, b2):
-            if s1 != s2:
-                return False
-            il2 = {**il, a: depth}
-            ir2 = {**ir, b: depth}
-            return _aeq(b1, b2, tl, tr, il2, ir2, depth + 1)
-        case VarDecl(n1, t1), VarDecl(n2, t2):
-            if n1 in tl or n2 in tr:
-                if tl.get(n1) != tr.get(n2) or tl.get(n1) is None:
+    skip = None
+    ns = OCCURRENCES.get(cls)
+    if ns is not None:
+        i, j = lmap.get((ns, x.name)), rmap.get((ns, y.name))
+        if i != j or (i is None and x.name != y.name):
+            return False
+        skip = "name"
+    elif cls in BINDERS:
+        lmap, rmap = _bind(lmap, rmap, BINDERS[cls], x.var, y.var, depth)
+        depth += 1
+        skip = "var"
+    elif cls is CtxTyping:
+        if len(x.entries) != len(y.entries):
+            return False
+        for d, e in zip(x.entries, y.entries):
+            if type(d) is IdxDecl and type(e) is IdxDecl:
+                if d.sort != e.sort:
                     return False
-            elif n1 != n2:
+                lmap, rmap = _bind(lmap, rmap, INDEX, d.name, e.name, depth)
+                depth += 1
+            elif type(d) is IdxDecl or not _aeq(d, e, lmap, rmap, depth):
                 return False
-            return _aeq(t1, t2, tl, tr, il, ir, depth)
-        case IdxDecl(n1, s1), IdxDecl(n2, s2):
-            if s1 != s2:
+        return _aeq(x.goal, y.goal, lmap, rmap, depth)
+    for name in _FIELDS[cls]:
+        a, b = getattr(x, name), getattr(y, name)
+        if type(a) is tuple:
+            if len(a) != len(b):
                 return False
-            if n1 in il or n2 in ir:
-                return il.get(n1) == ir.get(n2) and il.get(n1) is not None
-            return n1 == n2
-        case CtxTyping(e1, g1), CtxTyping(e2, g2):
-            if len(e1) != len(e2):
-                return False
-            il2, ir2, d = dict(il), dict(ir), depth
-            for d1, d2 in zip(e1, e2):
-                if type(d1) is not type(d2):
+            for u, v in zip(a, b):
+                if not _aeq(u, v, lmap, rmap, depth):
                     return False
-                if isinstance(d1, VarDecl):
-                    if not _aeq(d1, d2, tl, tr, il2, ir2, d):
-                        return False
-                else:
-                    assert isinstance(d2, IdxDecl)
-                    if d1.sort != d2.sort:
-                        return False
-                    il2[d1.name] = d
-                    ir2[d2.name] = d
-                    d += 1
-            return _aeq(g1, g2, tl, tr, il2, ir2, d)
-        case Var(a), Var(b):
-            if a in tl or b in tr:
-                return tl.get(a) == tr.get(b) and tl.get(a) is not None
-            return a == b
-        case Unit(), Unit():
-            return True
-        case Prim(a), Prim(b):
-            return a == b
-        case Lam(x1, b1), Lam(x2, b2):
-            tl2 = {**tl, x1: depth}
-            tr2 = {**tr, x2: depth}
-            return _aeq(b1, b2, tl2, tr2, il, ir, depth + 1)
-        case App(f1, a1), App(f2, a2):
-            return _aeq(f1, f2, tl, tr, il, ir, depth) and _aeq(
-                a1, a2, tl, tr, il, ir, depth
-            )
-        case Anno(b1, t1), Anno(b2, t2):
-            return _aeq(b1, b2, tl, tr, il, ir, depth) and _aeq(
-                t1, t2, tl, tr, il, ir, depth
-            )
-        case Guard(d1, b1), Guard(d2, b2):
-            if type(d1) is not type(d2):
+        elif isinstance(a, _ATOMIC):
+            if a != b and name != skip:
                 return False
-            if not _aeq(d1, d2, tl, tr, il, ir, depth):
-                return False
-            return _aeq(b1, b2, tl, tr, il, ir, depth)
-        case Merge(l1, r1), Merge(l2, r2):
-            return _aeq(l1, l2, tl, tr, il, ir, depth) and _aeq(
-                r1, r2, tl, tr, il, ir, depth
-            )
-        case (Some(a, s1, b1), Some(b, s2, b2)) | (
-            IdxLam(a, s1, b1),
-            IdxLam(b, s2, b2),
-        ):
-            if s1 != s2:
-                return False
-            il2 = {**il, a: depth}
-            ir2 = {**ir, b: depth}
-            return _aeq(b1, b2, tl, tr, il2, ir2, depth + 1)
-        case CtxAnno(b1, t1), CtxAnno(b2, t2):
-            if len(t1) != len(t2):
-                return False
-            if not _aeq(b1, b2, tl, tr, il, ir, depth):
-                return False
-            return all(
-                _aeq(u, v, tl, tr, il, ir, depth) for u, v in zip(t1, t2)
-            )
-    return False
+        elif not _aeq(a, b, lmap, rmap, depth):
+            return False
+    return True
+
+
+def _bind(lmap, rmap, ns, a, b, depth):
+    """The maps with a bound on the left and b on the right at `depth`: one
+    shared map while the sides share one and bind the same name."""
+    if lmap is rmap and a == b:
+        shared = {**lmap, (ns, a): depth}
+        return shared, shared
+    return {**lmap, (ns, a): depth}, {**rmap, (ns, b): depth}
 
 
 # ---------------------------------------------------------------------------
@@ -1042,53 +849,22 @@ def _aeq(
 # With nothing solved in the store every object is already zonked, so the
 # search's frequent zonks of metavariable-free types cost nothing.
 def zonk_index(store: MetaStore, i: IndexExpr) -> IndexExpr:
-    return _zonk_index(store, i) if store.any_solved() else i
+    return rewrite(i, _zonk_hook, store) if store.any_solved() else i
 
 
 def zonk_type(store: MetaStore, ty: Type) -> Type:
-    return _zonk_type(store, ty) if store.any_solved() else ty
+    return rewrite(ty, _zonk_hook, store) if store.any_solved() else ty
 
 
-def _zonk_index(store: MetaStore, i: IndexExpr) -> IndexExpr:
-    match i:
-        case IMeta(uid):
-            sol = store.solution(uid) if uid in store else None
-            return i if sol is None else _zonk_index(store, sol)
-        case IVar(_) | ILit(_):
-            return i
-        case IAdd(l, r) | ISub(l, r):
-            l2, r2 = _zonk_index(store, l), _zonk_index(store, r)
-            return i if l2 is l and r2 is r else type(i)(l2, r2, span=i.span)
-        case IMul(c, f):
-            f2 = _zonk_index(store, f)
-            return i if f2 is f else IMul(c, f2, span=i.span)
-    raise TypeError(f"zonk_index: unexpected {i!r}")
-
-
-def _zonk_type(store: MetaStore, ty: Type) -> Type:
-    match ty:
-        case TUnit() | TAtom(_):
-            return ty
-        case TArrow(a, b) | TSect(a, b):
-            a2, b2 = _zonk_type(store, a), _zonk_type(store, b)
-            return ty if a2 is a and b2 is b else type(ty)(a2, b2, span=ty.span)
-        case TCon(c, i):
-            i2 = _zonk_index(store, i)
-            return ty if i2 is i else TCon(c, i2, span=ty.span)
-        case TPi(a, s, body):
-            body2 = _zonk_type(store, body)
-            return ty if body2 is body else TPi(a, s, body2, span=ty.span)
-    raise TypeError(f"zonk_type: unexpected {ty!r}")
+def _zonk_hook(x, store: MetaStore):
+    if type(x) is IMeta:
+        sol = store.solution(x.uid) if x.uid in store else None
+        return x if sol is None else rewrite(sol, _zonk_hook, store)
+    return store
 
 
 def zonk_term(store: MetaStore, e: Term) -> Term:
     return Zonker(store).visit(e)
-
-
-# Leaves of the syntax: names, numbers, sorts and absent fields.
-_ATOMIC = (str, int, IndexSort, type(None))
-# Per dataclass, the fields that take part in equality (spans do not).
-_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 class Zonker:
@@ -1149,28 +925,3 @@ class Zonker:
             out = replace(x, **changed) if changed else x
         self._memo[id(x)] = (x, out)
         return out
-
-
-# ---------------------------------------------------------------------------
-# Iteration helper used by tests and the desugarer
-
-
-def term_children(e: Term) -> tuple[Term, ...]:
-    match e:
-        case Var(_) | Unit() | Prim(_):
-            return ()
-        case Lam(_, body) | Anno(body, _) | Guard(_, body):
-            return (body,)
-        case Some(_, _, body) | IdxLam(_, _, body) | CtxAnno(body, _):
-            return (body,)
-        case App(f, a):
-            return (f, a)
-        case Merge(l, r):
-            return (l, r)
-    raise TypeError(f"term_children: unexpected {e!r}")
-
-
-def subterms(e: Term) -> Iterator[Term]:
-    yield e
-    for c in term_children(e):
-        yield from subterms(c)

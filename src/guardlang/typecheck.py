@@ -53,6 +53,8 @@ from .subtyping import (
     verify_subtyping,
 )
 from .syntax import (
+    INDEX,
+    TERM,
     Anno,
     App,
     Context,
@@ -84,13 +86,10 @@ from .syntax import (
     VarDecl,
     Zonker,
     alpha_eq,
-    fresh_name,
-    free_index_vars,
-    free_term_vars,
+    bind_fresh,
+    free_vars,
     metas_of,
-    subst_index_in_term,
-    subst_index_in_type,
-    subst_term_var,
+    subst,
     zonk_type,
 )
 
@@ -153,12 +152,9 @@ def check_type_wf(ctx: Context, ty: Type) -> None:
                 raise IllFormedType(
                     f"index of '{con}' has sort {got}, expected {ctx.sig.cons[con]}"
                 )
-        case TPi(a, sort, body):
-            if a in ctx.index_vars():
-                a2 = fresh_name(a, ctx.index_vars() | free_index_vars(body))
-                body = subst_index_in_type(IVar(a2), a, body)
-                a = a2
-            check_type_wf(ctx.extend(IdxDecl(a, sort)), body)
+        case TPi():
+            pi = bind_fresh(ty, ctx.index_vars())
+            check_type_wf(ctx.extend(IdxDecl(pi.var, pi.sort)), pi.body)
         case _:
             raise IllFormedType(f"unexpected type {ty!r}")
 
@@ -352,15 +348,11 @@ class Checker:
         return TypingDerivation("sect-i", "check", ctx.entries, e, ty, (d1, d2))
 
     def _chk_pi_i(self, ctx, e, ty: TPi):
-        var, body = ty.var, ty.body
-        if var in ctx.index_vars():
-            var2 = fresh_name(var, ctx.index_vars() | free_index_vars(body))
-            body = subst_index_in_type(IVar(var2), var, body)
-            var = var2
-        ctx2 = ctx.extend(IdxDecl(var, ty.sort))
-        d = self._check(ctx2, e, body)
+        pi = bind_fresh(ty, ctx.index_vars())
+        ctx2 = ctx.extend(IdxDecl(pi.var, ty.sort))
+        d = self._check(ctx2, e, pi.body)
         if isinstance(d, Fail):
-            return Fail(f"under Pi-bound {var}", e.span, (d,))
+            return Fail(f"under Pi-bound {pi.var}", e.span, (d,))
         return TypingDerivation("pi-i", "check", ctx.entries, e, ty, (d,))
 
     def _chk_pi_explicit(self, ctx, e: IdxLam, ty: TPi):
@@ -369,35 +361,21 @@ class Checker:
                 f"idxfn binds sort {e.sort} but the type quantifies {ty.sort}",
                 e.span,
             )
-        var, ebody = e.var, e.body
-        if var in ctx.index_vars():
-            var2 = fresh_name(
-                var,
-                ctx.index_vars()
-                | free_index_vars(ebody)
-                | free_index_vars(ty.body),
-            )
-            ebody = subst_index_in_term(IVar(var2), var, ebody)
-            var = var2
-        tbody = (
-            ty.body
-            if ty.var == var
-            else subst_index_in_type(IVar(var), ty.var, ty.body)
-        )
-        ctx2 = ctx.extend(IdxDecl(var, ty.sort))
-        d = self._check(ctx2, ebody, tbody)
+        # Renamed only on a clash with the context, but then away from the
+        # type's variables too.
+        lam = e
+        if e.var in ctx.index_vars():
+            lam = bind_fresh(e, ctx.index_vars() | free_vars(ty.body, INDEX))
+        ctx2 = ctx.extend(IdxDecl(lam.var, ty.sort))
+        d = self._check(ctx2, lam.body, subst(IVar(lam.var), ty.var, ty.body))
         if isinstance(d, Fail):
-            return Fail(f"under idxfn-bound {var}", e.span, (d,))
+            return Fail(f"under idxfn-bound {lam.var}", e.span, (d,))
         return TypingDerivation("pi-i-explicit", "check", ctx.entries, e, ty, (d,))
 
     def _chk_arrow_i(self, ctx, e: Lam, ty: TArrow):
-        var, body = e.var, e.body
-        if var in ctx.term_vars():
-            var2 = fresh_name(var, ctx.term_vars() | free_term_vars(body))
-            body = subst_term_var(Var(var2), var, body)
-            var = var2
-        ctx2 = ctx.extend(VarDecl(var, ty.arg))
-        d = self._check(ctx2, body, ty.res)
+        lam = bind_fresh(e, ctx.term_vars())
+        ctx2 = ctx.extend(VarDecl(lam.var, ty.arg))
+        d = self._check(ctx2, lam.body, ty.res)
         if isinstance(d, Fail):
             return Fail(f"function body fails", e.span, (d,))
         return TypingDerivation("arrow-i", "check", ctx.entries, e, ty, (d,))
@@ -407,7 +385,7 @@ class Checker:
 
     def _chk_some(self, ctx, e: Some, ty):
         m = self.metas.fresh(e.sort, scope=ctx.index_vars())
-        body = subst_index_in_term(m, e.var, e.body)
+        body = subst(m, e.var, e.body)
         d = self._check(ctx, body, ty)
         if isinstance(d, Fail):
             return Fail(f"under `some {e.var}`", e.span, (d,))
@@ -573,7 +551,7 @@ class Checker:
                     self.stats.backtracks += 1
             case Some(var, sort, body):
                 m = self.metas.fresh(sort, scope=ctx.index_vars())
-                inner = subst_index_in_term(m, var, body)
+                inner = subst(m, var, body)
                 mark = self.metas.mark()
                 produced_unsolved = False
                 for ty, d in self._synth(ctx, inner, fails):
@@ -645,7 +623,7 @@ class Checker:
             return
         if isinstance(ty, TPi):
             m = self.metas.fresh(ty.sort, scope=ctx.index_vars())
-            inst = subst_index_in_type(m, ty.var, ty.body)
+            inst = subst(m, ty.var, ty.body)
             node = TypingDerivation(
                 "pi-e", "synth", ctx.entries, d.term, inst, (d,), witness=m
             )
@@ -723,7 +701,7 @@ def validate_program(prog: Program) -> list[Diagnostic]:
             check_type_wf(ctx, ty)
         except IllFormedType as ex:
             diags.append(Diagnostic(f"primitive '{name}': {ex}", ty.span))
-        if free_index_vars(ty):
+        if free_vars(ty, INDEX):
             diags.append(
                 Diagnostic(
                     f"primitive '{name}' must have a closed type", ty.span
@@ -734,14 +712,14 @@ def validate_program(prog: Program) -> list[Diagnostic]:
             check_type_wf(ctx, prog.goal)
         except IllFormedType as ex:
             diags.append(Diagnostic(f"goal type: {ex}", prog.goal.span))
-        if free_index_vars(prog.goal):
+        if free_vars(prog.goal, INDEX):
             diags.append(
                 Diagnostic("goal type must be closed", prog.goal.span)
             )
-    unbound = free_term_vars(prog.main)
+    unbound = free_vars(prog.main, TERM)
     for name in sorted(unbound):
         diags.append(Diagnostic(f"unbound variable '{name}'", prog.main.span))
-    free_idx = free_index_vars(prog.main)
+    free_idx = free_vars(prog.main, INDEX)
     for name in sorted(free_idx):
         diags.append(
             Diagnostic(
@@ -835,12 +813,7 @@ def verify_typing(sig: Signature, d: TypingDerivation) -> None:
             isinstance(last, VarDecl) and alpha_eq(last.ty, ty.arg),
             "bound variable type",
         )
-        body = (
-            e.body
-            if last.name == e.var
-            else subst_term_var(Var(last.name), e.var, e.body)
-        )
-        req(alpha_eq(p.term, body), "premise term")
+        req(alpha_eq(p.term, subst(Var(last.name), e.var, e.body)), "premise term")
         req(alpha_eq(p.ty, ty.res), "premise type")
     elif rule == "sect-i":
         req(isinstance(ty, TSect), "shape")
@@ -888,27 +861,22 @@ def verify_typing(sig: Signature, d: TypingDerivation) -> None:
         last = p.ctx_entries[-1]
         req(isinstance(last, IdxDecl) and last.sort == ty.sort, "bound sort")
         req(alpha_eq(p.term, e), "premise term")
-        req(alpha_eq(p.ty, _renamed_body(ty, last.name)), "premise type")
+        req(alpha_eq(p.ty, subst(IVar(last.name), ty.var, ty.body)), "premise type")
     elif rule == "pi-i-explicit":
         req(isinstance(e, IdxLam) and isinstance(ty, TPi), "shape")
         req(e.sort == ty.sort, "binder sort")
         p = tprem(0)
         last = p.ctx_entries[-1]
         req(isinstance(last, IdxDecl) and last.sort == ty.sort, "bound sort")
-        body = (
-            e.body
-            if last.name == e.var
-            else subst_index_in_term(IVar(last.name), e.var, e.body)
-        )
-        req(alpha_eq(p.term, body), "premise term")
-        req(alpha_eq(p.ty, _renamed_body(ty, last.name)), "premise type")
+        req(alpha_eq(p.term, subst(IVar(last.name), e.var, e.body)), "premise term")
+        req(alpha_eq(p.ty, subst(IVar(last.name), ty.var, ty.body)), "premise type")
     elif rule == "pi-e":
         p = tprem(0)
         req(isinstance(p.ty, TPi), "premise not a Pi")
         req(d.witness is not None, "missing witness")
         req(sort_of(ctx, d.witness) == p.ty.sort, "witness sort")
         req(
-            alpha_eq(ty, subst_index_in_type(d.witness, p.ty.var, p.ty.body)),
+            alpha_eq(ty, subst(d.witness, p.ty.var, p.ty.body)),
             "instantiation differs",
         )
         req(alpha_eq(p.term, e), "premise term")
@@ -918,7 +886,7 @@ def verify_typing(sig: Signature, d: TypingDerivation) -> None:
         req(sort_of(ctx, d.witness) == e.sort, "witness sort")
         p = tprem(0)
         req(
-            alpha_eq(p.term, subst_index_in_term(d.witness, e.var, e.body)),
+            alpha_eq(p.term, subst(d.witness, e.var, e.body)),
             "premise term is not the substituted body",
         )
         req(alpha_eq(p.ty, ty), "premise type")
@@ -952,14 +920,6 @@ def verify_typing(sig: Signature, d: TypingDerivation) -> None:
             verify_typing(sig, p)
         # SubDerivation premises are verified where they occur; contextual
         # subsumption nodes are replayed by verify_ctx_anno.
-
-
-def _renamed_body(ty: TPi, name: str) -> Type:
-    """The body of ty with its bound variable named `name`; the body itself
-    when the name is unchanged, so that replay can compare it by identity."""
-    if name == ty.var:
-        return ty.body
-    return subst_index_in_type(IVar(name), ty.var, ty.body)
 
 
 def _verify_guard_evidence(sig, ctx, decl, ev) -> None:

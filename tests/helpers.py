@@ -13,12 +13,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from guardlang.indices import eval_prop
+from guardlang.indices import eval_index
 from guardlang.parser import parse_program
 from guardlang.syntax import (
     Anno,
     App,
-    Context,
     CtxAnno,
     Eq,
     Guard,
@@ -30,11 +29,8 @@ from guardlang.syntax import (
     IdxDecl,
     IdxLam,
     IndexExpr,
-    IndexProp,
     INT,
     Lam,
-    Le,
-    Lt,
     Merge,
     Prim,
     Program,
@@ -162,12 +158,15 @@ def oracle_subst_type(repl: IndexExpr, var: str, ty: Type) -> Type:
 
 
 def box_counterexample(
-    hyps: list[IndexProp], goal: IndexProp, lo: int = -4, hi: int = 4
+    goal: Eq, lo: int = -4, hi: int = 4
 ) -> Optional[dict[str, int]]:
-    names = sorted(set().union(*[free_index_vars(p) for p in [*hyps, goal]]))
+    """An assignment in the box [lo, hi]^n under which the two sides of goal
+    differ, or None.  For linear sides a box that holds 0 and 1 finds a
+    counterexample whenever the equation is not an identity."""
+    names = sorted(free_index_vars(goal))
     for values in itertools.product(range(lo, hi + 1), repeat=len(names)):
         env = dict(zip(names, values))
-        if all(eval_prop(h, env) for h in hyps) and not eval_prop(goal, env):
+        if eval_index(goal.lhs, env) != eval_index(goal.rhs, env):
             return env
     return None
 
@@ -206,10 +205,9 @@ def brute_subtype(
         ):
             return True
     if isinstance(a, TCon) and isinstance(b, TCon) and a.con == b.con:
-        ctx = Context(sig, tuple(IdxDecl(v, INT) for v in idx_env))
         from guardlang.indices import entails
 
-        if entails(ctx, [], Eq(a.index, b.index)):
+        if entails(a.index, b.index):
             return True
     if isinstance(a, TSect):
         if brute_subtype(sig, a.lhs, b, depth - 1, idx_env) or brute_subtype(
@@ -380,9 +378,14 @@ def gen_type(
     return TPi(var, INT, gen_type(rng, depth - 1, idx_vars + (var,), allow_pi))
 
 
-def gen_prop(rng: random.Random, names: tuple[str, ...]) -> IndexProp:
-    cls = rng.choice((Eq, Le, Lt))
-    return cls(gen_index(rng, names), gen_index(rng, names))
+def gen_eq(rng: random.Random, names: tuple[str, ...]) -> Eq:
+    """A random equation; in about 2 of 5 the right side is the left side
+    rearranged, so that it holds identically."""
+    lhs = gen_index(rng, names)
+    if rng.random() < 0.4:
+        extra = gen_index(rng, names)
+        return Eq(lhs, ISub(IAdd(extra, lhs), extra))
+    return Eq(lhs, gen_index(rng, names))
 
 
 def weaken(rng: random.Random, sig: Signature, t: Type, depth: int = 2) -> Type:

@@ -327,3 +327,40 @@ class TestEvalMergeMismatch:
         )
         assert code == 1
         assert "erase differently" in err
+
+
+def _snoc_source(n: int) -> str:
+    body = "b1"
+    for _ in range(n):
+        body = f"snoc1 ({body})"
+    return (
+        "datasort odd <: bits\ndatasort even <: bits\n"
+        "prim snoc1 : (odd -> even) /\\ (even -> odd)\nprim b1 : odd\n"
+        f"val main : odd =\n  {body}\n"
+    )
+
+
+DEEP_SOURCES = {
+    "parens": "datasort bits\nprim b : bits\nval main = "
+    + "(" * 3000
+    + "b"
+    + ")" * 3000
+    + "\n",
+    "snoc": _snoc_source(400),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SOURCES))
+@pytest.mark.parametrize(
+    "command",
+    [("check",), ("check", "--max-depth", "1000000"), ("eval",), ("desugar",)],
+    ids=["check", "check-max-depth", "eval", "desugar"],
+)
+def test_deep_input_exits_four(tmp_path, capsys, monkeypatch, shape, command):
+    # No traceback and no type-error verdict: exit 4 means no verdict.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.gl").write_text(DEEP_SOURCES[shape])
+    code, out, err = run_cli(capsys, *command, "deep.gl")
+    assert code == 4
+    assert out == ""
+    assert err == "error: deep.gl: input nests too deeply for this checker\n"

@@ -1,12 +1,25 @@
 import copy
+import sys
+from dataclasses import fields, replace
+from typing import get_type_hints
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
 from helpers import oracle_subst_type
+from guardlang.ctxanno import encode
+from guardlang.interp import erase
+from guardlang.parser import resolve_prims
 from guardlang.syntax import (
+    BINDERS,
+    TERM,
     Anno,
+    App,
+    CtxAnno,
+    CtxTyping,
+    Decl,
     Guard,
     IAdd,
     ILit,
@@ -14,23 +27,35 @@ from guardlang.syntax import (
     INT,
     IVar,
     IdxDecl,
+    IndexExpr,
+    IndexSort,
     Lam,
     MetaStore,
+    Node,
+    Prim,
     Some,
     TArrow,
+    TAtom,
     TCon,
     TPi,
     TUnit,
+    Term,
+    Type,
     Unit,
     Var,
     VarDecl,
     Zonker,
     alpha_eq,
     free_index_vars,
+    free_term_vars,
     fresh_name,
+    map_children,
+    metas_of,
+    subst,
     subst_index_in_term,
     subst_index_in_type,
     subst_term_var,
+    subterms,
     zonk_index,
     zonk_term,
     zonk_type,
@@ -234,3 +259,191 @@ def test_fresh_name_deterministic():
     avoid = {"a", "a1", "a2"}
     assert fresh_name("a", avoid) == "a3"
     assert fresh_name("b", avoid) == "b"
+
+
+# ---------------------------------------------------------------------------
+# The binding table and the traversals derived from it
+
+
+def _list(i):
+    return TCon("list", i)
+
+
+class TestTelescope:
+    def test_shadowing_entry_stops_substitution(self):
+        # [5/a](x : list(a), a : int, y : list(a) |- list(a)): the IdxDecl
+        # rebinds a for the later entries and the goal.
+        t = CtxTyping(
+            (
+                VarDecl("x", _list(IVar("a"))),
+                IdxDecl("a", INT),
+                VarDecl("y", _list(IVar("a"))),
+            ),
+            _list(IVar("a")),
+        )
+        got = subst(ILit(5), "a", t)
+        assert got == CtxTyping(
+            (VarDecl("x", _list(ILit(5))),) + t.entries[1:], t.goal
+        )
+        assert got.entries[1:] == t.entries[1:] and got.goal is t.goal
+
+    def test_bound_from_the_start_is_untouched(self):
+        t = CtxTyping((IdxDecl("a", INT),), _list(IVar("a")))
+        assert subst(ILit(5), "a", t) is t
+
+    def test_capture_renames_the_entry(self):
+        # [a/b](a : int, x : list(a + b) |- list(a)) renames the bound a.
+        t = CtxTyping(
+            (IdxDecl("a", INT), VarDecl("x", _list(IAdd(IVar("a"), IVar("b"))))),
+            _list(IVar("a")),
+        )
+        assert subst(IVar("a"), "b", t) == CtxTyping(
+            (
+                IdxDecl("a1", INT),
+                VarDecl("x", _list(IAdd(IVar("a1"), IVar("a")))),
+            ),
+            _list(IVar("a1")),
+        )
+
+    def test_free_vars_respect_the_telescope(self):
+        t = CtxTyping(
+            (VarDecl("x", _list(IVar("c"))), IdxDecl("a", INT)),
+            _list(IAdd(IVar("a"), IVar("b"))),
+        )
+        assert free_index_vars(t) == {"b", "c"}
+        assert free_term_vars(CtxAnno(Unit(), (t,))) == {"x"}
+
+
+class TestGuardSubjects:
+    def test_index_subject_renamed_by_a_variable(self):
+        e = Guard(IdxDecl("a", INT), Unit())
+        assert subst(IVar("c"), "a", e) == Guard(IdxDecl("c", INT), Unit())
+
+    def test_index_subject_discharged_by_an_expression(self):
+        e = Guard(IdxDecl("a", INT), Unit())
+        assert subst(IAdd(IVar("c"), ILit(1)), "a", e) == Unit()
+
+    def test_entry_renamed_by_a_variable(self):
+        e = CtxAnno(Var("x"), (CtxTyping((VarDecl("x", TUnit()),), TUnit()),))
+        assert subst(Var("y"), "x", e) == CtxAnno(
+            Var("y"), (CtxTyping((VarDecl("y", TUnit()),), TUnit()),)
+        )
+
+    def test_entry_discharged_by_a_value(self):
+        e = CtxAnno(Var("x"), (CtxTyping((VarDecl("x", TUnit()),), TUnit()),))
+        assert subst(Unit(), "x", e) == CtxAnno(Unit(), (CtxTyping((), TUnit()),))
+
+
+def _binder(cls, var, body_var):
+    """A binder of class cls on `var` whose body mentions `body_var`."""
+    if BINDERS[cls] == TERM:
+        return cls(var, Var(body_var))
+    if cls is TPi:
+        return TPi(var, INT, _list(IVar(body_var)))
+    return cls(var, INT, Guard(IdxDecl(body_var, INT), Unit()))
+
+
+@pytest.mark.parametrize("cls", list(BINDERS), ids=lambda c: c.__name__)
+class TestAlphaEqPerBinder:
+    def test_renamed_binders_are_equal(self, cls):
+        assert alpha_eq(_binder(cls, "a", "a"), _binder(cls, "b", "b"))
+
+    def test_bound_and_free_differ(self, cls):
+        assert not alpha_eq(_binder(cls, "a", "a"), _binder(cls, "b", "a"))
+
+    def test_shared_body_under_different_binders(self, cls):
+        # The two sides bound different names, so the shared body object
+        # must be compared, not taken as equal to itself.
+        x = _binder(cls, "x", "x")
+        assert not alpha_eq(x, replace(x, var="y"))
+
+
+def test_identity_shortcut_needs_the_same_binders():
+    b = Var("x")
+    assert not alpha_eq(Lam("x", b), Lam("y", b))
+    assert alpha_eq(Lam("x", b), Lam("x", b))
+
+
+def test_alpha_eq_through_a_telescope():
+    def typing(a):
+        return CtxTyping(
+            (IdxDecl(a, INT), VarDecl("x", _list(IVar(a)))), _list(IVar(a))
+        )
+
+    assert alpha_eq(typing("a"), typing("b"))
+    assert not alpha_eq(
+        typing("a"), CtxTyping(typing("b").entries, _list(IVar("a")))
+    )
+
+
+def _chain(n, leaf):
+    e = leaf
+    for _ in range(n):
+        e = Anno(App(Prim("f"), e), TAtom("bits"))
+    return e
+
+
+DEEP = 400
+TRAVERSALS = {
+    "free_index_vars": lambda: free_index_vars(_chain(DEEP, Var("x"))),
+    "free_term_vars": lambda: free_term_vars(_chain(DEEP, Var("x"))),
+    "metas_of": lambda: metas_of(_chain(DEEP, Var("x"))),
+    "subterms": lambda: list(subterms(_chain(DEEP, Var("x")))),
+    "subst-term": lambda: subst(Var("y"), "x", _chain(DEEP, Var("x"))),
+    "subst-index": lambda: subst(
+        IVar("b"), "a", _chain(DEEP, Guard(IdxDecl("a", INT), Unit()))
+    ),
+    "alpha_eq": lambda: alpha_eq(_chain(DEEP, Var("x")), _chain(DEEP, Var("x"))),
+    "erase": lambda: erase(_chain(DEEP, Var("x"))),
+    "encode": lambda: encode(_chain(DEEP, Var("x"))),
+    "resolve_prims": lambda: resolve_prims(
+        _chain(DEEP, Var("f")), frozenset({"f"})
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAVERSALS))
+def test_traversal_handles_deep_terms(name):
+    # One Python frame per syntax level: 400 levels (800 nodes deep) fit in
+    # the default recursion limit, and an extra frame per level would not.
+    assert sys.getrecursionlimit() == 1000
+    TRAVERSALS[name]()
+
+
+def _sample(hint):
+    samples = {
+        str: "a",
+        int: 1,
+        IndexSort: INT,
+        IndexExpr: IVar("a"),
+        Type: TUnit(),
+        Term: Var("a"),
+        Decl: VarDecl("a", TUnit()),
+        tuple[Decl, ...]: (IdxDecl("a", INT), VarDecl("x", TUnit())),
+        tuple[CtxTyping, ...]: (CtxTyping((), TUnit()),),
+    }
+    return samples[hint]
+
+
+def _concrete_node_classes():
+    out, todo = [], [Node]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "__dataclass_params__" in cls.__dict__ and cls is not Node:
+            out.append(cls)
+    return out
+
+
+@pytest.mark.parametrize(
+    "cls", _concrete_node_classes(), ids=lambda c: c.__name__
+)
+def test_every_syntax_form_is_traversed(cls):
+    # A new form whose fields the traversal cannot walk, or that binds
+    # without an entry in the binding table, fails here.
+    hints = get_type_hints(cls)
+    x = cls(*(_sample(hints[f.name]) for f in fields(cls) if f.compare))
+    assert map_children(x, lambda c: c) is x
+    assert map_children(x, lambda c: copy.copy(c)) == x
+    if "var" in hints:
+        assert cls in BINDERS
