@@ -125,11 +125,13 @@ def _match_entries(
     stats: Stats,
     max_depth: int,
     memo: Optional[dict] = None,
+    ground: Optional[dict] = None,
 ) -> Union[tuple[CtxSubDerivation, Type], Fail]:
     """Process the inner context left to right, yielding the derivation and
     the substituted goal type (which may still mention the introduced
-    metavariables until they are solved).  `memo` is the subtyping memo to
-    share, as in `subtype`."""
+    metavariables until they are solved).  `memo` and `ground` are the
+    subtyping memo and the table of metavariable-free objects to share, as
+    in `subtype`."""
     if not typing.entries:
         node = CtxSubDerivation("empty", typing, ctx.entries, typing.goal)
         return node, typing.goal
@@ -143,7 +145,8 @@ def _match_entries(
                 d0.span,
             )
         sd = subtype(
-            ctx, got, d0.ty, store=store, stats=stats, max_depth=max_depth, memo=memo
+            ctx, got, d0.ty, store=store, stats=stats, max_depth=max_depth,
+            memo=memo, ground=ground,
         )
         if isinstance(sd, Fail):
             return Fail(
@@ -152,7 +155,7 @@ def _match_entries(
                 (sd,),
                 args=(d0.name, d0.ty),
             )
-        res = _match_entries(ctx, rest, store, stats, max_depth, memo)
+        res = _match_entries(ctx, rest, store, stats, max_depth, memo, ground)
         if isinstance(res, Fail):
             return res
         subnode, goal = res
@@ -163,7 +166,7 @@ def _match_entries(
     assert isinstance(d0, IdxDecl)
     m = store.fresh(d0.sort, scope=ctx.index_vars())
     rest = subst(m, d0.name, rest)
-    res = _match_entries(ctx, rest, store, stats, max_depth, memo)
+    res = _match_entries(ctx, rest, store, stats, max_depth, memo, ground)
     if isinstance(res, Fail):
         return res
     subnode, goal = res
@@ -291,7 +294,8 @@ def check_ctx_anno(
             continue
         mark = store.mark()
         res = _match_entries(
-            ctx, typing, store, checker.stats, checker.max_depth, checker._sub_memo
+            ctx, typing, store, checker.stats, checker.max_depth,
+            checker._sub_memo, checker._ground,
         )
         if isinstance(res, Fail):
             reasons.append(Fail(f"typing {k} does not apply", typing.span, (res,)))

@@ -7,12 +7,16 @@ Pi-left introduces a metavariable for the instantiation witness and lets the
 indexed-constructor equality solve it; a derivation that completes with the
 witness unsolved fails.
 
-Subgoals are memoized on `(a, b, context entries, store stamp)`; a result
-is written only when deciding it moved no metavariable, so a hit is valid in
-the store state it was made in.  The typechecker passes one memo to all the
-subtype queries of its run, so a query asked again under another conjunct
-or merge branch is answered from the memo.  Failure messages are rendered
-only when read (see `Fail`).
+Subgoals are memoized.  A query whose zonked sides and context hold a
+metavariable is keyed on `(a, b, context entries, store stamp)`, and its
+result is written only when deciding it moved no metavariable, so a hit is
+valid in the store state it was made in.  A query that holds none cannot
+read the store: it is keyed on `(a, b, context entries)` alone, its failure
+is written always (every alternative was undone), and its success when the
+stamp did not move.  The typechecker passes one memo to all the subtype
+queries of its run, so a query asked again under another conjunct, merge
+branch or metavariable state is answered from the memo.  Failure messages
+are rendered only when read (see `Fail`).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .syntax import (
     Zonker,
     alpha_eq,
     bind_fresh,
+    meta_free,
     subst,
     zonk_index,
     zonk_type,
@@ -135,6 +140,9 @@ class Stats:
     # Lookups in the typechecker's checking-mode memo.
     memo_hits: int = 0
     memo_misses: int = 0
+    # Lookups in the typechecker's memo of application candidates.
+    synth_memo_hits: int = 0
+    synth_memo_misses: int = 0
     # Lookups in the subtyping memo, one per `_Search.sub` call.
     sub_memo_hits: int = 0
     sub_memo_misses: int = 0
@@ -148,6 +156,8 @@ class Stats:
             "entailment_queries": self.entailment_queries,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
+            "synth_memo_hits": self.synth_memo_hits,
+            "synth_memo_misses": self.synth_memo_misses,
             "sub_memo_hits": self.sub_memo_hits,
             "sub_memo_misses": self.sub_memo_misses,
             "wall_ms": round(self.wall_ms, 3),
@@ -155,13 +165,22 @@ class Stats:
 
 
 class _Search:
-    def __init__(self, store: MetaStore, stats: Stats, budget: int, memo: dict) -> None:
+    def __init__(
+        self,
+        store: MetaStore,
+        stats: Stats,
+        budget: int,
+        memo: dict,
+        ground: Optional[dict],
+    ) -> None:
         self.store = store
         self.stats = stats
         self.budget = budget
-        # Keyed on the store's stamp, and written only when the subgoal moved
-        # no metavariable, so a hit is valid in the state it was made in.
+        # See the module docstring for the two key shapes.
         self.memo = memo
+        # Objects known to hold no metavariable (see `syntax.meta_free`);
+        # without the table every key carries the stamp.
+        self.ground = ground
 
     def tick(self) -> None:
         self.stats.rule_applications += 1
@@ -170,19 +189,30 @@ class _Search:
             raise DepthExceeded()
 
     def sub(self, ctx: Context, a: Type, b: Type) -> Union[SubDerivation, Fail]:
-        a = zonk_type(self.store, a)
-        b = zonk_type(self.store, b)
-        key = (a, b, ctx.entries, self.store.stamp)
+        # The key carries the stamp unless the query holds no metavariable.
+        # A store that has created none has nothing to zonk, and no query
+        # can hold one.
+        stamp0 = self.store.stamp
+        if self.store.any_created():
+            a = zonk_type(self.store, a)
+            b = zonk_type(self.store, b)
+        key = (a, b, ctx.entries)
+        if self.ground is None or (
+            self.store.any_created() and not self._meta_free(key)
+        ):
+            key += (stamp0,)
         hit = self.memo.get(key)
         if hit is not None:
             self.stats.sub_memo_hits += 1
             return hit
         self.stats.sub_memo_misses += 1
-        stamp0 = self.store.stamp
         res = self._sub_dispatch(ctx, a, b)
-        if self.store.stamp == stamp0:
+        if self.store.stamp == stamp0 or (len(key) == 3 and isinstance(res, Fail)):
             self.memo[key] = res
         return res
+
+    def _meta_free(self, key: tuple) -> bool:
+        return all(meta_free(x, self.ground) for x in key)
 
     def _sub_dispatch(
         self, ctx: Context, a: Type, b: Type
@@ -309,6 +339,7 @@ def subtype(
     stats: Optional[Stats] = None,
     max_depth: int = 512,
     memo: Optional[dict] = None,
+    ground: Optional[dict] = None,
 ) -> Union[SubDerivation, Fail]:
     """Decide ctx |- a <= b.
 
@@ -316,7 +347,10 @@ def subtype(
     solutions remain recorded in the store; on failure the store is restored
     to its entry state.  Calls that pass the same `memo` dict share their
     decided subgoals (a checker passes one for its whole run); without one,
-    the call starts from an empty memo.
+    the call starts from an empty memo.  `ground` is a table of objects
+    known to hold no metavariable (see `syntax.meta_free`), which the call
+    reads and extends; with it, metavariable-free queries are memoized
+    without the stamp.  A checker passes one for its whole run.
     """
     if store is None:
         store = ctx.metas if ctx.metas is not None else MetaStore()
@@ -325,7 +359,7 @@ def subtype(
     if stats is None:
         stats = Stats()
     stats.subtype_queries += 1
-    search = _Search(store, stats, max_depth, {} if memo is None else memo)
+    search = _Search(store, stats, max_depth, {} if memo is None else memo, ground)
     mark = store.mark()
     try:
         res = search.sub(ctx, a, b)

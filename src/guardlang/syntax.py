@@ -666,6 +666,30 @@ def metas_of(x: Syntax) -> frozenset[int]:
     return frozenset(acc)
 
 
+def meta_free(x, known: dict[int, object]) -> bool:
+    """Whether x, a syntax object or a tuple of them, holds no metavariable.
+
+    `known` maps `id` to object for objects already known to hold none; the
+    walk does not enter them.  When the answer is yes, every object the walk
+    visited is added, so a later walk over a larger object that contains x
+    stops at x.  The table keeps its objects alive, so no id is reused while
+    it is in use.
+    """
+    seen = []
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if id(y) in known:
+            continue
+        if type(y) is IMeta:
+            return False
+        seen.append(y)
+        stack.extend(y if type(y) is tuple else children(y))
+    for y in seen:
+        known[id(y)] = y
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 
@@ -876,17 +900,24 @@ class Zonker:
     that no id is reused meanwhile.  Drop the pass when done with it.  The
     uids of the metavariables left unsolved are collected in `unsolved` as
     the pass goes.
+
+    `known`, a table of objects known to hold no metavariable (see
+    `meta_free`), is only read: the pass returns each of them unchanged
+    without entering it.
     """
 
-    def __init__(self, store: MetaStore) -> None:
+    def __init__(self, store: MetaStore, known: Optional[dict] = None) -> None:
         self.store = store
         self.unsolved: set[int] = set()
         self._memo: dict[int, tuple[object, object]] = {}
+        self._known = {} if known is None else known
 
     def visit(self, x):
         hit = self._memo.get(id(x))
         if hit is not None:
             return hit[1]
+        if id(x) in self._known:
+            return x
         # Atomic fields are skipped before the call, and plain loops are
         # used, not comprehensions or map: each derivation level then costs
         # two Python frames, which keeps deep chains inside the default

@@ -15,6 +15,18 @@ the metavariable store is unchanged since it was computed; a failure of a
 query whose term, type and context hold no metavariables is reused always,
 even when the call solved and undid metavariables of its own.
 
+A third memo holds the synthesis candidates of applications.  Eliminating
+an intersection checks the argument once per conjunct, and a check against
+an instantiated Pi holds a fresh metavariable, which the checking memo never
+answers; without this memo an elimination chain is derived again at every
+enclosing level.  The stream of an application is stored, with the failures it appended in
+between, when the enumeration ran to the end, moved the store's stamp,
+and its term, its context and every candidate (zonked when it was yielded)
+hold no metavariable; a hit yields the stored candidates and appends the
+stored failures.  What is known to hold no metavariable is kept in one
+table for the run, so neither the test nor the zonk of a candidate walks a
+part already known to be ground twice.
+
 Derivations share their terms and types with the program and with each
 other: a node holds the very term object it was checked on, its premises
 hold the subterms, and memoized results are shared by every parent that
@@ -88,7 +100,7 @@ from .syntax import (
     alpha_eq,
     bind_fresh,
     free_vars,
-    metas_of,
+    meta_free,
     subst,
     zonk_type,
 )
@@ -177,8 +189,13 @@ class Checker:
         self.metas = MetaStore()
         self.stats = Stats()
         self._memo: dict[int, tuple] = {}
+        # Candidates of metavariable-free applications, see `_synth`.
+        self._synth_memo: dict[int, tuple] = {}
         # One subtyping memo for the run; None gives each query its own.
         self._sub_memo: Optional[dict] = {} if memoize else None
+        # id -> object, for objects known to hold no metavariable (see
+        # `syntax.meta_free`).  It keeps them alive for the run.
+        self._ground: Optional[dict[int, object]] = {} if memoize else None
         self._budget = max_depth
 
     def fresh_ctx(self) -> Context:
@@ -243,8 +260,23 @@ class Checker:
         is."""
         if not self.metas.any_created():
             return d, set()
-        zonk = Zonker(self.metas)
+        zonk = Zonker(self.metas, self._ground)
         return zonk.visit(d), zonk.unsolved
+
+    def _grounded(
+        self, ty: Type, d: TypingDerivation
+    ) -> Optional[tuple[Type, TypingDerivation]]:
+        """The candidate (ty, d) zonked, and recorded as known ground; None
+        when it keeps an unsolved metavariable."""
+        if not self.metas.any_created():
+            return ty, d
+        zonk = Zonker(self.metas, self._ground)
+        zty, zd = zonk.visit(ty), zonk.visit(d)
+        if zonk.unsolved:
+            return None
+        self._ground[id(zty)] = zty
+        self._ground[id(zd)] = zd
+        return zty, zd
 
     # -- search plumbing ------------------------------------------------------
 
@@ -264,7 +296,7 @@ class Checker:
     def _subtype(self, ctx: Context, a: Type, b: Type):
         return subtype(
             ctx, a, b, store=self.metas, stats=self.stats,
-            max_depth=self.max_depth, memo=self._sub_memo,
+            max_depth=self.max_depth, memo=self._sub_memo, ground=self._ground,
         )
 
     # -- checking -------------------------------------------------------------
@@ -292,8 +324,11 @@ class Checker:
         res = self._check_dispatch(ctx, e, ty)
         if self.metas.stamp == stamp0:
             self._memo[h] = (key, stamp0, res)
-        elif isinstance(res, Fail) and not (
-            metas_of(e) or metas_of(ty) or any(map(metas_of, ctx.entries))
+        elif (
+            isinstance(res, Fail)
+            and meta_free(e, self._ground)
+            and meta_free(ty, self._ground)
+            and meta_free(ctx.entries, self._ground)
         ):
             # Every alternative was undone, and a query without
             # metavariables cannot read the store: the failure holds at
@@ -570,6 +605,29 @@ class Checker:
                         )
                     )
             case App(fn, arg):
+                # The candidate memo.  It is written inline, not as a wrapper
+                # generator, so that an application level costs no extra
+                # frame.  An entry is (key, events): the zonked candidates
+                # and the failures this enumeration appended, in order; the
+                # consumer's own appends between yields are left out.
+                memo = self._synth_memo if self.memoize else None
+                key = None
+                if memo:
+                    key = (e, e.span, ctx.entries)
+                    hit = memo.get(hash(key))
+                    if hit is not None and hit[0] == key:
+                        self.stats.synth_memo_hits += 1
+                        for event in hit[1]:
+                            if type(event) is Fail:
+                                fails.append(event)
+                            else:
+                                yield event
+                        return
+                if memo is not None:
+                    self.stats.synth_memo_misses += 1
+                events = [] if memo is not None else None
+                stamp0 = self.metas.stamp
+                start = len(fails)
                 for fty, fd in self._synth(ctx, fn, fails):
                     for aty, rty, fd2 in self._elim_arrow(ctx, fty, fd, fails):
                         mark = self.metas.mark()
@@ -585,10 +643,32 @@ class Checker:
                             )
                             self.metas.undo(mark)
                             continue
-                        yield rty, TypingDerivation(
+                        d = TypingDerivation(
                             "arrow-e", "synth", ctx.entries, e, rty, (fd2, ad)
                         )
+                        if events is not None:
+                            events.extend(fails[start:])
+                            cand = self._grounded(rty, d)
+                            if cand is None:
+                                events = None
+                            else:
+                                events.append(cand)
+                        yield rty, d
+                        start = len(fails)
                         self.metas.undo(mark)
+                # Stored only when the stream is complete, its call moved
+                # the stamp (else the checking memo covers the parent query)
+                # and it cannot depend on the store.
+                if (
+                    events is not None
+                    and self.metas.stamp != stamp0
+                    and meta_free(e, self._ground)
+                    and meta_free(ctx.entries, self._ground)
+                ):
+                    events.extend(fails[start:])
+                    if key is None:
+                        key = (e, e.span, ctx.entries)
+                    memo[hash(key)] = (key, tuple(events))
             case CtxAnno(_, _):
                 if not self.ctx_anno_enabled:
                     fails.append(

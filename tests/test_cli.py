@@ -79,6 +79,8 @@ class TestCheck:
             "entailment_queries",
             "memo_hits",
             "memo_misses",
+            "synth_memo_hits",
+            "synth_memo_misses",
             "sub_memo_hits",
             "sub_memo_misses",
             "wall_ms",

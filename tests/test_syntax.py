@@ -50,6 +50,7 @@ from guardlang.syntax import (
     free_term_vars,
     fresh_name,
     map_children,
+    meta_free,
     metas_of,
     subst,
     subst_index_in_term,
@@ -215,6 +216,31 @@ class TestZonk:
         assert out[0].arg is out[0].res is out[1]
         assert out[1] == TCon("list", IAdd(other, ILit(1)))
         assert zonk.unsolved == {other.uid}
+
+    def test_known_objects_are_not_entered(self):
+        store, m, _ = _two_metas()
+        store.assign(m.uid, ILit(3))
+        t = TCon("list", m)
+        # A table entry is trusted: the pass returns it as it is.
+        assert Zonker(store, {id(t): t}).visit((t,))[0] is t
+        assert Zonker(store).visit((t,))[0] == TCon("list", ILit(3))
+
+
+class TestMetaFree:
+    def test_answers_and_extends_the_table(self):
+        store, m, _ = _two_metas()
+        ground = TArrow(TCon("list", IVar("a")), TUnit())
+        known: dict = {}
+        assert not meta_free(TArrow(ground, TCon("list", m)), known)
+        assert known == {}
+        entries = (VarDecl("x", ground),)
+        assert meta_free(entries, known)
+        assert known[id(entries)] is entries and known[id(ground)] is ground
+
+    def test_does_not_enter_known_objects(self):
+        _, m, _ = _two_metas()
+        t = TCon("list", m)
+        assert meta_free(TArrow(t, TUnit()), {id(t): t})
 
 
 class TestFreeIndexVars:
@@ -388,6 +414,7 @@ TRAVERSALS = {
     "free_index_vars": lambda: free_index_vars(_chain(DEEP, Var("x"))),
     "free_term_vars": lambda: free_term_vars(_chain(DEEP, Var("x"))),
     "metas_of": lambda: metas_of(_chain(DEEP, Var("x"))),
+    "meta_free": lambda: meta_free(_chain(DEEP, Var("x")), {}),
     "subterms": lambda: list(subterms(_chain(DEEP, Var("x")))),
     "subst-term": lambda: subst(Var("y"), "x", _chain(DEEP, Var("x"))),
     "subst-index": lambda: subst(

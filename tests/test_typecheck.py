@@ -43,6 +43,10 @@ def check_text(sig, term_text, type_text, **kw):
     return checker, checker.check(checker.fresh_ctx(), term, ty)
 
 
+IDCAST_HEADER = (
+    "indexcon list :: int\n"
+    "prim idcast : (unit -> unit) /\\ (Pi c : int . list(c) -> list(c))\n"
+)
 PARITY_GOAL = "(odd -> even) /\\ (even -> odd)"
 GUARDED = (
     "fn x => ((where x : odd do (snoc1 x : even)) ,, "
@@ -416,6 +420,69 @@ class TestMemoEquivalence:
         for n in range(1, 10):
             self._agree(snoc_chain_program(n), "accept")
 
+    # Candidate memo: the programs below exercise its replay, chains under a
+    # `some` or a contextual annotation, whose metavariable a stored stream
+    # must not outlive (in `(x : list(b*2))` it is in the term itself), and a
+    # candidate it must not store (its witness stays unsolved).
+
+    def test_second_conjunct_replays_the_candidates(self):
+        prog = parse_program(
+            IDCAST_HEADER
+            + "prim z : list(0)\n"
+            "val main : list(0) /\\ list(0) =\n  idcast (idcast (idcast z))\n"
+        )
+        self._agree(prog, "accept")
+        assert typecheck_program(prog).stats.synth_memo_hits > 0
+
+    def test_chains_under_some_and_contextual_annotations(self):
+        goal = "Pi a : int . list(a*2) -> list(a*2)"
+        for body in (
+            "fn x => some b : int in where x : list(b*2) do idcast (idcast x)",
+            "fn x => some b : int in idcast (idcast ((x : list(b*2))))",
+            "fn x => ((idcast (idcast x)) :: "
+            "[b : int, x : list(b*2) |- list(b*2)])",
+        ):
+            prog = parse_program(IDCAST_HEADER + f"val main : {goal} =\n  {body}\n")
+            self._agree(prog, "accept")
+
+    def test_rejected_chain(self):
+        prog = parse_program(
+            IDCAST_HEADER
+            + "val main : Pi a : int . list(a) -> list(a+1) =\n"
+            "  fn x => idcast (idcast (idcast x))\n"
+        )
+        self._agree(prog, "reject")
+
+    def test_replayed_failures_keep_their_place(self):
+        # Intersection introduction fails at `unit` after enumerating the
+        # chain; subsumption then replays it, failures and candidate in the
+        # order the enumeration made them.
+        prog = parse_program(
+            IDCAST_HEADER
+            + "val main : Pi a : int . list(a) -> unit /\\ list(a+1) =\n"
+            "  fn x => idcast (idcast (idcast x))\n"
+        )
+        self._agree(prog, "reject")
+        trees, hits = [], []
+        for memoize in (True, False):
+            checker = Checker(prog.sig, memoize=memoize)
+            res = checker.check(checker.fresh_ctx(), prog.main, prog.goal)
+            trees.append([(f.reason, f.span) for f in res.walk()])
+            hits.append(checker.stats.synth_memo_hits)
+        assert trees[0] == trees[1]
+        assert hits[0] > 0
+
+    def test_unsolved_witness_is_not_stored(self):
+        prog = parse_program(
+            "prim k : Pi c : int . unit -> unit\nval main : unit =\n  k (k ())\n"
+        )
+        self._agree(prog, "reject")
+        report = typecheck_program(prog)
+        assert [d.message for d in report.diagnostics] == [
+            "derivation left index metavariables unresolved: ?1, ?2"
+        ]
+        assert report.stats.synth_memo_hits == 0
+
 
 # Two structurally equal occurrences of `(b1 : even)`, on lines 4 and 5,
 # that fail for the same reason.
@@ -617,18 +684,62 @@ class TestWorkNotRead:
 
 class TestSearchGrowth:
     """Failures of metavariable-free queries stay memoized across the
-    metavariables their own subgoals solve and undo, so the search on an
-    idx-chain no longer doubles with each level."""
+    metavariables their own subgoals solve and undo, and so do the candidate
+    streams of metavariable-free applications, so the search on an
+    idx-chain derives each level once."""
 
     def test_idx_chains_fit_the_default_budget(self):
-        for n in range(7, 11):
+        for n in (7, 8, 9, 10, 20, 64):
             assert typecheck_program(idx_chain_program(n)).accepted, n
 
     def test_idx_chain_rules_grow_slowly(self):
         report = typecheck_program(idx_chain_program(20), max_depth=10**6)
         assert report.accepted
         assert report.stats.rule_applications < 2000
-        assert report.stats.memo_hits > 0
+        # Every checking-mode query on the chain is distinct; the candidate
+        # memo answers the repeated ones.
+        assert report.stats.synth_memo_hits > 0
+
+    def test_idx_chain_rules_grow_linearly(self):
+        rules = [
+            typecheck_program(
+                idx_chain_program(n), max_depth=10**6
+            ).stats.rule_applications
+            for n in range(2, 65)
+        ]
+        steps = {b - a for a, b in zip(rules, rules[1:])}
+        assert len(steps) == 1, steps
+
+    def test_memos_hit_on_idx_chain(self):
+        stats = typecheck_program(idx_chain_program(8), max_depth=10**6).stats
+        assert stats.synth_memo_hits > 0
+        assert stats.sub_memo_hits > 0
+
+
+def _counts(prog) -> tuple[int, int, int]:
+    stats = typecheck_program(prog, max_depth=10**6).stats
+    return stats.rule_applications, stats.backtracks, stats.subtype_queries
+
+
+class TestSearchCounts:
+    """Rules, backtracks and subtype queries of the benchmark families, so
+    that a change in the work the search does shows up here."""
+
+    def test_reference_counts(self):
+        got = {
+            "idx-chain(8)": _counts(idx_chain_program(8)),
+            "snoc-chain(128)": _counts(snoc_chain_program(128)),
+        }
+        for variant in KWAY_VARIANTS:
+            got[f"kway-{variant}(16)"] = _counts(kway_program(16, variant))
+        assert got == {
+            "idx-chain(8)": (53, 8, 17),
+            "snoc-chain(128)": (773, 128, 257),
+            "kway-guarded(16)": (1046, 360, 424),
+            "kway-plain(16)": (503, 120, 152),
+            "kway-ctxanno(16)": (535, 240, 304),
+            "kway-swapped(16)": (409, 319, 184),
+        }
 
 
 class TestEliminationPaths:
