@@ -1,11 +1,15 @@
 """Contextual typing annotations and their translation into guards, merges,
 right-hand annotations and `some` binders.
 
-A contextual annotation carries typings `Gamma0 |- A0`; the subsumption
-relation holds when the ambient context satisfies every declaration of
-Gamma0: program-variable typings via subtyping of the looked-up type,
-index-variable sortings by instantiating a well-sorted index expression
-(found with the same metavariable machinery as Pi-left).
+A contextual annotation carries typings `Gamma0 |- A0`.  Whether the ambient
+context satisfies `Gamma0` is decided in one place, inside the synthesis
+rule `check_ctx_anno`: program-variable typings by subtyping of the
+looked-up type, index-variable sortings by instantiating a well-sorted index
+expression (found with the same metavariable machinery as Pi-left).  The
+first typing that applies, with every index instantiation solved, gives the
+type the term synthesizes.  Replaying a ctx-anno node (`verify_ctx_anno`)
+substitutes the recorded witnesses into the typing and compares the result
+with the node's type by `alpha_eq`.
 
 `encode` removes every contextual annotation: each typing becomes a branch
 of a right-nested merge, its variable typings become guards, its index
@@ -21,25 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-# `entails` and `solve_meta` are imported for the benchmark's tracer, which
-# wraps them here.
-from .indices import (
-    NoSolution,
-    entails,
-    match_indices,
-    solve_meta,
-    sort_of,
-)
+# `entails`, `solve_meta` and `subtype` are imported for the benchmark's
+# tracer, which wraps them here.
+from .indices import entails, solve_meta, sort_of
 from .subtyping import (
     Fail,
-    Stats,
     SubDerivation,
     VerifyError,
     subtype,
     verify_subtyping,
 )
 from .syntax import (
-    INDEX,
     Anno,
     Context,
     CtxAnno,
@@ -47,27 +43,18 @@ from .syntax import (
     Decl,
     Guard,
     IMeta,
-    IVar,
     IdxDecl,
     IndexExpr,
     Merge,
-    MetaStore,
     Program,
     Signature,
     Some,
     TArrow,
-    TAtom,
-    TCon,
     TPi,
-    TSect,
-    TUnit,
     Term,
     Type,
     VarDecl,
-    Zonker,
     alpha_eq,
-    fresh_name,
-    free_vars,
     rewrite,
     subst,
     zonk_type,
@@ -84,12 +71,13 @@ from .typecheck import (
 
 @dataclass(frozen=True)
 class CtxSubDerivation:
-    """One node of a `(Gamma0 |- A0) <~ (Gamma |- A)` derivation."""
+    """One node of a derivation that the context `ctx_entries` satisfies the
+    entries of a contextual typing `Gamma0 |- A0`."""
 
     rule: str  # "empty" | "ivar" | "pvar"
     inner: CtxTyping
     ctx_entries: tuple[Decl, ...]
-    goal: Type  # the right-hand side's type A
+    goal: Type  # A0 with the witnesses substituted
     premises: tuple = ()
     witness: Optional[IndexExpr] = None
 
@@ -98,40 +86,21 @@ class CtxSubDerivation:
 
 
 def _wf_typing(ctx: Context, typing: CtxTyping) -> None:
-    """Well-formedness of one contextual typing, with its own index
-    sortings in scope for the later entries and the goal."""
-    if not typing.entries:
-        check_type_wf(ctx, typing.goal)
-        return
-    d0 = typing.entries[0]
-    rest = CtxTyping(typing.entries[1:], typing.goal)
-    if isinstance(d0, VarDecl):
-        check_type_wf(ctx, d0.ty)
-        _wf_typing(ctx, rest)
-        return
-    assert isinstance(d0, IdxDecl)
-    name = d0.name
-    if name in ctx.index_vars():
-        name2 = fresh_name(name, ctx.index_vars() | free_vars(rest, INDEX))
-        rest = subst(IVar(name2), name, rest)
-        name = name2
-    _wf_typing(ctx.extend(IdxDecl(name, d0.sort)), rest)
+    """Well-formedness of one contextual typing `d1, ..., dn |- A`: that of
+    the type which reads each `a : s` as `Pi a : s .` and each `x : B` as
+    `B ->`, so each sorting is in scope for the later entries and the goal."""
+    ty = typing.goal
+    for d in reversed(typing.entries):
+        ty = TPi(d.name, d.sort, ty) if isinstance(d, IdxDecl) else TArrow(d.ty, ty)
+    check_type_wf(ctx, ty)
 
 
 def _match_entries(
-    ctx: Context,
-    typing: CtxTyping,
-    store: MetaStore,
-    stats: Stats,
-    max_depth: int,
-    memo: Optional[dict] = None,
-    ground: Optional[dict] = None,
+    checker: Checker, ctx: Context, typing: CtxTyping
 ) -> Union[tuple[CtxSubDerivation, Type], Fail]:
     """Process the inner context left to right, yielding the derivation and
     the substituted goal type (which may still mention the introduced
-    metavariables until they are solved).  `memo` and `ground` are the
-    subtyping memo and the table of metavariable-free objects to share, as
-    in `subtype`."""
+    metavariables until they are solved)."""
     if not typing.entries:
         node = CtxSubDerivation("empty", typing, ctx.entries, typing.goal)
         return node, typing.goal
@@ -144,10 +113,7 @@ def _match_entries(
                 f"contextual typing requires '{d0.name}', which is not in scope",
                 d0.span,
             )
-        sd = subtype(
-            ctx, got, d0.ty, store=store, stats=stats, max_depth=max_depth,
-            memo=memo, ground=ground,
-        )
+        sd = checker._subtype(ctx, got, d0.ty)
         if isinstance(sd, Fail):
             return Fail(
                 "context does not entail {} : {}",
@@ -155,7 +121,7 @@ def _match_entries(
                 (sd,),
                 args=(d0.name, d0.ty),
             )
-        res = _match_entries(ctx, rest, store, stats, max_depth, memo, ground)
+        res = _match_entries(checker, ctx, rest)
         if isinstance(res, Fail):
             return res
         subnode, goal = res
@@ -164,9 +130,9 @@ def _match_entries(
             goal,
         )
     assert isinstance(d0, IdxDecl)
-    m = store.fresh(d0.sort, scope=ctx.index_vars())
+    m = checker.metas.fresh(d0.sort, scope=ctx.index_vars())
     rest = subst(m, d0.name, rest)
-    res = _match_entries(ctx, rest, store, stats, max_depth, memo, ground)
+    res = _match_entries(checker, ctx, rest)
     if isinstance(res, Fail):
         return res
     subnode, goal = res
@@ -190,89 +156,6 @@ def _ivar_witnesses(node: CtxSubDerivation) -> list[IMeta]:
             return out
 
 
-def _types_match(ctx, store, stats, a: Type, b: Type) -> bool:
-    """Structural match up to index entailment on constructor indices."""
-    a = zonk_type(store, a)
-    b = zonk_type(store, b)
-    match a, b:
-        case TUnit(), TUnit():
-            return True
-        case TAtom(x), TAtom(y):
-            return x == y
-        case (TArrow(a1, b1), TArrow(a2, b2)) | (TSect(a1, b1), TSect(a2, b2)):
-            return _types_match(ctx, store, stats, a1, a2) and _types_match(
-                ctx, store, stats, b1, b2
-            )
-        case TCon(c1, i1), TCon(c2, i2):
-            if c1 != c2:
-                return False
-            try:
-                return match_indices(ctx, store, stats, i1, i2)
-            except NoSolution:
-                return False
-        case TPi(v1, s1, b1), TPi(v2, s2, b2):
-            if s1 != s2:
-                return False
-            fresh = fresh_name(
-                v1,
-                ctx.index_vars() | free_vars(b1, INDEX) | free_vars(b2, INDEX),
-            )
-            ctx2 = ctx.extend(IdxDecl(fresh, s1))
-            return _types_match(
-                ctx2,
-                store,
-                stats,
-                subst(IVar(fresh), v1, b1),
-                subst(IVar(fresh), v2, b2),
-            )
-    return False
-
-
-def ctx_subsumes(
-    inner: CtxTyping,
-    ctx: Context,
-    outer_goal: Type,
-    *,
-    store: Optional[MetaStore] = None,
-    stats: Optional[Stats] = None,
-    max_depth: int = 512,
-) -> Union[CtxSubDerivation, Fail]:
-    """Decide `(inner.entries |- inner.goal) <~ (ctx |- outer_goal)`."""
-    if store is None:
-        store = ctx.metas if ctx.metas is not None else MetaStore()
-    if ctx.metas is not store:
-        ctx = Context(ctx.sig, ctx.entries, store)
-    if stats is None:
-        stats = Stats()
-    try:
-        _wf_typing(ctx, inner)
-    except IllFormedType as ex:
-        return Fail(f"ill-formed contextual typing: {ex}", inner.span)
-    mark = store.mark()
-    res = _match_entries(ctx, inner, store, stats, max_depth)
-    if isinstance(res, Fail):
-        store.undo(mark)
-        return res
-    node, goal = res
-    if not _types_match(ctx, store, stats, goal, outer_goal):
-        store.undo(mark)
-        return Fail(
-            "contextual typing concludes {}, which does not match {}",
-            inner.span,
-            args=(zonk_type(store, goal), outer_goal),
-        )
-    unsolved = [
-        w for w in _ivar_witnesses(node) if store.solution(w.uid) is None
-    ]
-    if unsolved:
-        store.undo(mark)
-        return Fail(
-            "index instantiation of the contextual typing is undetermined",
-            inner.span,
-        )
-    return Zonker(store).visit(node)
-
-
 def check_ctx_anno(
     checker: Checker, ctx: Context, e: CtxAnno, fails: list[Fail]
 ) -> Iterator[tuple[Type, TypingDerivation]]:
@@ -293,10 +176,7 @@ def check_ctx_anno(
             )
             continue
         mark = store.mark()
-        res = _match_entries(
-            ctx, typing, store, checker.stats, checker.max_depth,
-            checker._sub_memo, checker._ground,
-        )
+        res = _match_entries(checker, ctx, typing)
         if isinstance(res, Fail):
             reasons.append(Fail(f"typing {k} does not apply", typing.span, (res,)))
             store.undo(mark)
@@ -447,7 +327,7 @@ def verify_ctx_anno(sig: Signature, d: TypingDerivation) -> None:
     typing = d.term.typings[d.branch - 1]
     ctx = Context(sig, d.ctx_entries)
     goal = _replay_subsumption(sig, ctx, typing, node)
-    if not _types_match(ctx, MetaStore(), Stats(), goal, d.ty):
+    if not alpha_eq(goal, d.ty):
         raise VerifyError("[ctx-anno] substituted goal differs from conclusion")
     if not (
         chk.mode == "check"

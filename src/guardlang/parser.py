@@ -36,6 +36,7 @@ to merge it.  Identifiers match [A-Za-z_][A-Za-z0-9_']*.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,27 +95,19 @@ KEYWORDS = {
     "val",
 }
 
-_PUNCT = [
-    ",,",
-    "::",
-    "|-",
-    "->",
-    "=>",
-    "/\\",
-    "<:",
-    "(",
-    ")",
-    "[",
-    "]",
-    ",",
-    ":",
-    ";",
-    ".",
-    "*",
-    "+",
-    "-",
-    "=",
-]
+# One alternative per token class, tried in order at each position; longer
+# punctuation comes before its prefixes.  `word` admits any `\w` start but
+# identifiers must start with a letter or `_`, which `tokenize` checks.
+_TOKEN = re.compile(
+    r"""
+      (?P<nl>\n)
+    | (?P<skip>[ \t\r]+|--[^\n]*)
+    | (?P<word>[^\W\d][\w']*)
+    | (?P<int>\d+)
+    | (?P<punct>,,|::|\|-|->|=>|/\\|<:|[()\[\],:;.*+\-=])
+    """,
+    re.VERBOSE,
+)
 
 
 class ParseError(Exception):
@@ -140,71 +133,38 @@ class Token:
     span: Span
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
-
-
 def tokenize(text: str, path: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def span(l0: int, c0: int) -> Span:
-        return Span(path, l0, c0, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        l0, c0 = line, col
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, span(l0, c0)))
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token("int", word, span(l0, c0)))
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                i += len(p)
-                col += len(p)
-                tokens.append(Token(p, p, span(l0, c0)))
-                break
-        else:
+    line, line_start = 1, 0
+    pos, n = 0, len(text)
+    match = _TOKEN.match
+    while pos < n:
+        m = match(text, pos)
+        kind = m and m.lastgroup
+        col = pos - line_start + 1
+        if kind == "word" and not (text[pos].isalpha() or text[pos] == "_"):
+            kind = None
+        if kind is None:
+            c = text[pos]
             raise ParseError(
                 f"unexpected character {c!r}",
-                Span(path, l0, c0, l0, c0 + 1),
+                Span(path, line, col, line, col + 1),
                 found=c,
             )
+        end = m.end()
+        if kind == "nl":
+            line, line_start = line + 1, end
+        elif kind != "skip":
+            word = m.group()
+            if kind == "word":
+                kind = word if word in KEYWORDS else "ident"
+            elif kind == "punct":
+                kind = word
+            tokens.append(
+                Token(kind, word, Span(path, line, col, line, col + end - pos))
+            )
+        pos = end
+    col = n - line_start + 1
     tokens.append(Token("eof", "", Span(path, line, col, line, col)))
     return tokens
 
@@ -216,8 +176,8 @@ class _Parser:
 
     # -- token machinery ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind

@@ -218,7 +218,8 @@ class Checker:
         if leftover:
             return Fail(
                 "derivation left index metavariables unresolved: "
-                + ", ".join(f"?{u}" for u in sorted(leftover))
+                + ", ".join(f"?{u}" for u in sorted(leftover)),
+                e.span,
             )
         return zonked
 

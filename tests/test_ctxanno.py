@@ -1,26 +1,27 @@
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import assume, given, settings
 
 import strategies
 from conftest import program_path
 from helpers import gen_ctxanno_program, load_program
 from guardlang.ctxanno import (
-    ctx_subsumes,
+    CtxSubDerivation,
     encode,
     encode_program,
+    verify_ctx_anno,
     verify_encoding,
 )
 from guardlang.interp import MergeMismatchError, erase
-from guardlang.parser import parse_term, parse_type
-from guardlang.subtyping import Fail
+from guardlang.parser import parse_program, parse_term, parse_type
+from guardlang.subtyping import Fail, VerifyError
 from guardlang.syntax import (
     Anno,
-    Context,
     CtxAnno,
     CtxTyping,
     Guard,
-    ILit,
     INT,
     IVar,
     IdxDecl,
@@ -33,86 +34,26 @@ from guardlang.syntax import (
     VarDecl,
     alpha_eq,
 )
-from guardlang.typecheck import Checker, TypingDerivation, typecheck_program
+from guardlang.typecheck import (
+    Checker,
+    TypingDerivation,
+    typecheck_program,
+    verify_typing,
+)
 
 
 def ok(x) -> bool:
     return not isinstance(x, Fail)
 
 
-def typing(entries, goal) -> CtxTyping:
-    return CtxTyping(tuple(entries), goal)
-
-
-class TestCtxSubsumes:
-    def test_empty(self, psig):
-        ctx = Context(psig, (VarDecl("x", TAtom("odd")),))
-        d = ctx_subsumes(typing([], TAtom("even")), ctx, TAtom("even"))
-        assert ok(d)
-        assert d.rule == "empty"
-
-    def test_pvar_reflexive(self, psig):
-        ctx = Context(psig, (VarDecl("x", TAtom("odd")),))
-        d = ctx_subsumes(
-            typing([VarDecl("x", TAtom("odd"))], TAtom("even")),
-            ctx,
-            TAtom("even"),
-        )
-        assert ok(d)
-        assert d.rule == "pvar"
-        assert d.premises[1].rule == "empty"
-
-    def test_ivar_then_pvar(self, isig):
-        # Hand replay: instantiating a := b satisfies x's typing and turns
-        # the inner goal list(a) into list(b).
-        ctx = Context(
-            isig,
-            (
-                IdxDecl("b", INT),
-                VarDecl("x", parse_type("list(b*2)")),
-            ),
-        )
-        inner = typing(
-            [IdxDecl("a", INT), VarDecl("x", parse_type("list(a*2)"))],
-            parse_type("list(a)"),
-        )
-        d = ctx_subsumes(inner, ctx, parse_type("list(b)"))
-        assert ok(d)
-        assert d.rule == "ivar"
-        assert alpha_eq(d.witness, IVar("b"))
-        assert d.premises[0].rule == "pvar"
-
-    def test_unsatisfied_pvar(self, psig):
-        ctx = Context(psig, (VarDecl("x", TAtom("even")),))
-        d = ctx_subsumes(
-            typing([VarDecl("x", TAtom("odd"))], TAtom("odd")),
-            ctx,
-            TAtom("odd"),
-        )
-        assert isinstance(d, Fail)
-
-    def test_ivar_solved_by_final_match(self, isig):
-        # No pvar entry constrains `a`; the final type match pins it to 3.
-        ctx = Context(isig, ())
-        inner = typing([IdxDecl("a", INT)], parse_type("list(a)"))
-        d = ctx_subsumes(inner, ctx, parse_type("list(3)"))
-        assert ok(d)
-        assert d.witness == ILit(3)
-
-    def test_goal_mismatch(self, psig):
-        ctx = Context(psig, (VarDecl("x", TAtom("odd")),))
-        d = ctx_subsumes(typing([], TAtom("even")), ctx, TAtom("odd"))
-        assert isinstance(d, Fail)
-
-
 SNOC_ANNO = "((snoc1 x) :: [x : odd |- even ; x : even |- odd])"
 
 
 class TestCheckCtxAnno:
-    def _synth(self, sig, have: str):
+    def _synth(self, sig, have: str, src: str = SNOC_ANNO):
         checker = Checker(sig)
         ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom(have)))
-        term = parse_term(SNOC_ANNO, prims=frozenset(sig.prims))
+        term = parse_term(src, prims=frozenset(sig.prims))
         return checker.synth(ctx, term)
 
     def test_first_typing_under_odd(self, psig):
@@ -133,6 +74,49 @@ class TestCheckCtxAnno:
         res = self._synth(psig, "bits")
         assert isinstance(res, Fail)
 
+    def test_empty_typing_applies(self, psig):
+        res = self._synth(psig, "odd", "((snoc1 x) :: [|- even])")
+        assert ok(res)
+        ty, d = res[0]
+        assert ty == TAtom("even")
+        assert _chain(d.premises[0]) == [("empty", None)]
+
+    def test_pvar_reflexive(self, psig):
+        res = self._synth(psig, "odd", "((snoc1 x) :: [x : odd |- even])")
+        assert ok(res)
+        ty, d = res[0]
+        assert ty == TAtom("even")
+        assert _chain(d.premises[0]) == [("pvar", None), ("empty", None)]
+
+    def test_ivar_witness_from_later_pvar(self, isig):
+        # Instantiating a := b satisfies x's typing and turns the goal
+        # list(a*2) into list(b*2).
+        checker = Checker(isig)
+        ctx = (
+            checker.fresh_ctx()
+            .extend(IdxDecl("b", INT))
+            .extend(VarDecl("x", parse_type("list(b*2)")))
+        )
+        term = parse_term(
+            "((idcast x) :: [a : int, x : list(a*2) |- list(a*2)])",
+            prims=frozenset(isig.prims),
+        )
+        res = checker.synth(ctx, term)
+        assert ok(res)
+        ty, d = res[0]
+        assert alpha_eq(ty, parse_type("list(b*2)"))
+        chain = _chain(d.premises[0])
+        assert [rule for rule, _ in chain] == ["ivar", "pvar", "empty"]
+        assert alpha_eq(chain[0][1], IVar("b"))
+        assert chain[1][1] is None and chain[2][1] is None
+
+    def test_unsatisfied_pvar(self, psig):
+        res = self._synth(psig, "even", "((snoc1 x) :: [x : odd |- odd])")
+        assert isinstance(res, Fail)
+        messages = res.messages()
+        assert "typing 1 does not apply" in messages
+        assert "context does not entail x : odd" in messages
+
     def test_disabled(self, psig):
         checker = Checker(psig, ctx_anno=False)
         ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom("odd")))
@@ -140,6 +124,98 @@ class TestCheckCtxAnno:
         res = checker.synth(ctx, term)
         assert isinstance(res, Fail)
         assert any("disabled" in m for m in res.messages())
+
+
+def _chain(node: CtxSubDerivation) -> list:
+    """The (rule, witness) pairs of a subsumption derivation, outermost
+    first."""
+    out = []
+    while True:
+        assert isinstance(node, CtxSubDerivation)
+        out.append((node.rule, node.witness))
+        if node.rule == "empty":
+            return out
+        node = node.premises[-1]
+
+
+def _idcast_program(var: str, typing: str) -> str:
+    """`fn x => ((idcast x) :: [typing])` checked against
+    `Pi var : int . list(var*2) -> list(var*2)`; the typing starts at
+    line 5, column 27."""
+    return (
+        "datasort odd\n"
+        "indexcon list :: int\n"
+        "prim idcast : Pi c : int . list(c) -> list(c)\n"
+        f"val main : Pi {var} : int . list({var}*2) -> list({var}*2) =\n"
+        f"  fn x => ((idcast x) :: [{typing}])\n"
+    )
+
+
+class TestIllFormedTyping:
+    """Each typing is checked for well-formedness before it is tried; the
+    sortings are in scope for the later entries and the goal."""
+
+    def _diagnostics(self, typing: str):
+        prog = parse_program(_idcast_program("a", typing), "m.gl")
+        report = typecheck_program(prog)
+        assert not report.accepted
+        return [
+            (d.message, d.span.start_line, d.span.start_col,
+             d.span.end_line, d.span.end_col)
+            for d in report.diagnostics
+        ]
+
+    def test_undeclared_datasort_in_entry(self):
+        diags = self._diagnostics("b : int, x : nope |- list(b*2)")
+        assert (
+            "typing 1 is ill-formed: undeclared datasort 'nope'", 5, 27, 5, 57
+        ) in diags
+        assert ("no contextual typing applies", 5, 11, 5, 59) in diags
+
+    def test_undeclared_datasort_in_goal(self):
+        assert (
+            "typing 1 is ill-formed: undeclared datasort 'nope'", 5, 27, 5, 57
+        ) in self._diagnostics("b : int, x : list(b*2) |- nope")
+
+    def test_datasort_used_as_indexed_constructor(self):
+        assert (
+            "typing 1 is ill-formed: undeclared indexed constructor 'odd'",
+            5, 27, 5, 59,
+        ) in self._diagnostics("b : int, x : odd(3) |- list(b*2)")
+
+    def test_sorting_may_reuse_an_ambient_index_variable(self):
+        src = _idcast_program("b", "b : int, x : list(b*2) |- list(b*2)")
+        prog = parse_program(src, "m.gl")
+        report = typecheck_program(prog)
+        assert report.accepted
+        verify_typing(prog.sig, report.derivation)
+
+
+class TestVerifyCtxAnno:
+    def _node(self):
+        prog = load_program(program_path("ctxanno_indexed.gl"))
+        report = typecheck_program(prog)
+        assert report.accepted
+        (node,) = _rule_nodes(report.derivation, "ctx-anno")
+        return prog.sig, node
+
+    def test_untampered_node_replays(self):
+        sig, node = self._node()
+        verify_ctx_anno(sig, node)
+
+    def test_changed_conclusion_type(self):
+        sig, node = self._node()
+        bad = replace(node, ty=parse_type("list(a)"))
+        with pytest.raises(VerifyError, match="substituted goal differs"):
+            verify_ctx_anno(sig, bad)
+
+    def test_swapped_checking_premise(self):
+        sig, node = self._node()
+        sub, chk = node.premises
+        # The checking premise's own premise synthesizes the same term.
+        bad = replace(node, premises=(sub, chk.premises[0]))
+        with pytest.raises(VerifyError, match="checking premise mismatch"):
+            verify_ctx_anno(sig, bad)
 
 
 class TestEncode:

@@ -596,6 +596,20 @@ class TestSharing:
             "no type synthesized for f ()"
         ]
 
+    def test_unresolved_metavariables_point_at_the_checked_term(self):
+        report = typecheck_program(
+            parse_program(
+                "prim k : Pi c : int . unit -> unit\n"
+                "val main : unit /\\ unit =\n  k (k ())\n",
+                "m.gl",
+            )
+        )
+        (diag,) = report.diagnostics
+        assert diag.message.startswith(
+            "derivation left index metavariables unresolved: "
+        )
+        assert str(diag.span) == "m.gl:3:3"
+
 
 class TestWorkNotRead:
     """Failure messages are rendered only when read, and finalize does not
