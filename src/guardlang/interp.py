@@ -50,13 +50,17 @@ class MergeMismatchError(Exception):
 
 
 def erase(e: Term) -> Term:
+    """e without annotations; a subterm that holds none comes back as the
+    same object."""
     match e:
         case Var(_) | Unit() | Prim(_):
             return e
         case Lam(x, body):
-            return Lam(x, erase(body), span=e.span)
+            b = erase(body)
+            return e if b is body else Lam(x, b, span=e.span)
         case App(f, a):
-            return App(erase(f), erase(a), span=e.span)
+            f2, a2 = erase(f), erase(a)
+            return e if f2 is f and a2 is a else App(f2, a2, span=e.span)
         case Anno(body, _) | Guard(_, body) | CtxAnno(body, _):
             return erase(body)
         case Some(_, _, body) | IdxLam(_, _, body):

@@ -37,7 +37,6 @@ to merge it.  Identifiers match [A-Za-z_][A-Za-z0-9_']*.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -126,11 +125,25 @@ class ParseError(Exception):
         self.found = found
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # punctuation/keyword text, or "ident", "int", "eof"
-    text: str
-    span: Span
+    """One token, which lies on one line.  Its `Span` is built only where a
+    node or an error takes one: most tokens never need theirs."""
+
+    __slots__ = ("kind", "text", "file", "line", "col", "end_col")
+
+    def __init__(
+        self, kind: str, text: str, file: str, line: int, col: int, end_col: int
+    ) -> None:
+        self.kind = kind  # punctuation/keyword text, or "ident", "int", "eof"
+        self.text = text
+        self.file = file
+        self.line = line
+        self.col = col
+        self.end_col = end_col
+
+    @property
+    def span(self) -> Span:
+        return Span(self.file, self.line, self.col, self.line, self.end_col)
 
 
 def tokenize(text: str, path: str = "<string>") -> list[Token]:
@@ -160,12 +173,10 @@ def tokenize(text: str, path: str = "<string>") -> list[Token]:
                 kind = word if word in KEYWORDS else "ident"
             elif kind == "punct":
                 kind = word
-            tokens.append(
-                Token(kind, word, Span(path, line, col, line, col + end - pos))
-            )
+            tokens.append(Token(kind, word, path, line, col, col + end - pos))
         pos = end
     col = n - line_start + 1
-    tokens.append(Token("eof", "", Span(path, line, col, line, col)))
+    tokens.append(Token("eof", "", path, line, col, col))
     return tokens
 
 
@@ -209,13 +220,7 @@ class _Parser:
 
     def span_from(self, start: Token) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)]
-        return Span(
-            start.span.file,
-            start.span.start_line,
-            start.span.start_col,
-            prev.span.end_line,
-            prev.span.end_col,
-        )
+        return Span(start.file, start.line, start.col, prev.line, prev.end_col)
 
     # -- sorts and index expressions ----------------------------------------
 

@@ -5,6 +5,16 @@ freely and used as dict keys.  Source spans are carried on every node but
 excluded from equality and hashing: two terms are equal iff they are
 structurally equal, regardless of where they were parsed.
 
+A node's hash is computed once, by its constructor, from its class, its
+atomic fields and the hashes its child nodes stored when they were built.
+Hashing a node then costs one Python frame that reads a slot, whatever the
+node's size: it never descends into the children, so it takes no frame per
+syntax level and works at any depth.  A memo key holding a whole term, its
+type and its context hashes in time linear in the number of context
+entries, not in the size of the term.  The price is paid once per node
+built, hashed or not.  Copies and unpickled nodes are rebuilt by the
+constructor, because string hashes differ between processes.
+
 The binding structure is declared once, in `BINDERS` and `OCCURRENCES`,
 and every traversal (children, free variables, substitution, renaming,
 alpha-equivalence) is derived from it and from one field table:
@@ -28,6 +38,7 @@ variable, an entry in `BINDERS` or `OCCURRENCES`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Iterator, Optional, Union, get_type_hints
 
 
@@ -49,9 +60,33 @@ class Span:
 
 @dataclass(frozen=True)
 class Node:
+    # The structural hash, set once by the constructor; see `__post_init__`.
+    __slots__ = ("_hash",)
+
     span: Optional[Span] = field(
         default=None, compare=False, repr=False, kw_only=True
     )
+
+    def __post_init__(self) -> None:
+        # The children were built first and hold their hashes already, so
+        # hashing a new node takes no recursion at any depth.
+        _set_hash(self, hash(_HASH_KEY[type(self)](self)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Copies and unpickled nodes go through the constructor, which
+        # hashes them afresh: string hashes differ between processes.
+        cls = type(self)
+        return _build, (cls, self.span, *[getattr(self, n) for n in _FIELDS[cls]])
+
+
+def _build(cls: type, span: Optional[Span], *values) -> Node:
+    return cls(*values, span=span)
+
+
+_set_hash = Node._hash.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +568,10 @@ _FIELDS: dict[type, tuple[str, ...]] = {}
 # Per syntax class, (position in _FIELDS, name) of each field that holds
 # syntax: a node, or a tuple of nodes.
 _KIDS: dict[type, tuple[tuple[int, str], ...]] = {}
+# Per syntax class, a function from a node to the value its hash is taken
+# of: the class and the fields of _FIELDS, a field that holds one node read
+# as that node's stored hash, without a call.
+_HASH_KEY: dict[type, attrgetter] = {}
 
 
 def _register(cls: type) -> None:
@@ -541,6 +580,15 @@ def _register(cls: type) -> None:
     _KIDS[cls] = tuple(
         (k, n) for k, n in enumerate(names) if hints[n] not in _ATOMIC
     )
+    _HASH_KEY[cls] = attrgetter("__class__", *(
+        f"{n}._hash" if isinstance(hints[n], type) and issubclass(hints[n], Node)
+        else n
+        for n in names
+    ))
+    if cls is not Node and "__hash__" in vars(cls):
+        # The dataclass decorator's `__hash__` hashes every field on each
+        # call; the cached one of Node takes its place.
+        del cls.__hash__
     for sub in cls.__subclasses__():
         _register(sub)
 

@@ -188,9 +188,9 @@ class Checker:
         self.memoize = memoize
         self.metas = MetaStore()
         self.stats = Stats()
-        self._memo: dict[int, tuple] = {}
+        self._memo: dict[tuple, tuple] = {}
         # Candidates of metavariable-free applications, see `_synth`.
-        self._synth_memo: dict[int, tuple] = {}
+        self._synth_memo: dict[tuple, tuple] = {}
         # One subtyping memo for the run; None gives each query its own.
         self._sub_memo: Optional[dict] = {} if memoize else None
         # id -> object, for objects known to hold no metavariable (see
@@ -306,25 +306,18 @@ class Checker:
         if not self.memoize:
             return self._check_dispatch(ctx, e, ty)
         # Spans are left out of term equality, so the key carries the
-        # occurrence's span as well.  The memo is indexed by the key's hash,
-        # which is computed once per call: hashing deep terms is a large
-        # share of checking time.  An entry is (key, stamp, result), valid
+        # occurrence's span as well.  An entry is (stamp, result), valid
         # while the store is at that stamp, or at any stamp when it is None.
         key = (e, e.span, ty, ctx.entries)
-        h = hash(key)
         stamp0 = self.metas.stamp
-        hit = self._memo.get(h)
-        if (
-            hit is not None
-            and (hit[1] is None or hit[1] == stamp0)
-            and hit[0] == key
-        ):
+        hit = self._memo.get(key)
+        if hit is not None and (hit[0] is None or hit[0] == stamp0):
             self.stats.memo_hits += 1
-            return hit[2]
+            return hit[1]
         self.stats.memo_misses += 1
         res = self._check_dispatch(ctx, e, ty)
         if self.metas.stamp == stamp0:
-            self._memo[h] = (key, stamp0, res)
+            self._memo[key] = (stamp0, res)
         elif (
             isinstance(res, Fail)
             and meta_free(e, self._ground)
@@ -334,7 +327,7 @@ class Checker:
             # Every alternative was undone, and a query without
             # metavariables cannot read the store: the failure holds at
             # every stamp.
-            self._memo[h] = (key, None, res)
+            self._memo[key] = (None, res)
         return res
 
     def _check_dispatch(self, ctx, e, ty) -> Union[TypingDerivation, Fail]:
@@ -608,17 +601,16 @@ class Checker:
             case App(fn, arg):
                 # The candidate memo.  It is written inline, not as a wrapper
                 # generator, so that an application level costs no extra
-                # frame.  An entry is (key, events): the zonked candidates
-                # and the failures this enumeration appended, in order; the
-                # consumer's own appends between yields are left out.
+                # frame.  An entry holds the events of one enumeration: the
+                # zonked candidates and the failures it appended, in order;
+                # the consumer's own appends between yields are left out.
                 memo = self._synth_memo if self.memoize else None
-                key = None
+                key = (e, e.span, ctx.entries)
                 if memo:
-                    key = (e, e.span, ctx.entries)
-                    hit = memo.get(hash(key))
-                    if hit is not None and hit[0] == key:
+                    hit = memo.get(key)
+                    if hit is not None:
                         self.stats.synth_memo_hits += 1
-                        for event in hit[1]:
+                        for event in hit:
                             if type(event) is Fail:
                                 fails.append(event)
                             else:
@@ -667,9 +659,7 @@ class Checker:
                     and meta_free(ctx.entries, self._ground)
                 ):
                     events.extend(fails[start:])
-                    if key is None:
-                        key = (e, e.span, ctx.entries)
-                    memo[hash(key)] = (key, tuple(events))
+                    memo[key] = tuple(events)
             case CtxAnno(_, _):
                 if not self.ctx_anno_enabled:
                     fails.append(

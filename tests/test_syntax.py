@@ -1,4 +1,7 @@
 import copy
+import os
+import pickle
+import subprocess
 import sys
 from dataclasses import fields, replace
 from typing import get_type_hints
@@ -7,11 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import guardlang
 import strategies
 from helpers import oracle_subst_type
 from guardlang.ctxanno import encode
 from guardlang.interp import erase
-from guardlang.parser import resolve_prims
+from guardlang.parser import (
+    parse_term,
+    parse_type,
+    pretty_decl,
+    pretty_term,
+    pretty_type,
+    resolve_prims,
+)
 from guardlang.syntax import (
     BINDERS,
     TERM,
@@ -34,10 +45,12 @@ from guardlang.syntax import (
     Node,
     Prim,
     Some,
+    Span,
     TArrow,
     TAtom,
     TCon,
     TPi,
+    TSect,
     TUnit,
     Term,
     Type,
@@ -409,8 +422,17 @@ def _chain(n, leaf):
     return e
 
 
+def _type_chain(n):
+    ty = TUnit()
+    for _ in range(n):
+        ty = TArrow(TAtom("bits"), TSect(ty, TUnit()))
+    return ty
+
+
 DEEP = 400
 TRAVERSALS = {
+    "hash-term": lambda: hash(_chain(DEEP, Var("x"))),
+    "hash-type": lambda: hash(_type_chain(DEEP)),
     "free_index_vars": lambda: free_index_vars(_chain(DEEP, Var("x"))),
     "free_term_vars": lambda: free_term_vars(_chain(DEEP, Var("x"))),
     "metas_of": lambda: metas_of(_chain(DEEP, Var("x"))),
@@ -474,3 +496,65 @@ def test_every_syntax_form_is_traversed(cls):
     assert map_children(x, lambda c: copy.copy(c)) == x
     if "var" in hints:
         assert cls in BINDERS
+
+
+# Equal nodes hash equal however they were made, and a node built with a
+# changed field is hashed afresh.  A node computes its hash once, when it is
+# built, so these are the ways a stale or process-local hash could leak.
+
+
+def _reparsed(x, prefix):
+    if isinstance(x, Term):
+        prims = frozenset(y.name for y in subterms(x) if type(y) is Prim)
+        return parse_term(prefix + pretty_term(x), prims=prims)
+    if isinstance(x, Type):
+        return parse_type(prefix + pretty_type(x))
+    return parse_term(f"{prefix}where {pretty_decl(x)} do ()").decl
+
+
+SYNTAX = st.one_of(strategies.terms(), strategies.types(), strategies.decls())
+
+
+@given(x=SYNTAX)
+@settings(max_examples=150)
+def test_reparse_with_other_spans_hashes_equal(x):
+    a, b = _reparsed(x, ""), _reparsed(x, "\n  ")
+    assert a.span != b.span
+    assert a == b and hash(a) == hash(b)
+
+
+@given(x=SYNTAX)
+@settings(max_examples=150)
+def test_copies_hash_equal(x):
+    x = replace(x, span=Span("f.gl", 2, 3, 2, 9))
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and hash(y) == hash(x) and y.span == x.span
+
+
+@given(x=SYNTAX)
+def test_replace_rehashes(x):
+    hints = get_type_hints(type(x))
+    for name in (f.name for f in fields(x) if f.compare):
+        same = replace(x, **{name: getattr(x, name)})
+        assert same == x and hash(same) == hash(x)
+        changed = replace(x, **{name: _sample(hints[name])})
+        if changed != x:
+            assert hash(changed) != hash(x)
+
+
+def test_unpickled_node_hashes_as_built_here():
+    # String hashes differ between processes, so a node pickled by another
+    # process must not bring its hash along.
+    src = "where x : odd do fn y => (f (y ,, x) : odd -> even)"
+    code = (
+        "import pickle, sys\n"
+        "from guardlang.parser import parse_term\n"
+        f"sys.stdout.buffer.write(pickle.dumps(parse_term({src!r})))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(guardlang.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src_dir}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    ).stdout
+    there, here = pickle.loads(out), parse_term(src)
+    assert there == here and hash(there) == hash(here)
