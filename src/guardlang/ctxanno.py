@@ -17,7 +17,7 @@ sortings become `some` binders (the sorting behaves existentially, exactly
 like the instantiation rule), around a right-hand annotation of the subject.
 `verify_encoding` checks the translation end to end: whatever the
 annotation-enabled checker accepts, the encoded program must pass with the
-contextual rule disabled.
+contextual rule disabled, on the same checker (see its docstring).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .syntax import (
     alpha_eq,
     rewrite,
     subst,
+    subterms,
     zonk_type,
 )
 from .typecheck import (
@@ -64,6 +65,7 @@ from .typecheck import (
     IllFormedType,
     Report,
     TypingDerivation,
+    _check_program,
     check_type_wf,
     typecheck_program,
 )
@@ -294,14 +296,32 @@ class EncodingGapError(Exception):
 def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
     """Typecheck with contextual annotations, translate, re-check without.
 
+    Both checks run on one `Checker`, so the second reuses what the first
+    decided: the checking, candidate and subtyping memos, the table of
+    ground objects and the metavariable store.  `encode` returns every
+    subterm outside a `CtxAnno` as the same object, so for the encoded
+    program only what the translation built is derived again.  This is
+    sound because the checker reads its contextual-annotation switch only at
+    a `CtxAnno` node, and the encoded program holds none: no memo entry that
+    a query of the second check can match depends on the switch.  The store
+    carries over with its stamp, so an entry kept for one store state is
+    reused only in that very state.  An encoded program that still holds a
+    `CtxAnno` (a bug of the translation) is checked on a fresh checker
+    instead, which rejects the annotation.
+
     Raises EncodingGapError when the original is accepted but the encoded
     program is not (or, for goal-free programs, synthesizes a different type).
     """
-    original = typecheck_program(prog, max_depth=max_depth, ctx_anno=True)
+    checker = Checker(prog.sig, max_depth=max_depth, ctx_anno=True)
+    original = _check_program(checker, prog)
     if not original.accepted:
         return EncodingCheck(original, None, None)
     enc = encode_program(prog)
-    encoded = typecheck_program(enc, max_depth=max_depth, ctx_anno=False)
+    if any(type(e) is CtxAnno for e in subterms(enc.main)):
+        encoded = typecheck_program(enc, max_depth=max_depth, ctx_anno=False)
+    else:
+        checker.ctx_anno_enabled = False
+        encoded = _check_program(checker, enc)
     check = EncodingCheck(original, enc, encoded)
     if not encoded.accepted:
         raise EncodingGapError(check)

@@ -370,7 +370,7 @@ def subtype(
     if isinstance(res, Fail):
         store.undo(mark)
         return res
-    return Zonker(store).visit(res) if store.any_solved() else res
+    return Zonker(store, ground).visit(res) if store.any_solved() else res
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,15 @@ enclosing level.  The stream of an application is stored, with the failures it a
 between, when the enumeration ran to the end, moved the store's stamp,
 and its term, its context and every candidate (zonked when it was yielded)
 hold no metavariable; a hit yields the stored candidates and appends the
-stored failures.  What is known to hold no metavariable is kept in one
-table for the run, so neither the test nor the zonk of a candidate walks a
-part already known to be ground twice.
+stored failures.  A miss yields the candidates it stores, zonked, as a hit
+does.  What is known to hold no metavariable is kept in one table for the
+run, so neither the test nor the zonk of a candidate walks a part already
+known to be ground twice.
+
+The memos, the ground table and the store belong to the `Checker`, not to
+one program: `_check_program` runs one program on a given checker, and
+`ctxanno.verify_encoding` checks a program and then its encoding on the
+same one, so the second check re-derives only what the translation built.
 
 Derivations share their terms and types with the program and with each
 other: a node holds the very term object it was checked on, its premises
@@ -645,7 +651,10 @@ class Checker:
                             if cand is None:
                                 events = None
                             else:
+                                # Yield what a hit yields: the enclosing
+                                # level's zonk then stops at this candidate.
                                 events.append(cand)
+                                rty, d = cand
                         yield rty, d
                         start = len(fails)
                         self.metas.undo(mark)
@@ -809,41 +818,37 @@ def typecheck_program(
     ctx_anno: bool = True,
     memoize: bool = True,
 ) -> Report:
-    t0 = time.perf_counter()
-    diags = validate_program(prog)
-    if diags:
-        report = Report("reject", diagnostics=diags)
-        report.stats.wall_ms = (time.perf_counter() - t0) * 1000
-        return report
     checker = Checker(
         prog.sig, max_depth=max_depth, ctx_anno=ctx_anno, memoize=memoize
     )
-    ctx = checker.fresh_ctx()
-    if prog.goal is not None:
-        res = checker.check(ctx, prog.main, prog.goal)
-        if isinstance(res, Fail):
-            report = Report(
-                "reject", diagnostics=_diagnostics_from(res), stats=checker.stats
-            )
-        else:
-            report = Report(
-                "accept",
-                checked_type=prog.goal,
-                derivation=res,
-                stats=checker.stats,
-            )
+    return _check_program(checker, prog)
+
+
+def _check_program(checker: Checker, prog: Program) -> Report:
+    """Validate prog, then check it against its goal (or synthesize its
+    type) on `checker`, whose signature is prog's.  The report gets Stats of
+    its own; the checker's memos and store carry over to a later call."""
+    t0 = time.perf_counter()
+    stats = checker.stats = Stats()
+    diags = validate_program(prog)
+    if diags:
+        report = Report("reject", diagnostics=diags, stats=stats)
     else:
-        res = checker.synth(ctx, prog.main)
-        if isinstance(res, Fail):
+        ctx = checker.fresh_ctx()
+        if prog.goal is not None:
+            res = checker.check(ctx, prog.main, prog.goal)
+            found = res if isinstance(res, Fail) else (prog.goal, res)
+        else:
+            res = checker.synth(ctx, prog.main)
+            found = res if isinstance(res, Fail) else res[0]
+        if isinstance(found, Fail):
             report = Report(
-                "reject", diagnostics=_diagnostics_from(res), stats=checker.stats
+                "reject", diagnostics=_diagnostics_from(found), stats=stats
             )
         else:
-            ty, d = res[0]
-            report = Report(
-                "accept", checked_type=ty, derivation=d, stats=checker.stats
-            )
-    report.stats.wall_ms = (time.perf_counter() - t0) * 1000
+            ty, d = found
+            report = Report("accept", checked_type=ty, derivation=d, stats=stats)
+    stats.wall_ms = (time.perf_counter() - t0) * 1000
     return report
 
 

@@ -258,6 +258,20 @@ def test_trace_output_matches_golden(capsys, name, flag):
         assert out.encode() == fh.read()
 
 
+@pytest.mark.parametrize("name", CORPUS)
+def test_desugar_verify_matches_golden(capsys, name):
+    """Standard error of `desugar --verify` on each corpus program, byte for
+    byte: the derivation sizes of the contextual and the encoded program, or
+    that the original is rejected.  A golden is written from the root of a
+    checkout by `python -m guardlang desugar --verify programs/NAME.gl
+    2> tests/golden/NAME.desugar-verify.err`."""
+    code, _, err = run_cli(capsys, "desugar", "--verify", program_path(name))
+    assert code == 0
+    golden = os.path.join(GOLDEN_DIR, f"{name[:-3]}.desugar-verify.err")
+    with open(golden, "rb") as fh:
+        assert err.encode() == fh.read()
+
+
 # Rejected programs whose `check --json` diagnostics are pinned.  In
 # `idcast_offset` two messages show types zonked when the failure happened:
 # `synthesized list(a) is not a subtype of list(a + 1)` and `index equality

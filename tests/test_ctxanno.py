@@ -1,14 +1,23 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 
 import strategies
-from conftest import program_path
-from helpers import gen_ctxanno_program, load_program
+from conftest import ACCEPTED_PROGRAMS, REJECTED_PROGRAMS, program_path
+from helpers import (
+    gen_ctxanno_program,
+    idx_chain_program,
+    kway_program,
+    load_program,
+)
+from guardlang import ctxanno
 from guardlang.ctxanno import (
     CtxSubDerivation,
+    EncodingGapError,
     encode,
     encode_program,
     verify_ctx_anno,
@@ -356,6 +365,79 @@ class TestVerifyEncoding:
                 assert selected == node.branch, (node.branch, selected)
                 exact += 1
         assert exact >= 15 and relaxed >= 3
+
+
+def _shared_checker_cases():
+    for name in ACCEPTED_PROGRAMS + REJECTED_PROGRAMS:
+        yield name, load_program(program_path(name))
+    for k in (2, 5, 8):
+        for variant in ("guarded", "plain", "ctxanno", "swapped"):
+            yield f"kway({k}, {variant})", kway_program(k, variant)
+    for n in range(1, 11):
+        yield f"idx-chain({n})", idx_chain_program(n)
+    rng = random.Random(20260808)
+    for i in range(220):
+        yield f"generated {i}", gen_ctxanno_program(rng)
+
+
+def _same_report(a, b) -> bool:
+    return (
+        a.verdict == b.verdict
+        and a.derivation == b.derivation
+        and a.checked_type == b.checked_type
+        and [d.message for d in a.diagnostics] == [d.message for d in b.diagnostics]
+    )
+
+
+class TestSharedChecker:
+    """`verify_encoding` checks the encoded program on the checker that
+    checked the original; the results must be those of a fresh check."""
+
+    def test_reports_equal_fresh_checks(self):
+        encoded_runs = 0
+        for name, prog in _shared_checker_cases():
+            check = verify_encoding(prog)
+            assert _same_report(check.original, typecheck_program(prog)), name
+            if check.encoded is None:
+                assert not check.original.accepted, name
+                continue
+            fresh = typecheck_program(encode_program(prog), ctx_anno=False)
+            assert _same_report(check.encoded, fresh), name
+            verify_typing(prog.sig, check.encoded.derivation)
+            encoded_runs += 1
+        assert encoded_runs >= 100
+
+    def test_reports_keep_their_own_stats(self):
+        check = verify_encoding(kway_program(5, "plain"))
+        fresh = typecheck_program(kway_program(5, "plain"))
+        assert check.original.stats.as_dict() | {"wall_ms": 0} == (
+            fresh.stats.as_dict() | {"wall_ms": 0}
+        )
+        assert check.encoded.stats is not check.original.stats
+        # The encoded program is the original: one memo hit decides it.
+        assert check.encoded.stats.rule_applications == 0
+        assert check.encoded.stats.memo_hits == 1
+
+    def test_leftover_ctx_anno_is_checked_afresh(self, monkeypatch):
+        # A translation that leaves a contextual annotation behind must not
+        # reach the memos filled with the contextual rule switched on.
+        monkeypatch.setattr(ctxanno, "encode_program", lambda prog: prog)
+        with pytest.raises(EncodingGapError):
+            verify_encoding(load_program(program_path("parity_ctxanno.gl")))
+
+    def test_check_does_not_keep_the_checker_alive(self, monkeypatch):
+        made = []
+
+        def tracked(*args, **kwargs):
+            checker = Checker(*args, **kwargs)
+            made.append(weakref.ref(checker))
+            return checker
+
+        monkeypatch.setattr(ctxanno, "Checker", tracked)
+        check = verify_encoding(load_program(program_path("parity_ctxanno.gl")))
+        gc.collect()
+        assert check.encoded.accepted
+        assert made and all(ref() is None for ref in made)
 
 
 def _entry_unconstrained_ivar(typing) -> bool:
