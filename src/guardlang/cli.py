@@ -15,10 +15,12 @@ import sys
 from typing import Optional
 
 from . import ctxanno, interp
-from .parser import ParseError, format_derivation, parse_program, pretty_program, pretty_term
-from .subtyping import SubDerivation, VerifyError
+from .parser import (
+    ParseError, format_derivation, parse_program, pretty_program, pretty_term, pretty_type
+)
+from .replay import SubDerivation, VerifyError, verify_typing
 from .syntax import Program
-from .typecheck import Report, typecheck_program, verify_typing
+from .typecheck import Report, typecheck_program
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -94,8 +96,6 @@ def report_to_dict(report: Report, *, derivation: bool = False) -> dict:
         "statistics": report.stats.as_dict(),
     }
     if report.checked_type is not None:
-        from .parser import pretty_type
-
         out["type"] = pretty_type(report.checked_type)
     if derivation and report.derivation is not None:
         out["derivation"] = format_derivation(report.derivation)
@@ -109,8 +109,6 @@ def _print_report(report: Report, args) -> None:
     if report.accepted:
         line = "accepted"
         if report.checked_type is not None:
-            from .parser import pretty_type
-
             line += f" : {pretty_type(report.checked_type)}"
         print(line)
     else:

@@ -7,7 +7,7 @@ rule `check_ctx_anno`: program-variable typings by subtyping of the
 looked-up type, index-variable sortings by instantiating a well-sorted index
 expression (found with the same metavariable machinery as Pi-left).  The
 first typing that applies, with every index instantiation solved, gives the
-type the term synthesizes.  Replaying a ctx-anno node (`verify_ctx_anno`)
+type the term synthesizes.  Replaying a ctx-anno node (`replay`)
 substitutes the recorded witnesses into the typing and compares the result
 with the node's type by `alpha_eq`.
 
@@ -27,27 +27,20 @@ from typing import Iterator, Optional, Union
 
 # `entails`, `solve_meta` and `subtype` are imported for the benchmark's
 # tracer, which wraps them here.
-from .indices import entails, solve_meta, sort_of
-from .subtyping import (
-    Fail,
-    SubDerivation,
-    VerifyError,
-    subtype,
-    verify_subtyping,
-)
+from .indices import entails, solve_meta
+# `verify_ctx_anno` (the replay) is kept here for its callers.
+from .replay import CtxSubDerivation, verify_typing as verify_ctx_anno
+from .subtyping import Fail, subtype
 from .syntax import (
     Anno,
     Context,
     CtxAnno,
     CtxTyping,
-    Decl,
     Guard,
     IMeta,
     IdxDecl,
-    IndexExpr,
     Merge,
     Program,
-    Signature,
     Some,
     TArrow,
     TPi,
@@ -69,22 +62,6 @@ from .typecheck import (
     check_type_wf,
     typecheck_program,
 )
-
-
-@dataclass(frozen=True)
-class CtxSubDerivation:
-    """One node of a derivation that the context `ctx_entries` satisfies the
-    entries of a contextual typing `Gamma0 |- A0`."""
-
-    rule: str  # "empty" | "ivar" | "pvar"
-    inner: CtxTyping
-    ctx_entries: tuple[Decl, ...]
-    goal: Type  # A0 with the witnesses substituted
-    premises: tuple = ()
-    witness: Optional[IndexExpr] = None
-
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
 
 
 def _wf_typing(ctx: Context, typing: CtxTyping) -> None:
@@ -330,69 +307,3 @@ def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
     ):
         raise EncodingGapError(check)
     return check
-
-
-# ---------------------------------------------------------------------------
-# Replay of ctx-anno derivation nodes (used by the independent verifier)
-
-
-def verify_ctx_anno(sig: Signature, d: TypingDerivation) -> None:
-    if not isinstance(d.term, CtxAnno) or d.branch is None:
-        raise VerifyError("[ctx-anno] malformed node")
-    node, chk = d.premises
-    if not isinstance(node, CtxSubDerivation) or not isinstance(
-        chk, TypingDerivation
-    ):
-        raise VerifyError("[ctx-anno] premises must be subsumption + checking")
-    typing = d.term.typings[d.branch - 1]
-    ctx = Context(sig, d.ctx_entries)
-    goal = _replay_subsumption(sig, ctx, typing, node)
-    if not alpha_eq(goal, d.ty):
-        raise VerifyError("[ctx-anno] substituted goal differs from conclusion")
-    if not (
-        chk.mode == "check"
-        and alpha_eq(chk.term, d.term.body)
-        and alpha_eq(chk.ty, d.ty)
-    ):
-        raise VerifyError("[ctx-anno] checking premise mismatch")
-
-
-def _replay_subsumption(
-    sig: Signature, ctx: Context, typing: CtxTyping, node: CtxSubDerivation
-) -> Type:
-    cur = typing
-    n = node
-    while True:
-        if n.rule == "empty":
-            if cur.entries:
-                raise VerifyError("[<~ empty] entries remain")
-            return cur.goal
-        if not cur.entries:
-            raise VerifyError(f"[<~ {n.rule}] no entries remain")
-        d0 = cur.entries[0]
-        rest = CtxTyping(cur.entries[1:], cur.goal)
-        if n.rule == "pvar":
-            if not isinstance(d0, VarDecl):
-                raise VerifyError("[<~ pvar] entry is not a variable typing")
-            sd = n.premises[0]
-            if not isinstance(sd, SubDerivation):
-                raise VerifyError("[<~ pvar] missing subtyping premise")
-            looked = ctx.lookup_var(d0.name)
-            if looked is None or not (
-                alpha_eq(sd.lhs, looked) and alpha_eq(sd.rhs, d0.ty)
-            ):
-                raise VerifyError("[<~ pvar] subtyping premise mismatch")
-            verify_subtyping(sig, sd)
-            cur = rest
-            n = n.premises[1]
-        elif n.rule == "ivar":
-            if not isinstance(d0, IdxDecl):
-                raise VerifyError("[<~ ivar] entry is not an index sorting")
-            if n.witness is None:
-                raise VerifyError("[<~ ivar] missing witness")
-            if sort_of(ctx, n.witness) != d0.sort:
-                raise VerifyError("[<~ ivar] witness sort mismatch")
-            cur = subst(n.witness, d0.name, rest)
-            n = n.premises[0]
-        else:
-            raise VerifyError(f"unknown subsumption rule {n.rule!r}")

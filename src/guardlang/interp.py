@@ -33,7 +33,7 @@ from .syntax import (
     Unit,
     Var,
     alpha_eq,
-    subst_term_var,
+    subst,
 )
 
 
@@ -155,8 +155,6 @@ class Stuck:
 
 StepResult = Union[Stepped, Value, Stuck]
 
-_DROP_RULES = ("anno-drop", "guard-drop", "some-drop", "idxfn-drop", "ctxanno-drop")
-
 
 def step(e: Term) -> StepResult:
     """One deterministic leftmost-innermost call-by-value step."""
@@ -192,7 +190,7 @@ def _step(e: Term) -> Union[Stepped, Stuck]:
                 return Stepped(App(f, inner.term, span=e.span), inner.rule)
             core = _strip(f)
             if isinstance(core, Lam):
-                return Stepped(subst_term_var(a, core.var, core.body), "beta")
+                return Stepped(subst(a, core.var, core.body), "beta")
             result = _delta(e)
             if result is not None:
                 return Stepped(result, "delta")
@@ -252,7 +250,7 @@ def _successors(e: Term) -> list[Term]:
                 return [App(f, s, span=e.span) for s in _successors(a)]
             core = _strip(f)
             if isinstance(core, Lam):
-                return [subst_term_var(a, core.var, core.body)]
+                return [subst(a, core.var, core.body)]
             result = _delta(e)
             return [result] if result is not None else []
         case _:

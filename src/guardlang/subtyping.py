@@ -25,15 +25,15 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import indices
-# `solve_meta` is imported for the benchmark's tracer, which wraps it here.
+# `entails` and `solve_meta` are imported for the benchmark's tracer, which
+# wraps them here.
 from .indices import NoSolution, UnboundIndexVariable, entails, solve_meta
 from .parser import pretty
+# `VerifyError` and `verify_subtyping` (the replay) are kept for their callers.
+from .replay import SubDerivation, VerifyError, verify_typing as verify_subtyping
 from .syntax import (
     Context,
-    Decl,
-    IVar,
     IdxDecl,
-    IndexExpr,
     MetaStore,
     Span,
     TAtom,
@@ -112,23 +112,6 @@ class Fail:
 
 class DepthExceeded(Exception):
     pass
-
-
-class VerifyError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class SubDerivation:
-    rule: str
-    ctx_entries: tuple[Decl, ...]
-    lhs: Type
-    rhs: Type
-    premises: tuple["SubDerivation", ...] = ()
-    witness: Optional[IndexExpr] = None
-
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
 
 
 @dataclass
@@ -371,108 +354,3 @@ def subtype(
         store.undo(mark)
         return res
     return Zonker(store, ground).visit(res) if store.any_solved() else res
-
-
-# ---------------------------------------------------------------------------
-# Independent replay of a derivation, rule by rule.
-
-
-def verify_subtyping(sig, d: SubDerivation) -> None:
-    """Check that a (ground) derivation applies its rules correctly.
-
-    Raises VerifyError on the first node that does not replay.
-    """
-    ctx = Context(sig, d.ctx_entries)
-    rule = d.rule
-    if rule == "refl":
-        _require(alpha_eq(d.lhs, d.rhs), d, "refl on unequal types")
-        _require(not d.premises, d, "refl has no premises")
-    elif rule == "atom":
-        _require(
-            isinstance(d.lhs, TAtom)
-            and isinstance(d.rhs, TAtom)
-            and sig.atom_le(d.lhs.name, d.rhs.name),
-            d,
-            "atom order does not hold",
-        )
-    elif rule == "arrow":
-        _require(
-            isinstance(d.lhs, TArrow) and isinstance(d.rhs, TArrow), d, "not arrows"
-        )
-        p1, p2 = d.premises
-        _require(
-            alpha_eq(p1.lhs, d.rhs.arg) and alpha_eq(p1.rhs, d.lhs.arg),
-            d,
-            "arrow contravariant premise mismatch",
-        )
-        _require(
-            alpha_eq(p2.lhs, d.lhs.res) and alpha_eq(p2.rhs, d.rhs.res),
-            d,
-            "arrow covariant premise mismatch",
-        )
-        _require(p1.ctx_entries == d.ctx_entries, d, "premise context changed")
-    elif rule == "sect-r":
-        _require(isinstance(d.rhs, TSect), d, "sect-r on non-intersection")
-        p1, p2 = d.premises
-        _require(
-            alpha_eq(p1.lhs, d.lhs) and alpha_eq(p1.rhs, d.rhs.lhs), d, "sect-r left"
-        )
-        _require(
-            alpha_eq(p2.lhs, d.lhs) and alpha_eq(p2.rhs, d.rhs.rhs), d, "sect-r right"
-        )
-    elif rule in ("sect-l1", "sect-l2"):
-        _require(isinstance(d.lhs, TSect), d, "sect-l on non-intersection")
-        (p,) = d.premises
-        side = d.lhs.lhs if rule == "sect-l1" else d.lhs.rhs
-        _require(
-            alpha_eq(p.lhs, side) and alpha_eq(p.rhs, d.rhs), d, "sect-l premise"
-        )
-    elif rule == "ilr":
-        _require(
-            isinstance(d.lhs, TCon)
-            and isinstance(d.rhs, TCon)
-            and d.lhs.con == d.rhs.con,
-            d,
-            "ilr constructor mismatch",
-        )
-        _require(
-            entails(d.lhs.index, d.rhs.index),
-            d,
-            "ilr index equality not entailed",
-        )
-    elif rule == "pi-r":
-        _require(isinstance(d.rhs, TPi), d, "pi-r on non-Pi")
-        (p,) = d.premises
-        _require(
-            len(p.ctx_entries) == len(d.ctx_entries) + 1, d, "pi-r context arity"
-        )
-        last = p.ctx_entries[-1]
-        _require(
-            isinstance(last, IdxDecl) and last.sort == d.rhs.sort,
-            d,
-            "pi-r bound sort",
-        )
-        expect = subst(IVar(last.name), d.rhs.var, d.rhs.body)
-        _require(
-            alpha_eq(p.lhs, d.lhs) and alpha_eq(p.rhs, expect), d, "pi-r premise"
-        )
-    elif rule == "pi-l":
-        _require(isinstance(d.lhs, TPi), d, "pi-l on non-Pi")
-        _require(d.witness is not None, d, "pi-l requires a witness")
-        _require(
-            indices.sort_of(ctx, d.witness) == d.lhs.sort, d, "pi-l witness sort"
-        )
-        (p,) = d.premises
-        expect = subst(d.witness, d.lhs.var, d.lhs.body)
-        _require(
-            alpha_eq(p.lhs, expect) and alpha_eq(p.rhs, d.rhs), d, "pi-l premise"
-        )
-    else:
-        raise VerifyError(f"unknown subtyping rule {rule!r}")
-    for p in d.premises:
-        verify_subtyping(sig, p)
-
-
-def _require(cond: bool, d: SubDerivation, message: str) -> None:
-    if not cond:
-        raise VerifyError(f"[{d.rule}] {message}")

@@ -650,12 +650,6 @@ def rewrite(x: Syntax, hook, state) -> Syntax:
     return x if values is None else cls(*values, span=x.span)
 
 
-def map_children(x: Syntax, f) -> Syntax:
-    """x with f applied to each child; x itself when f returns every child
-    unchanged."""
-    return rewrite(x, lambda y, state: state if y is x else f(y), None)
-
-
 def subterms(e: Term) -> Iterator[Term]:
     """e and every term inside it, in preorder."""
     stack = [e]
@@ -691,27 +685,6 @@ def free_vars(x: Syntax, ns: str) -> frozenset[str]:
         for z in children(y):
             stack.append((z, bound))
     return frozenset(out)
-
-
-def free_index_vars(x: Syntax) -> frozenset[str]:
-    return free_vars(x, INDEX)
-
-
-def free_term_vars(x: Syntax) -> frozenset[str]:
-    return free_vars(x, TERM)
-
-
-def metas_of(x: Syntax) -> frozenset[int]:
-    """Uids of all metavariables occurring in x."""
-    acc: set[int] = set()
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        if type(y) is IMeta:
-            acc.add(y.uid)
-        else:
-            stack.extend(children(y))
-    return frozenset(acc)
 
 
 def meta_free(x, known: dict[int, object]) -> bool:
@@ -836,11 +809,6 @@ def bind_fresh(x: Syntax, avoid: frozenset[str]) -> Syntax:
     return replace(x, var=name, body=subst(_VARIABLE[ns](name), x.var, x.body))
 
 
-subst_index_in_type = subst
-subst_index_in_term = subst
-subst_term_var = subst
-
-
 # ---------------------------------------------------------------------------
 # Alpha equivalence
 
@@ -933,10 +901,6 @@ def _zonk_hook(x, store: MetaStore):
         sol = store.solution(x.uid) if x.uid in store else None
         return x if sol is None else rewrite(sol, _zonk_hook, store)
     return store
-
-
-def zonk_term(store: MetaStore, e: Term) -> Term:
-    return Zonker(store).visit(e)
 
 
 class Zonker:

@@ -38,11 +38,12 @@ other: a node holds the very term object it was checked on, its premises
 hold the subterms, and memoized results are shared by every parent that
 uses them.  Zonking preserves identity (it rebuilds only the path down to a
 solved metavariable), and the finalize pass visits each distinct object once
-while it collects the unsolved metavariables, so finalize and replay are
-linear in the size of the shared structure.  Replay compares the two sides
-of an equation with `alpha_eq`, which answers at once when they are the
-same object.  A run that has created no metavariable skips finalize: its
-derivation has nothing to zonk and nothing left unsolved.
+while it collects the unsolved metavariables, so finalize is linear in the
+size of the shared structure.  A run that has created no metavariable skips
+finalize: its derivation has nothing to zonk and nothing left unsolved.
+
+The derivation types and their replay (`verify_typing`) live in `replay`,
+which shares no code with this search.
 
 The search rejects most of the alternatives it tries, so it does no work
 that only a reader of the verdict would need.  A failure keeps the syntax
@@ -60,16 +61,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .indices import UnboundIndexVariable, sort_of
-from .parser import pretty_term
-from .subtyping import (
-    DepthExceeded,
-    Fail,
-    Stats,
-    SubDerivation,
-    VerifyError,
-    subtype,
-    verify_subtyping,
-)
+from .parser import pretty_term  # for the benchmark's tracer, which wraps it here
+from .replay import TypingDerivation, verify_typing  # the replay, for its callers
+from .subtyping import DepthExceeded, Fail, Stats, subtype
 from .syntax import (
     INDEX,
     TERM,
@@ -82,7 +76,6 @@ from .syntax import (
     IVar,
     IdxDecl,
     IdxLam,
-    IndexExpr,
     Lam,
     Merge,
     MetaStore,
@@ -103,7 +96,6 @@ from .syntax import (
     Var,
     VarDecl,
     Zonker,
-    alpha_eq,
     bind_fresh,
     free_vars,
     meta_free,
@@ -112,36 +104,6 @@ from .syntax import (
 )
 
 CandidateStream = Iterator[tuple[Type, "TypingDerivation"]]
-
-
-@dataclass(frozen=True)
-class TypingDerivation:
-    """One node of a typing derivation: `ctx_entries |- term <= ty` or
-    `=> ty` by `rule`, from its premises.
-
-    Nodes share their objects instead of copying them: `term` is the
-    program's own subterm (or the substituted body a binder rule made),
-    `ty` a part of the type it was checked against, and `ctx_entries` the
-    tuple of the context it was built in.  A premise may be shared by
-    several parents.  `zonked` keeps that sharing: every object in which
-    no metavariable is solved comes back as the same object.
-    """
-
-    rule: str
-    mode: str  # "check" | "synth"
-    ctx_entries: tuple[Decl, ...]
-    term: Term
-    ty: Optional[Type]
-    premises: tuple = ()
-    witness: Optional[IndexExpr] = None
-    branch: Optional[int] = None
-
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
-
-    def zonked(self, store: MetaStore) -> "TypingDerivation":
-        """This derivation with the solved metavariables replaced."""
-        return Zonker(store).visit(self)
 
 
 class IllFormedType(Exception):
@@ -850,169 +812,3 @@ def _check_program(checker: Checker, prog: Program) -> Report:
             report = Report("accept", checked_type=ty, derivation=d, stats=stats)
     stats.wall_ms = (time.perf_counter() - t0) * 1000
     return report
-
-
-# ---------------------------------------------------------------------------
-# Independent derivation replay
-
-
-def verify_typing(sig: Signature, d: TypingDerivation) -> None:
-    """Re-apply the typing rules node by node; raises VerifyError on the
-    first node that does not replay.  Expects a ground derivation."""
-    ctx = Context(sig, d.ctx_entries)
-    e, ty = d.term, d.ty
-    rule = d.rule
-
-    def req(cond: bool, msg: str) -> None:
-        if not cond:
-            raise VerifyError(f"[{rule}] {msg}: {pretty_term(e)}")
-
-    def tprem(i: int) -> TypingDerivation:
-        p = d.premises[i]
-        req(isinstance(p, TypingDerivation), f"premise {i} is not a typing")
-        return p
-
-    if rule == "var":
-        req(isinstance(e, Var) and d.mode == "synth", "shape")
-        req(ctx.lookup_var(e.name) == ty, "context lookup differs")
-    elif rule == "prim":
-        req(isinstance(e, Prim) and d.mode == "synth", "shape")
-        req(sig.prims.get(e.name) == ty, "declared primitive type differs")
-    elif rule == "unit-i":
-        req(isinstance(e, Unit) and isinstance(ty, TUnit), "shape")
-    elif rule == "arrow-i":
-        req(isinstance(e, Lam) and isinstance(ty, TArrow), "shape")
-        p = tprem(0)
-        req(len(p.ctx_entries) == len(d.ctx_entries) + 1, "context arity")
-        last = p.ctx_entries[-1]
-        req(
-            isinstance(last, VarDecl) and alpha_eq(last.ty, ty.arg),
-            "bound variable type",
-        )
-        req(alpha_eq(p.term, subst(Var(last.name), e.var, e.body)), "premise term")
-        req(alpha_eq(p.ty, ty.res), "premise type")
-    elif rule == "sect-i":
-        req(isinstance(ty, TSect), "shape")
-        p1, p2 = tprem(0), tprem(1)
-        req(alpha_eq(p1.term, e) and alpha_eq(p2.term, e), "premise terms")
-        req(
-            alpha_eq(p1.ty, ty.lhs) and alpha_eq(p2.ty, ty.rhs),
-            "premise types",
-        )
-    elif rule in ("sect-e1", "sect-e2"):
-        p = tprem(0)
-        req(isinstance(p.ty, TSect), "premise not an intersection")
-        side = p.ty.lhs if rule == "sect-e1" else p.ty.rhs
-        req(alpha_eq(ty, side), "projection differs")
-        req(alpha_eq(p.term, e), "premise term")
-    elif rule == "sub":
-        p, s = tprem(0), d.premises[1]
-        req(isinstance(s, SubDerivation), "second premise must be subtyping")
-        req(p.mode == "synth" and alpha_eq(p.term, e), "synthesis premise")
-        req(alpha_eq(s.lhs, p.ty) and alpha_eq(s.rhs, ty), "subtyping premise")
-        verify_subtyping(sig, s)
-    elif rule in ("merge-chk", "merge-syn"):
-        req(isinstance(e, Merge) and d.branch in (1, 2), "shape")
-        p = tprem(0)
-        branch = e.lhs if d.branch == 1 else e.rhs
-        req(alpha_eq(p.term, branch), "premise term is not the branch")
-        req(alpha_eq(p.ty, ty), "premise type")
-    elif rule == "right-anno":
-        req(isinstance(e, Anno) and d.mode == "synth", "shape")
-        req(alpha_eq(ty, e.ty), "synthesized type is the annotation")
-        p = tprem(0)
-        req(
-            p.mode == "check" and alpha_eq(p.term, e.body) and alpha_eq(p.ty, e.ty),
-            "premise",
-        )
-    elif rule in ("guard-chk", "guard-syn"):
-        req(isinstance(e, Guard), "shape")
-        ev, p = tprem(0), tprem(1)
-        _verify_guard_evidence(sig, ctx, e.decl, ev)
-        req(alpha_eq(p.term, e.body) and alpha_eq(p.ty, ty), "body premise")
-    elif rule == "pi-i":
-        req(isinstance(ty, TPi), "shape")
-        p = tprem(0)
-        req(len(p.ctx_entries) == len(d.ctx_entries) + 1, "context arity")
-        last = p.ctx_entries[-1]
-        req(isinstance(last, IdxDecl) and last.sort == ty.sort, "bound sort")
-        req(alpha_eq(p.term, e), "premise term")
-        req(alpha_eq(p.ty, subst(IVar(last.name), ty.var, ty.body)), "premise type")
-    elif rule == "pi-i-explicit":
-        req(isinstance(e, IdxLam) and isinstance(ty, TPi), "shape")
-        req(e.sort == ty.sort, "binder sort")
-        p = tprem(0)
-        last = p.ctx_entries[-1]
-        req(isinstance(last, IdxDecl) and last.sort == ty.sort, "bound sort")
-        req(alpha_eq(p.term, subst(IVar(last.name), e.var, e.body)), "premise term")
-        req(alpha_eq(p.ty, subst(IVar(last.name), ty.var, ty.body)), "premise type")
-    elif rule == "pi-e":
-        p = tprem(0)
-        req(isinstance(p.ty, TPi), "premise not a Pi")
-        req(d.witness is not None, "missing witness")
-        req(sort_of(ctx, d.witness) == p.ty.sort, "witness sort")
-        req(
-            alpha_eq(ty, subst(d.witness, p.ty.var, p.ty.body)),
-            "instantiation differs",
-        )
-        req(alpha_eq(p.term, e), "premise term")
-    elif rule == "some":
-        req(isinstance(e, Some), "shape")
-        req(d.witness is not None, "missing witness")
-        req(sort_of(ctx, d.witness) == e.sort, "witness sort")
-        p = tprem(0)
-        req(
-            alpha_eq(p.term, subst(d.witness, e.var, e.body)),
-            "premise term is not the substituted body",
-        )
-        req(alpha_eq(p.ty, ty), "premise type")
-    elif rule == "arrow-e":
-        req(isinstance(e, App), "shape")
-        p1, p2 = tprem(0), tprem(1)
-        req(isinstance(p1.ty, TArrow), "function premise is not an arrow")
-        req(alpha_eq(p1.term, e.fn), "function premise term")
-        req(
-            p2.mode == "check"
-            and alpha_eq(p2.term, e.arg)
-            and alpha_eq(p2.ty, p1.ty.arg),
-            "argument premise",
-        )
-        req(alpha_eq(ty, p1.ty.res), "result type")
-    elif rule == "ivar":
-        req(isinstance(e, Var) and ty is None, "shape")
-        req(
-            ctx.lookup_index(e.name) is not None,
-            "index variable not in context",
-        )
-    elif rule == "ctx-anno":
-        from . import ctxanno
-
-        ctxanno.verify_ctx_anno(sig, d)
-    else:
-        raise VerifyError(f"unknown typing rule {rule!r}")
-
-    for p in d.premises:
-        if isinstance(p, TypingDerivation):
-            verify_typing(sig, p)
-        # SubDerivation premises are verified where they occur; contextual
-        # subsumption nodes are replayed by verify_ctx_anno.
-
-
-def _verify_guard_evidence(sig, ctx, decl, ev) -> None:
-    if isinstance(decl, VarDecl):
-        if not (
-            isinstance(ev, TypingDerivation)
-            and ev.rule == "sub"
-            and isinstance(ev.term, Var)
-            and ev.term.name == decl.name
-            and alpha_eq(ev.ty, decl.ty)
-        ):
-            raise VerifyError("guard evidence does not check the subject")
-        verify_typing(sig, ev)
-    else:
-        if not (
-            isinstance(ev, TypingDerivation)
-            and ev.rule == "ivar"
-            and ctx.lookup_index(decl.name) == decl.sort
-        ):
-            raise VerifyError("index guard evidence does not match the context")

@@ -29,6 +29,7 @@ from guardlang.syntax import (
     IdxDecl,
     IdxLam,
     IndexExpr,
+    INDEX,
     INT,
     Lam,
     Merge,
@@ -47,10 +48,9 @@ from guardlang.syntax import (
     Unit,
     Var,
     VarDecl,
-    free_index_vars,
+    free_vars,
     fresh_name,
-    subst_index_in_term,
-    subst_index_in_type,
+    subst,
 )
 from guardlang.typecheck import TypingDerivation
 
@@ -163,7 +163,7 @@ def box_counterexample(
     """An assignment in the box [lo, hi]^n under which the two sides of goal
     differ, or None.  For linear sides a box that holds 0 and 1 finds a
     counterexample whenever the equation is not an identity."""
-    names = sorted(free_index_vars(goal))
+    names = sorted(free_vars(goal, INDEX))
     for values in itertools.product(range(lo, hi + 1), repeat=len(names)):
         env = dict(zip(names, values))
         if eval_index(goal.lhs, env) != eval_index(goal.rhs, env):
@@ -196,7 +196,7 @@ def brute_subtype(
             return True
     if isinstance(b, TPi):
         fresh = fresh_name(b.var, set(idx_env))
-        body = subst_index_in_type(IVar(fresh), b.var, b.body)
+        body = subst(IVar(fresh), b.var, b.body)
         if brute_subtype(sig, a, body, depth - 1, idx_env + (fresh,)):
             return True
     if isinstance(a, TArrow) and isinstance(b, TArrow):
@@ -218,7 +218,7 @@ def brute_subtype(
         candidates: list[IndexExpr] = [ILit(n) for n in range(-2, 5)]
         candidates += [IVar(v) for v in idx_env]
         for w in candidates:
-            inst = subst_index_in_type(w, a.var, a.body)
+            inst = subst(w, a.var, a.body)
             if brute_subtype(sig, inst, b, depth - 1, idx_env):
                 return True
     return False
@@ -638,7 +638,7 @@ def reannotate_with_type(
     introduction), a single annotation cannot serve every judgment; the
     annotated copy is then merged with the original, which is the prescribed
     way to annotate one branch of a replicated check."""
-    needs = sorted(free_index_vars(info.ty) - info.bound_idx)
+    needs = sorted(free_vars(info.ty, INDEX) - info.bound_idx)
 
     def wrap(e0: Term) -> Term:
         wrapped = wrap_somes(needs, Anno(e0, info.ty))
@@ -651,7 +651,7 @@ def reannotate_with_guard(
     prog: Program, info: NodeInfo, decl, multi: bool = False
 ) -> Program:
     if isinstance(decl, VarDecl):
-        needs = sorted(free_index_vars(decl.ty) - info.bound_idx)
+        needs = sorted(free_vars(decl.ty, INDEX) - info.bound_idx)
     else:
         needs = []
 
@@ -703,15 +703,15 @@ def brute_check_idx(
         if isinstance(e, IdxLam):
             if e.sort == ty.sort:
                 fresh = fresh_name(e.var, set(idx_env))
-                body = subst_index_in_term(IVar(fresh), e.var, e.body)
-                tbody = subst_index_in_type(IVar(fresh), ty.var, ty.body)
+                body = subst(IVar(fresh), e.var, e.body)
+                tbody = subst(IVar(fresh), ty.var, ty.body)
                 if brute_check_idx(
                     sig, env, idx_env + (fresh,), body, tbody, depth - 1
                 ):
                     return True
         else:
             fresh = fresh_name(ty.var, set(idx_env))
-            tbody = subst_index_in_type(IVar(fresh), ty.var, ty.body)
+            tbody = subst(IVar(fresh), ty.var, ty.body)
             if brute_check_idx(
                 sig, env, idx_env + (fresh,), e, tbody, depth - 1
             ):
@@ -725,7 +725,7 @@ def brute_check_idx(
             return True
     if isinstance(e, Some):
         for w in witness_candidates(idx_env):
-            body = subst_index_in_term(w, e.var, e.body)
+            body = subst(w, e.var, e.body)
             if brute_check_idx(sig, env, idx_env, body, ty, depth - 1):
                 return True
     if isinstance(e, Guard):
@@ -783,7 +783,7 @@ def brute_synth_idx(
         out |= brute_synth_idx(sig, env, idx_env, e.rhs, depth - 1)
     if isinstance(e, Some):
         for w in witness_candidates(idx_env):
-            body = subst_index_in_term(w, e.var, e.body)
+            body = subst(w, e.var, e.body)
             out |= brute_synth_idx(sig, env, idx_env, body, depth - 1)
     if isinstance(e, App):
         for fty in _arrow_views(brute_synth_idx(sig, env, idx_env, e.fn, depth - 1), idx_env):
@@ -806,7 +806,7 @@ def _arrow_views(tys: set[Type], idx_env: tuple[str, ...]) -> set[Type]:
             children = [t.lhs, t.rhs]
         elif isinstance(t, TPi):
             children = [
-                subst_index_in_type(w, t.var, t.body)
+                subst(w, t.var, t.body)
                 for w in witness_candidates(idx_env)
             ]
         for c in children:

@@ -10,6 +10,7 @@ from guardlang.syntax import (
     CtxAnno,
     CtxTyping,
     Guard,
+    INDEX,
     IAdd,
     ILit,
     IMul,
@@ -31,7 +32,10 @@ from guardlang.syntax import (
     Unit,
     Var,
     VarDecl,
+    free_vars,
+    subst,
 )
+from helpers import naive_subst, rename_all_binders
 
 IDX_NAMES = st.sampled_from(["a", "b", "c", "n"])
 TERM_NAMES = st.sampled_from(["x", "y", "z", "f"])
@@ -111,3 +115,35 @@ def terms(max_depth: int = 4):
         )
 
     return st.recursive(base, extend, max_leaves=max_depth * 2)
+
+
+@st.composite
+def pi_instances(draw):
+    """(body, var, w, t): a type body, the variable a Pi binds in it, an
+    index witness, and a type t that is either the instance
+    `subst(w, var, body)` (sometimes with its binders renamed), the naive
+    substitution that lets a binder capture a variable of w, the instance at
+    another witness, or an unrelated type.  Often the body binds a free
+    variable of w."""
+    var = draw(IDX_NAMES)
+    w = draw(index_exprs(2))
+    body = draw(types())
+    captured = sorted(free_vars(w, INDEX))
+    if captured and draw(st.booleans()):
+        # Pi c . (body -> list(var + c)) with c free in w.
+        c = draw(st.sampled_from(captured))
+        body = TPi(c, INT, TArrow(body, TCon("list", IAdd(IVar(var), IVar(c)))))
+    choice = draw(
+        st.sampled_from(["instance", "renamed", "captured", "other-witness", "other"])
+    )
+    if choice == "instance":
+        t = subst(w, var, body)
+    elif choice == "renamed":
+        t = rename_all_binders(subst(w, var, body))
+    elif choice == "captured":
+        t = naive_subst(w, var, body)
+    elif choice == "other-witness":
+        t = subst(draw(index_exprs(2)), var, body)
+    else:
+        t = draw(types())
+    return body, var, w, t

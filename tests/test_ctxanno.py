@@ -441,12 +441,12 @@ class TestSharedChecker:
 
 
 def _entry_unconstrained_ivar(typing) -> bool:
-    from guardlang.syntax import free_index_vars
+    from guardlang.syntax import INDEX, free_vars
 
     constrained: set = set()
     for d in typing.entries:
         if isinstance(d, VarDecl):
-            constrained |= free_index_vars(d.ty)
+            constrained |= free_vars(d.ty, INDEX)
     return any(
         isinstance(d, IdxDecl) and d.name not in constrained
         for d in typing.entries

@@ -25,6 +25,7 @@ from guardlang.parser import (
 )
 from guardlang.syntax import (
     BINDERS,
+    INDEX,
     TERM,
     Anno,
     App,
@@ -59,19 +60,13 @@ from guardlang.syntax import (
     VarDecl,
     Zonker,
     alpha_eq,
-    free_index_vars,
-    free_term_vars,
+    free_vars,
     fresh_name,
-    map_children,
     meta_free,
-    metas_of,
+    rewrite,
     subst,
-    subst_index_in_term,
-    subst_index_in_type,
-    subst_term_var,
     subterms,
     zonk_index,
-    zonk_term,
     zonk_type,
 )
 
@@ -79,12 +74,12 @@ from guardlang.syntax import (
 class TestSubstIndexInType:
     def test_direct_replacement(self):
         ty = TCon("list", IMul(2, IVar("a")))
-        assert subst_index_in_type(ILit(3), "a", ty) == TCon(
+        assert subst(ILit(3), "a", ty) == TCon(
             "list", IMul(2, ILit(3))
         )
 
     def test_no_occurrence(self):
-        assert subst_index_in_type(IVar("i"), "a", TUnit()) == TUnit()
+        assert subst(IVar("i"), "a", TUnit()) == TUnit()
 
     def test_capture_avoided(self):
         # [b/a](Pi b:int. list(a+b)) must rename the binder; the oracle does
@@ -92,7 +87,7 @@ class TestSubstIndexInType:
         from guardlang.syntax import IAdd
 
         ty = TPi("b", INT, TCon("list", IAdd(IVar("a"), IVar("b"))))
-        got = subst_index_in_type(IVar("b"), "a", ty)
+        got = subst(IVar("b"), "a", ty)
         want = oracle_subst_type(IVar("b"), "a", ty)
         assert alpha_eq(got, want)
         assert isinstance(got, TPi) and got.var != "b"
@@ -100,21 +95,21 @@ class TestSubstIndexInType:
     @given(repl=strategies.index_exprs(), ty=strategies.types())
     @settings(max_examples=150)
     def test_matches_oracle(self, repl, ty):
-        got = subst_index_in_type(repl, "a", ty)
+        got = subst(repl, "a", ty)
         want = oracle_subst_type(repl, "a", ty)
         assert alpha_eq(got, want)
 
     @given(ty=strategies.types())
     def test_identity_substitution(self, ty):
-        assert alpha_eq(subst_index_in_type(IVar("a"), "a", ty), ty)
+        assert alpha_eq(subst(IVar("a"), "a", ty), ty)
 
     @given(repl=strategies.index_exprs(), ty=strategies.types())
     def test_free_vars_bound(self, repl, ty):
-        got = free_index_vars(subst_index_in_type(repl, "a", ty))
-        bound = (free_index_vars(ty) - {"a"}) | (
-            free_index_vars(repl) if "a" in free_index_vars(ty) else set()
+        got = free_vars(subst(repl, "a", ty), INDEX)
+        bound = (free_vars(ty, INDEX) - {"a"}) | (
+            free_vars(repl, INDEX) if "a" in free_vars(ty, INDEX) else set()
         )
-        assert got <= (free_index_vars(ty) - {"a"}) | free_index_vars(repl)
+        assert got <= (free_vars(ty, INDEX) - {"a"}) | free_vars(repl, INDEX)
         del bound
 
     @given(repl=strategies.index_exprs(), a=strategies.types(), b=strategies.types())
@@ -122,8 +117,8 @@ class TestSubstIndexInType:
     def test_respects_alpha(self, repl, a, b):
         if alpha_eq(a, b):
             assert alpha_eq(
-                subst_index_in_type(repl, "a", a),
-                subst_index_in_type(repl, "a", b),
+                subst(repl, "a", a),
+                subst(repl, "a", b),
             )
 
 
@@ -131,28 +126,28 @@ class TestSubstIndexInTerm:
     def test_descends_into_guard_annotations(self):
         # Choosing the index to be a*2 rewrites the guard's type.
         e = Guard(VarDecl("x", TCon("list", IVar("b"))), Var("x"))
-        got = subst_index_in_term(IMul(2, IVar("a")), "b", e)
+        got = subst(IMul(2, IVar("a")), "b", e)
         assert got == Guard(
             VarDecl("x", TCon("list", IMul(2, IVar("a")))), Var("x")
         )
 
     def test_unit_untouched(self):
-        assert subst_index_in_term(IVar("i"), "b", Unit()) == Unit()
+        assert subst(IVar("i"), "b", Unit()) == Unit()
 
     def test_shadowed_binder(self):
         e = Some("b", INT, Guard(VarDecl("x", TCon("list", IVar("b"))), Var("x")))
-        assert subst_index_in_term(ILit(5), "b", e) == e
+        assert subst(ILit(5), "b", e) == e
 
     @given(e=strategies.terms())
     @settings(max_examples=100)
     def test_identity_substitution(self, e):
-        assert alpha_eq(subst_index_in_term(IVar("a"), "a", e), e)
+        assert alpha_eq(subst(IVar("a"), "a", e), e)
 
     @given(repl=strategies.index_exprs(), e=strategies.terms())
     @settings(max_examples=150)
     def test_free_vars_bound(self, e, repl):
-        got = free_index_vars(subst_index_in_term(repl, "a", e))
-        assert got <= (free_index_vars(e) - {"a"}) | free_index_vars(repl)
+        got = free_vars(subst(repl, "a", e), INDEX)
+        assert got <= (free_vars(e, INDEX) - {"a"}) | free_vars(repl, INDEX)
 
 
 class TestAlphaEq:
@@ -201,7 +196,7 @@ class TestZonk:
         e = Anno(Lam("x", Var("x")), ty)
         assert zonk_index(store, i) is i
         assert zonk_type(store, ty) is ty
-        assert zonk_term(store, e) is e
+        assert Zonker(store).visit(e) is e
 
     def test_solved_rebuilds_the_path(self):
         store, m, _ = _two_metas()
@@ -215,7 +210,7 @@ class TestZonk:
         zty = zonk_type(store, ty)
         assert zty == TArrow(TCon("list", zi), TUnit()) and zty is not ty
         assert zty.res is ty.res
-        ze = zonk_term(store, e)
+        ze = Zonker(store).visit(e)
         assert ze == Anno(Lam("x", Var("x")), zty) and ze is not e
         assert ze.body is e.body
 
@@ -260,37 +255,37 @@ class TestFreeIndexVars:
     def test_compound_index(self):
         from guardlang.syntax import IAdd
 
-        assert free_index_vars(TCon("list", IAdd(IVar("a"), IVar("b")))) == {
+        assert free_vars(TCon("list", IAdd(IVar("a"), IVar("b"))), INDEX) == {
             "a",
             "b",
         }
 
     def test_pi_binds(self):
-        assert free_index_vars(TPi("a", INT, TCon("list", IVar("a")))) == set()
+        assert free_vars(TPi("a", INT, TCon("list", IVar("a"))), INDEX) == set()
 
     def test_guard_annotation_counts(self):
         e = Guard(VarDecl("x", TCon("list", IVar("c"))), Unit())
-        assert free_index_vars(e) == {"c"}
+        assert free_vars(e, INDEX) == {"c"}
 
     def test_idx_guard_subject_counts(self):
-        assert free_index_vars(Guard(IdxDecl("a", INT), Unit())) == {"a"}
+        assert free_vars(Guard(IdxDecl("a", INT), Unit()), INDEX) == {"a"}
 
 
 class TestTermSubstitution:
     def test_beta_renames_captured_binder(self):
         # [y/x](fn y => x y) must not capture y.
         e = Lam("y", Var("x"))
-        got = subst_term_var(Var("y"), "x", e)
+        got = subst(Var("y"), "x", e)
         assert alpha_eq(got, Lam("z", Var("y")))
 
     def test_guard_subject_renamed(self):
         e = Guard(VarDecl("x", TUnit()), Var("x"))
-        got = subst_term_var(Var("y"), "x", e)
+        got = subst(Var("y"), "x", e)
         assert got == Guard(VarDecl("y", TUnit()), Var("y"))
 
     def test_guard_discharged_by_value(self):
         e = Guard(VarDecl("x", TUnit()), Var("x"))
-        got = subst_term_var(Unit(), "x", e)
+        got = subst(Unit(), "x", e)
         assert got == Unit()
 
 
@@ -349,8 +344,8 @@ class TestTelescope:
             (VarDecl("x", _list(IVar("c"))), IdxDecl("a", INT)),
             _list(IAdd(IVar("a"), IVar("b"))),
         )
-        assert free_index_vars(t) == {"b", "c"}
-        assert free_term_vars(CtxAnno(Unit(), (t,))) == {"x"}
+        assert free_vars(t, INDEX) == {"b", "c"}
+        assert free_vars(CtxAnno(Unit(), (t,)), TERM) == {"x"}
 
 
 class TestGuardSubjects:
@@ -433,9 +428,8 @@ DEEP = 400
 TRAVERSALS = {
     "hash-term": lambda: hash(_chain(DEEP, Var("x"))),
     "hash-type": lambda: hash(_type_chain(DEEP)),
-    "free_index_vars": lambda: free_index_vars(_chain(DEEP, Var("x"))),
-    "free_term_vars": lambda: free_term_vars(_chain(DEEP, Var("x"))),
-    "metas_of": lambda: metas_of(_chain(DEEP, Var("x"))),
+    "free_index_vars": lambda: free_vars(_chain(DEEP, Var("x")), INDEX),
+    "free_term_vars": lambda: free_vars(_chain(DEEP, Var("x")), TERM),
     "meta_free": lambda: meta_free(_chain(DEEP, Var("x")), {}),
     "subterms": lambda: list(subterms(_chain(DEEP, Var("x")))),
     "subst-term": lambda: subst(Var("y"), "x", _chain(DEEP, Var("x"))),
@@ -492,8 +486,8 @@ def test_every_syntax_form_is_traversed(cls):
     # without an entry in the binding table, fails here.
     hints = get_type_hints(cls)
     x = cls(*(_sample(hints[f.name]) for f in fields(cls) if f.compare))
-    assert map_children(x, lambda c: c) is x
-    assert map_children(x, lambda c: copy.copy(c)) == x
+    assert rewrite(x, lambda y, s: s if y is x else y, None) is x
+    assert rewrite(x, lambda y, s: s if y is x else copy.copy(y), None) == x
     if "var" in hints:
         assert cls in BINDERS
 

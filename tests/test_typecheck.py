@@ -854,14 +854,14 @@ class TestDifferentialOracle:
         import random
 
         from helpers import brute_check, gen_type
-        from guardlang.syntax import free_term_vars
+        from guardlang.syntax import TERM, free_vars
 
         psig.declare_prim("b1", TAtom("odd"))
         rng = random.Random(999)
         accepted = 0
         for _ in range(800):
             e = self._gen_term(rng, 3, frozenset())
-            if free_term_vars(e):
+            if free_vars(e, TERM):
                 continue
             ty = gen_type(rng, 2, (), allow_pi=False)
             checker = Checker(psig, max_depth=2000)
