@@ -1,10 +1,11 @@
 """Command-line driver: `guardlang check|eval|desugar FILE.gl`.
 
 Exit codes: 0 on acceptance/success, 1 on type errors (and on stuck or
-out-of-fuel evaluation, or an encoding gap), 2 on usage, missing-file and
-parse errors, 3 when `check --certify` finds that the accepted derivation
-does not replay, and 4, no verdict, when the input nests too deeply for the
-parser, checker or evaluator to walk within Python's recursion limit.
+out-of-fuel evaluation, an encoding gap, or an encoded check out of
+budget), 2 on usage, missing-file and parse errors, 3 when `check
+--certify` finds that the accepted derivation does not replay, and 4, no
+verdict, when the input nests too deeply for the parser, checker or
+evaluator to walk within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def cmd_desugar(args) -> int:
     if args.verify:
         try:
             check = ctxanno.verify_encoding(prog, max_depth=args.max_depth)
-        except ctxanno.EncodingGapError as ex:
+        except (ctxanno.EncodingGapError, ctxanno.EncodingBudgetError) as ex:
             print(f"error: {ex}", file=sys.stderr)
             return EXIT_TYPE_ERROR
         if check.encoded is not None:

@@ -270,6 +270,15 @@ class EncodingGapError(Exception):
         self.check = check
 
 
+class EncodingBudgetError(Exception):
+    """The encoded check ran out of budget: no gap is shown, none ruled out."""
+
+    def __init__(self, check: EncodingCheck, max_depth: int) -> None:
+        super().__init__("encoding not verified: checking the encoded program exceeded "
+                         f"its budget of {max_depth} rule applications (--max-depth)")
+        self.check = check
+
+
 def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
     """Typecheck with contextual annotations, translate, re-check without.
 
@@ -287,7 +296,8 @@ def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
     instead, which rejects the annotation.
 
     Raises EncodingGapError when the original is accepted but the encoded
-    program is not (or, for goal-free programs, synthesizes a different type).
+    program is not (or, for goal-free programs, synthesizes a different type);
+    EncodingBudgetError instead when the encoded check ran out of budget.
     """
     checker = Checker(prog.sig, max_depth=max_depth, ctx_anno=True)
     original = _check_program(checker, prog)
@@ -301,6 +311,8 @@ def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
         encoded = _check_program(checker, enc)
     check = EncodingCheck(original, enc, encoded)
     if not encoded.accepted:
+        if encoded.exhausted:
+            raise EncodingBudgetError(check, max_depth)
         raise EncodingGapError(check)
     if prog.goal is None and not alpha_eq(
         original.checked_type, encoded.checked_type

@@ -7,6 +7,12 @@ branches, and finally subsumption (synthesize, then subtype).  Elimination
 positions instantiate synthesized Pi types with metavariables; the indexed
 subtyping equalities solve them.
 
+A guard `where x : A do e` against an intersection or a Pi is tried after
+their introduction rules and decides `x : A` in its turn.  Against another
+goal only guard-chk and subsumption apply, both needing `x : A` in the same
+store state, so it is decided once, before either: a failed guard costs no
+typing rule, and guard-chk uses the evidence of one that holds.
+
 A `some` binder substitutes a fresh metavariable for its variable and
 requires it solved by the end of that subterm's derivation.  Checking-mode
 results are memoized per occurrence, which is where repeated checking under
@@ -312,8 +318,25 @@ class Checker:
             alts.append(self._chk_unit_i)
         if isinstance(e, Some):
             alts.append(self._chk_some)
+        mark = None
         if isinstance(e, Guard):
-            alts.append(self._chk_guard)
+            if isinstance(ty, (TSect, TPi)):  # after sect-i or pi-i
+                alts.append(self._chk_guard)
+            else:
+                # guard-chk and subsumption both begin by deciding the guard
+                # in this store state: decide it once, before either.
+                mark = self.metas.mark()
+                ev = self.check_guard(ctx, e.decl)
+                if isinstance(ev, Fail):
+                    self.metas.undo(mark)
+                    unmet = _unsatisfied(e, ev)
+                    cannot = Fail(
+                        "cannot check {} against {}", e.span, (unmet,), args=(e, ty)
+                    )
+                    return Fail(
+                        "{} does not check against {}", e.span, (unmet, cannot), args=(e, ty)
+                    )
+                alts.append(lambda ctx, e, ty: self._chk_guard(ctx, e, ty, ev))
         if isinstance(e, Merge):
             alts.append(self._chk_merge)
         alts.append(self._chk_sub)
@@ -321,7 +344,8 @@ class Checker:
         fails: list[Fail] = []
         for i, rule in enumerate(alts):
             self._tick()
-            mark = self.metas.mark()
+            if i or mark is None:  # else guard-chk undoes the guard's decision too
+                mark = self.metas.mark()
             res = rule(ctx, e, ty)
             if not isinstance(res, Fail):
                 return res
@@ -394,15 +418,12 @@ class Checker:
             "some", "check", ctx.entries, e, ty, (d,), witness=m
         )
 
-    def _chk_guard(self, ctx, e: Guard, ty):
-        ev = self.check_guard(ctx, e.decl)
-        if isinstance(ev, Fail):
-            return Fail(
-                "guard not satisfied: {}",
-                e.span or e.decl.span,
-                (ev,),
-                args=(e.decl,),
-            )
+    def _chk_guard(self, ctx, e: Guard, ty, ev=None):
+        """guard-chk; ev is the guard's evidence when it is decided already."""
+        if ev is None:
+            ev = self.check_guard(ctx, e.decl)
+            if isinstance(ev, Fail):
+                return _unsatisfied(e, ev)
         d = self._check(ctx, e.body, ty)
         if isinstance(d, Fail):
             return Fail(f"guarded body fails", e.span, (d,))
@@ -522,14 +543,7 @@ class Checker:
                 mark = self.metas.mark()
                 ev = self.check_guard(ctx, decl)
                 if isinstance(ev, Fail):
-                    fails.append(
-                        Fail(
-                            "guard not satisfied: {}",
-                            e.span or decl.span,
-                            (ev,),
-                            args=(decl,),
-                        )
-                    )
+                    fails.append(_unsatisfied(e, ev))
                     self.metas.undo(mark)
                     return
                 for ty, d in self._synth(ctx, body, fails):
@@ -674,6 +688,11 @@ class Checker:
         fails.append(Fail("{} is not a function type", d.term.span, args=(ty,)))
 
 
+def _unsatisfied(e: Guard, ev: Fail) -> Fail:
+    """The failure of a rule that needs e's guard, whose decision gave ev."""
+    return Fail("guard not satisfied: {}", e.span or e.decl.span, (ev,), args=(e.decl,))
+
+
 # ---------------------------------------------------------------------------
 # Whole-program checking
 
@@ -703,6 +722,7 @@ class Report:
     derivation: Optional[TypingDerivation] = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
     stats: Stats = field(default_factory=Stats)
+    exhausted: bool = False  # rejected only for running out of budget
 
     @property
     def accepted(self) -> bool:
@@ -805,7 +825,8 @@ def _check_program(checker: Checker, prog: Program) -> Report:
             found = res if isinstance(res, Fail) else res[0]
         if isinstance(found, Fail):
             report = Report(
-                "reject", diagnostics=_diagnostics_from(found), stats=stats
+                "reject", diagnostics=_diagnostics_from(found), stats=stats,
+                exhausted=checker._budget < 0,
             )
         else:
             ty, d = found

@@ -195,6 +195,22 @@ class TestDesugar:
         assert code == 0
         assert "verified" in err
 
+    def test_verify_out_of_budget_is_no_gap(self, capsys, tmp_path):
+        # The original fits 9 rule applications, its encoding does not.
+        path = tmp_path / "idcast.gl"
+        path.write_text(
+            "indexcon list :: int\n"
+            "prim idcast : Pi c : int . list(c) -> list(c)\n"
+            "val main : Pi a : int . list(a) -> list(a) =\n"
+            "  fn x => (idcast x :: [b : int, x : list(b) |- list(b)])\n"
+        )
+        code, _, err = run_cli(capsys, "desugar", "--verify", "--max-depth", "9", str(path))
+        assert code == 1
+        assert err == (
+            "error: encoding not verified: checking the encoded program "
+            "exceeded its budget of 9 rule applications (--max-depth)\n"
+        )
+
 
 def test_console_entry_point():
     env = dict(os.environ)

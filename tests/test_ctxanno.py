@@ -17,6 +17,7 @@ from helpers import (
 from guardlang import ctxanno
 from guardlang.ctxanno import (
     CtxSubDerivation,
+    EncodingBudgetError,
     EncodingGapError,
     encode,
     encode_program,
@@ -479,3 +480,26 @@ def _merge_leaf_index(d, n_typings):
     # Every choice went right: the last branch was selected.
     assert index == n_typings, (index, n_typings)
     return index
+
+
+class TestEncodingBudget:
+    """An encoded check that runs out of its budget shows no encoding gap:
+    it raises EncodingBudgetError, which is not an EncodingGapError."""
+
+    def test_kway_budget_sweep_finds_no_gap(self):
+        for k in (4, 8, 12, 16):
+            prog = kway_program(k, "ctxanno")
+            for depth in range(10, 700, 5):
+                try:
+                    verify_encoding(prog, max_depth=depth)
+                except EncodingBudgetError:
+                    pass
+
+    def test_exhausted_encoded_check_names_the_budget(self):
+        prog = gen_ctxanno_program(random.Random(20260808))
+        with pytest.raises(EncodingBudgetError, match="budget of 9 rule") as info:
+            verify_encoding(prog, max_depth=9)
+        assert not isinstance(info.value, EncodingGapError)
+        check = info.value.check
+        assert check.original.accepted and not check.original.exhausted
+        assert check.encoded.exhausted

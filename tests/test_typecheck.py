@@ -1,3 +1,5 @@
+import os
+
 from conftest import ACCEPTED_PROGRAMS, REJECTED_PROGRAMS, program_path
 from helpers import (
     KWAY_VARIANTS,
@@ -5,14 +7,16 @@ from helpers import (
     duplicate_with_merge,
     idx_chain_program,
     kway_program,
+    kway_source,
     lattice_closure,
     load_program,
     snoc_chain_program,
     walk_nodes,
 )
-from guardlang.parser import parse_program, parse_term, parse_type
+from guardlang.parser import format_derivation, parse_program, parse_term, parse_type
 from guardlang.subtyping import Fail
 from guardlang.syntax import (
+    INT,
     Anno,
     IVar,
     MetaStore,
@@ -22,6 +26,7 @@ from guardlang.syntax import (
     VarDecl,
     Zonker,
     alpha_eq,
+    subst,
 )
 from guardlang.typecheck import (
     Checker,
@@ -416,6 +421,19 @@ class TestMemoEquivalence:
                 verdict = "reject" if variant == "swapped" else "accept"
                 self._agree(kway_program(k, variant), verdict)
 
+    def test_guarded_and_swapped_kway_failure_trees(self):
+        for k in range(1, 9):
+            for variant in ("guarded", "swapped"):
+                prog = kway_program(k, variant)
+                verdict = "reject" if variant == "swapped" and k > 1 else "accept"
+                self._agree(prog, verdict)
+                trees = []
+                for memoize in (True, False):
+                    checker = Checker(prog.sig, memoize=memoize)
+                    res = checker.check(checker.fresh_ctx(), prog.main, prog.goal)
+                    trees.append(_tree_lines(res))
+                assert trees[0] == trees[1], (k, variant)
+
     def test_snoc_chains(self):
         for n in range(1, 10):
             self._agree(snoc_chain_program(n), "accept")
@@ -735,6 +753,110 @@ def _counts(prog) -> tuple[int, int, int]:
     return stats.rule_applications, stats.backtracks, stats.subtype_queries
 
 
+def _tree_lines(res, depth=0):
+    """A failure tree in preorder, one line per node: its depth, its span
+    and its message.  An accepted check gives its derivation instead."""
+    if not isinstance(res, Fail):
+        return format_derivation(res).splitlines()
+    sp = res.span
+    at = "-" if sp is None else (
+        f"{sp.start_line}:{sp.start_col}-{sp.end_line}:{sp.end_col}"
+    )
+    lines = [f"{depth} {at} {res.reason}"]
+    for part in res.parts:
+        lines += _tree_lines(part, depth + 1)
+    return lines
+
+
+GUARD_VS_SECT = (
+    "datasort odd <: bits\n"
+    "datasort even <: bits\n"
+    "prim snoc1 : (odd -> even) /\\ (even -> odd)\n"
+    "val main : even -> even /\\ bits =\n"
+    "  fn x => where x : odd do snoc1 x\n"
+)
+GUARD_VS_PI = (
+    "indexcon list :: int\n"
+    "prim idcast : Pi c : int . list(c) -> list(c)\n"
+    "val main : list(1) -> (Pi a : int . list(a) -> list(a)) =\n"
+    "  fn y => where y : list(2) do idcast\n"
+)
+
+
+def failure_trees(memoize: bool = True) -> str:
+    """The full failure trees of programs whose guards fail against atom,
+    arrow, intersection and Pi goals.  `tests/golden/guard_failure_trees.txt`
+    was written by
+    `PYTHONPATH=src:tests python -c 'import test_typecheck as t;
+    print(t.failure_trees(), end="")'` on the checker that still decided a
+    failed guard once for guard-chk and again for subsumption; deciding it
+    once must leave every tree as it was."""
+    sources = [(f"kway{k}_swapped", kway_source(k, "swapped")) for k in range(1, 9)]
+    for name in ("parity_badguard", "some_bad"):
+        with open(program_path(f"{name}.gl"), encoding="utf-8") as fh:
+            sources.append((name, fh.read()))
+    sources += [("guard_vs_sect", GUARD_VS_SECT), ("guard_vs_pi", GUARD_VS_PI)]
+    out = []
+    for name, text in sources:
+        prog = parse_program(text, f"{name}.gl")
+        checker = Checker(prog.sig, memoize=memoize)
+        res = checker.check(checker.fresh_ctx(), prog.main, prog.goal)
+        out += [f"== {name}"] + _tree_lines(res)
+    return "\n".join(out) + "\n"
+
+
+class TestGuardDecidedOnce:
+    """A guard checked against a goal that is neither an intersection nor a
+    Pi is decided once, before guard-chk and subsumption, which both need
+    it."""
+
+    def test_failure_trees_match_golden(self):
+        path = os.path.join(os.path.dirname(__file__), "golden", "guard_failure_trees.txt")
+        with open(path, encoding="utf-8") as fh:
+            golden = fh.read()
+        assert failure_trees(memoize=True) == golden
+        assert failure_trees(memoize=False) == golden
+
+    def test_failed_guard_adds_no_rule(self, psig):
+        # The check costs what deciding the guard alone costs: its one
+        # subtype query and that query's rule, and no typing rule.
+        term = parse_term("where x : odd do snoc1 x", prims=frozenset(psig.prims))
+
+        def run(judge):
+            checker = Checker(psig)
+            res = judge(checker, checker.fresh_ctx().extend(VarDecl("x", TAtom("even"))))
+            stats = checker.stats
+            return res, (stats.rule_applications, stats.backtracks, stats.subtype_queries)
+
+        res, counts = run(lambda c, ctx: c.check(ctx, term, TAtom("even")))
+        ev, guard_counts = run(lambda c, ctx: c.check_guard(ctx, term.decl))
+        assert isinstance(ev, Fail)
+        assert counts == guard_counts == (1, 0, 1)
+        unmet = [
+            "guard not satisfied: x : odd",
+            "'x' has type even, which does not entail odd",
+            "datasort even is not a subsort of odd",
+        ]
+        assert [f.reason for f in res.walk()] == [
+            "where x : odd do snoc1 x does not check against even", *unmet,
+            "cannot check where x : odd do snoc1 x against even", *unmet,
+        ]
+
+    def test_failed_check_undoes_what_the_guard_solved(self, isig):
+        # The guard holds by solving ?m, then the body fails under both
+        # rules: the store must be left as the check found it.
+        checker = Checker(isig)
+        m = checker.metas.fresh(INT, scope=frozenset())
+        term = subst(m, "b", parse_term("where x : list(b) do ()"))
+        ctx = checker.fresh_ctx().extend(VarDecl("x", parse_type("list(3)")))
+        assert isinstance(checker.check(ctx, term, parse_type("list(3)")), Fail)
+        assert checker.metas.solution(m.uid) is None
+
+    def test_guarded_kway_fits_the_default_budget(self):
+        for k in (9, 11, 13, 15):
+            assert typecheck_program(kway_program(k, "guarded")).accepted, k
+
+
 class TestSearchCounts:
     """Rules, backtracks and subtype queries of the benchmark families, so
     that a change in the work the search does shows up here."""
@@ -749,10 +871,10 @@ class TestSearchCounts:
         assert got == {
             "idx-chain(8)": (53, 8, 17),
             "snoc-chain(128)": (773, 128, 257),
-            "kway-guarded(16)": (1046, 360, 424),
+            "kway-guarded(16)": (686, 240, 304),
             "kway-plain(16)": (503, 120, 152),
             "kway-ctxanno(16)": (535, 240, 304),
-            "kway-swapped(16)": (409, 319, 184),
+            "kway-swapped(16)": (364, 304, 169),
         }
 
 
