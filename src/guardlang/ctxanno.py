@@ -28,8 +28,7 @@ from typing import Iterator, Optional, Union
 # `entails`, `solve_meta` and `subtype` are imported for the benchmark's
 # tracer, which wraps them here.
 from .indices import entails, solve_meta
-# `verify_ctx_anno` (the replay) is kept here for its callers.
-from .replay import CtxSubDerivation, verify_typing as verify_ctx_anno
+from .replay import CtxSubDerivation
 from .subtyping import Fail, subtype
 from .syntax import (
     Anno,
@@ -271,10 +270,11 @@ class EncodingGapError(Exception):
 
 
 class EncodingBudgetError(Exception):
-    """The encoded check ran out of budget: no gap is shown, none ruled out."""
+    """A check ran out of budget: no gap is shown, none ruled out."""
 
     def __init__(self, check: EncodingCheck, max_depth: int) -> None:
-        super().__init__("encoding not verified: checking the encoded program exceeded "
+        which = "original" if check.encoded is None else "encoded"
+        super().__init__(f"encoding not verified: checking the {which} program exceeded "
                          f"its budget of {max_depth} rule applications (--max-depth)")
         self.check = check
 
@@ -297,11 +297,13 @@ def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
 
     Raises EncodingGapError when the original is accepted but the encoded
     program is not (or, for goal-free programs, synthesizes a different type);
-    EncodingBudgetError instead when the encoded check ran out of budget.
+    EncodingBudgetError instead when either check ran out of budget.
     """
     checker = Checker(prog.sig, max_depth=max_depth, ctx_anno=True)
     original = _check_program(checker, prog)
     if not original.accepted:
+        if original.exhausted:
+            raise EncodingBudgetError(EncodingCheck(original, None, None), max_depth)
         return EncodingCheck(original, None, None)
     enc = encode_program(prog)
     if any(type(e) is CtxAnno for e in subterms(enc.main)):

@@ -10,6 +10,11 @@ looks through value annotations on the function.
 Merges reduce to their first branch under `step`; `step_all` explores both
 merge rules exhaustively and reports every reachable value modulo erasure,
 which for annotation-only merges is a single value.
+
+The relation is written once, in `_reduce`: one walk of a term finds that it
+is a value, that it is stuck, or the reducts of its redex.  `is_value`,
+`step`, `evaluate` and `step_all` all read that walk, so a step of
+`evaluate` walks the term once.
 """
 
 from __future__ import annotations
@@ -108,30 +113,6 @@ def _spine(e: Term) -> tuple[Term, list[Term]]:
     return cur, list(reversed(args))
 
 
-def _delta(e: App) -> Optional[Term]:
-    head, args = _spine(e)
-    if isinstance(head, Prim):
-        return apply_prim(head.name, [_strip(a) for a in args])
-    return None
-
-
-def is_value(e: Term) -> bool:
-    """The extended value grammar: variables, lambdas, unit, annotated and
-    guarded values, and inert primitive application spines."""
-    match e:
-        case Var(_) | Lam(_, _) | Unit() | Prim(_):
-            return True
-        case Anno(body, _) | Guard(_, body):
-            return is_value(body)
-        case App(f, a):
-            if not (is_value(f) and is_value(a)):
-                return False
-            head, _ = _spine(e)
-            return isinstance(head, Prim) and _delta(e) is None
-        case _:
-            return False
-
-
 # ---------------------------------------------------------------------------
 # Small-step reduction
 
@@ -155,48 +136,66 @@ class Stuck:
 
 StepResult = Union[Stepped, Value, Stuck]
 
+_VALUE = Value()
+
+_DROP = {
+    Anno: "anno-drop",
+    Guard: "guard-drop",
+    Some: "some-drop",
+    IdxLam: "idxfn-drop",
+    CtxAnno: "ctxanno-drop",
+}
+
+
+def _reduce(e: Term) -> Union[Value, Stuck, tuple[str, list[Term]]]:
+    """The reduction relation, in one walk of e: `Value()` for a value of
+    the extended grammar (variables, lambdas, unit, annotated and guarded
+    values, inert primitive application spines), the `Stuck` term, or the
+    rule and the reducts of the leftmost-innermost call-by-value redex.  A
+    merge has two reducts, its branches, and `step` takes the first; every
+    other redex has one."""
+    match e:
+        case Var(_) | Lam(_, _) | Unit() | Prim(_):
+            return _VALUE
+        case Anno(body, _) | Guard(_, body):
+            if _reduce(body) is _VALUE:
+                return _VALUE
+            return _DROP[type(e)], [body]
+        case Some(_, _, body) | IdxLam(_, _, body) | CtxAnno(body, _):
+            return _DROP[type(e)], [body]
+        case Merge(l, r):
+            return "merge", [l, r]
+        case App(f, a):
+            inner = _reduce(f)
+            if inner is not _VALUE:
+                if isinstance(inner, Stuck):
+                    return inner
+                return inner[0], [App(s, a, span=e.span) for s in inner[1]]
+            inner = _reduce(a)
+            if inner is not _VALUE:
+                if isinstance(inner, Stuck):
+                    return inner
+                return inner[0], [App(f, s, span=e.span) for s in inner[1]]
+            core = _strip(f)
+            if isinstance(core, Lam):
+                return "beta", [subst(a, core.var, core.body)]
+            head, args = _spine(e)
+            if not isinstance(head, Prim):
+                return Stuck(f"cannot apply {pretty_term(f)}", e)
+            result = apply_prim(head.name, [_strip(x) for x in args])
+            return _VALUE if result is None else ("delta", [result])
+    return Stuck(f"no rule applies to {pretty_term(e)}", e)
+
+
+def is_value(e: Term) -> bool:
+    """Whether e is a value of the extended grammar (see `_reduce`)."""
+    return _reduce(e) is _VALUE
+
 
 def step(e: Term) -> StepResult:
     """One deterministic leftmost-innermost call-by-value step."""
-    if is_value(e):
-        return Value()
-    return _step(e)
-
-
-def _step(e: Term) -> Union[Stepped, Stuck]:
-    match e:
-        case Anno(body, _):
-            return Stepped(body, "anno-drop")
-        case Guard(_, body):
-            return Stepped(body, "guard-drop")
-        case Some(_, _, body):
-            return Stepped(body, "some-drop")
-        case IdxLam(_, _, body):
-            return Stepped(body, "idxfn-drop")
-        case CtxAnno(body, _):
-            return Stepped(body, "ctxanno-drop")
-        case Merge(l, _):
-            return Stepped(l, "merge")
-        case App(f, a):
-            if not is_value(f):
-                inner = _step(f)
-                if isinstance(inner, Stuck):
-                    return inner
-                return Stepped(App(inner.term, a, span=e.span), inner.rule)
-            if not is_value(a):
-                inner = _step(a)
-                if isinstance(inner, Stuck):
-                    return inner
-                return Stepped(App(f, inner.term, span=e.span), inner.rule)
-            core = _strip(f)
-            if isinstance(core, Lam):
-                return Stepped(subst(a, core.var, core.body), "beta")
-            result = _delta(e)
-            if result is not None:
-                return Stepped(result, "delta")
-            return Stuck(f"cannot apply {pretty_term(f)}", e)
-        case _:
-            return Stuck(f"no rule applies to {pretty_term(e)}", e)
+    res = _reduce(e)
+    return Stepped(res[1][0], res[0]) if isinstance(res, tuple) else res
 
 
 @dataclass(frozen=True)
@@ -212,14 +211,14 @@ def evaluate(e: Term, fuel: int = 100_000) -> EvalResult:
     steps = 0
     cur = e
     while True:
-        res = step(cur)
-        if isinstance(res, Value):
+        res = _reduce(cur)
+        if res is _VALUE:
             return EvalResult("value", cur, steps)
         if isinstance(res, Stuck):
             return EvalResult("stuck", cur, steps, res.reason)
         if steps >= fuel:
             return EvalResult("fuel", cur, steps, f"no value within {fuel} steps")
-        cur = res.term
+        cur = res[1][0]
         steps += 1
 
 
@@ -231,32 +230,6 @@ class BoundExceeded(Exception):
     pass
 
 
-def _successors(e: Term) -> list[Term]:
-    """All one-step successors: deterministic redex position, both merge
-    rules.  Empty for values and stuck terms."""
-    if is_value(e):
-        return []
-    match e:
-        case Anno(body, _) | Guard(_, body) | Some(_, _, body) | IdxLam(
-            _, _, body
-        ) | CtxAnno(body, _):
-            return [body]
-        case Merge(l, r):
-            return [l, r]
-        case App(f, a):
-            if not is_value(f):
-                return [App(s, a, span=e.span) for s in _successors(f)]
-            if not is_value(a):
-                return [App(f, s, span=e.span) for s in _successors(a)]
-            core = _strip(f)
-            if isinstance(core, Lam):
-                return [subst(a, core.var, core.body)]
-            result = _delta(e)
-            return [result] if result is not None else []
-        case _:
-            return []
-
-
 def step_all(e: Term, max_states: int = 5000) -> list[Term]:
     """Values reachable through every merge interleaving, modulo erasure."""
     seen: set[Term] = {e}
@@ -264,12 +237,13 @@ def step_all(e: Term, max_states: int = 5000) -> list[Term]:
     values: list[Term] = []
     while frontier:
         cur = frontier.pop()
-        if is_value(cur):
+        res = _reduce(cur)
+        if res is _VALUE:
             v = erase(cur)
             if not any(alpha_eq(v, u) for u in values):
                 values.append(v)
             continue
-        for nxt in _successors(cur):
+        for nxt in res[1] if isinstance(res, tuple) else ():
             if nxt in seen:
                 continue
             if len(seen) >= max_states:

@@ -7,16 +7,14 @@ Pi-left introduces a metavariable for the instantiation witness and lets the
 indexed-constructor equality solve it; a derivation that completes with the
 witness unsolved fails.
 
-Subgoals are memoized.  A query whose zonked sides and context hold a
-metavariable is keyed on `(a, b, context entries, store stamp)`, and its
-result is written only when deciding it moved no metavariable, so a hit is
-valid in the store state it was made in.  A query that holds none cannot
-read the store: it is keyed on `(a, b, context entries)` alone, its failure
-is written always (every alternative was undone), and its success when the
-stamp did not move.  The typechecker passes one memo to all the subtype
-queries of its run, so a query asked again under another conjunct, merge
-branch or metavariable state is answered from the memo.  Failure messages
-are rendered only when read (see `Fail`).
+Subgoals are memoized on `(a, b, context entries)`, zonked, under the rule
+the typechecker's checking memo uses too: a failure of a query that holds no
+metavariable holds at every store stamp, and any other result holds at the
+stamp it was decided in, when deciding it did not move the stamp.  The
+typechecker passes one memo to all the subtype queries of its run, so a
+query asked again under another conjunct, merge branch or metavariable state
+is answered from the memo.  Failure messages are rendered only when read
+(see `Fail`).
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from . import indices
 # wraps them here.
 from .indices import NoSolution, UnboundIndexVariable, entails, solve_meta
 from .parser import pretty
-# `VerifyError` and `verify_subtyping` (the replay) are kept for their callers.
-from .replay import SubDerivation, VerifyError, verify_typing as verify_subtyping
+from .replay import SubDerivation
 from .syntax import (
     Context,
     IdxDecl,
@@ -111,7 +108,15 @@ class Fail:
 
 
 class DepthExceeded(Exception):
-    pass
+    """A search ran out of its budget.  The checker's carries the
+    `Exhausted` failure it reports."""
+
+
+class Exhausted(Fail):
+    """A search that ran out of its budget of rule applications: it shows
+    no type error, and rules none out."""
+
+    __slots__ = ()
 
 
 @dataclass
@@ -159,10 +164,8 @@ class _Search:
         self.store = store
         self.stats = stats
         self.budget = budget
-        # See the module docstring for the two key shapes.
         self.memo = memo
-        # Objects known to hold no metavariable (see `syntax.meta_free`);
-        # without the table every key carries the stamp.
+        # Objects known to hold no metavariable (see `syntax.meta_free`).
         self.ground = ground
 
     def tick(self) -> None:
@@ -172,30 +175,26 @@ class _Search:
             raise DepthExceeded()
 
     def sub(self, ctx: Context, a: Type, b: Type) -> Union[SubDerivation, Fail]:
-        # The key carries the stamp unless the query holds no metavariable.
-        # A store that has created none has nothing to zonk, and no query
-        # can hold one.
+        # A store that has created no metavariable has nothing to zonk.
         stamp0 = self.store.stamp
         if self.store.any_created():
             a = zonk_type(self.store, a)
             b = zonk_type(self.store, b)
         key = (a, b, ctx.entries)
-        if self.ground is None or (
-            self.store.any_created() and not self._meta_free(key)
-        ):
-            key += (stamp0,)
         hit = self.memo.get(key)
-        if hit is not None:
+        if hit is not None and (hit[0] is None or hit[0] == stamp0):
             self.stats.sub_memo_hits += 1
-            return hit
+            return hit[1]
         self.stats.sub_memo_misses += 1
         res = self._sub_dispatch(ctx, a, b)
-        if self.store.stamp == stamp0 or (len(key) == 3 and isinstance(res, Fail)):
-            self.memo[key] = res
+        # The checking memo's entry rule (see `Checker._check`).
+        if isinstance(res, Fail) and (
+            not self.store.any_created() or meta_free(key, self.ground)
+        ):
+            self.memo[key] = (None, res)
+        elif self.store.stamp == stamp0:
+            self.memo[key] = (stamp0, res)
         return res
-
-    def _meta_free(self, key: tuple) -> bool:
-        return all(meta_free(x, self.ground) for x in key)
 
     def _sub_dispatch(
         self, ctx: Context, a: Type, b: Type
@@ -332,8 +331,8 @@ def subtype(
     decided subgoals (a checker passes one for its whole run); without one,
     the call starts from an empty memo.  `ground` is a table of objects
     known to hold no metavariable (see `syntax.meta_free`), which the call
-    reads and extends; with it, metavariable-free queries are memoized
-    without the stamp.  A checker passes one for its whole run.
+    reads and extends; a checker passes one for its whole run, and without
+    one the call starts from an empty table.
     """
     if store is None:
         store = ctx.metas if ctx.metas is not None else MetaStore()
@@ -342,12 +341,15 @@ def subtype(
     if stats is None:
         stats = Stats()
     stats.subtype_queries += 1
-    search = _Search(store, stats, max_depth, {} if memo is None else memo, ground)
+    search = _Search(
+        store, stats, max_depth, {} if memo is None else memo,
+        {} if ground is None else ground,
+    )
     mark = store.mark()
     try:
         res = search.sub(ctx, a, b)
     except DepthExceeded:
-        res = Fail(f"subtyping search exceeded {max_depth} rule applications")
+        res = Exhausted(f"subtyping search exceeded {max_depth} rule applications")
     except UnboundIndexVariable as ex:
         res = Fail(str(ex))
     if isinstance(res, Fail):

@@ -69,7 +69,7 @@ from typing import Iterator, Optional, Union
 from .indices import UnboundIndexVariable, sort_of
 from .parser import pretty_term  # for the benchmark's tracer, which wraps it here
 from .replay import TypingDerivation, verify_typing  # the replay, for its callers
-from .subtyping import DepthExceeded, Fail, Stats, subtype
+from .subtyping import DepthExceeded, Exhausted, Fail, Stats, subtype
 from .syntax import (
     INDEX,
     TERM,
@@ -182,10 +182,8 @@ class Checker:
         self._budget = self.max_depth
         try:
             res = self._check(ctx, e, ty)
-        except DepthExceeded:
-            return Fail(
-                f"typing search exceeded {self.max_depth} rule applications"
-            )
+        except DepthExceeded as ex:
+            return ex.args[0]
         if isinstance(res, Fail):
             return res
         zonked, leftover = self._unsolved_in(res)
@@ -209,10 +207,8 @@ class Checker:
                 zd, leftover = self._unsolved_in(d)
                 if not leftover:
                     out.extend(self._projections(ctx, zd.ty, zd))
-        except DepthExceeded:
-            fails.append(
-                Fail(f"typing search exceeded {self.max_depth} rule applications")
-            )
+        except DepthExceeded as ex:
+            fails.append(ex.args[0])
         if out:
             return out
         return Fail("no type synthesized for {}", e.span, tuple(fails), args=(e,))
@@ -259,7 +255,9 @@ class Checker:
         self.stats.rule_applications += 1
         self._budget -= 1
         if self._budget < 0:
-            raise DepthExceeded()
+            raise DepthExceeded(
+                Exhausted(f"typing search exceeded {self.max_depth} rule applications")
+            )
 
     def _wf(self, ctx: Context, ty: Type) -> Optional[Fail]:
         try:
@@ -269,10 +267,15 @@ class Checker:
         return None
 
     def _subtype(self, ctx: Context, a: Type, b: Type):
-        return subtype(
+        res = subtype(
             ctx, a, b, store=self.metas, stats=self.stats,
             max_depth=self.max_depth, memo=self._sub_memo, ground=self._ground,
         )
+        if type(res) is Exhausted:
+            # A query out of its budget ends the check, as the typing
+            # search's own budget does.
+            raise DepthExceeded(res)
+        return res
 
     # -- checking -------------------------------------------------------------
 
@@ -290,18 +293,18 @@ class Checker:
             return hit[1]
         self.stats.memo_misses += 1
         res = self._check_dispatch(ctx, e, ty)
-        if self.metas.stamp == stamp0:
-            self._memo[key] = (stamp0, res)
-        elif (
-            isinstance(res, Fail)
-            and meta_free(e, self._ground)
-            and meta_free(ty, self._ground)
-            and meta_free(ctx.entries, self._ground)
+        # A failure of a query with no metavariable (none has one while the
+        # store has created none) read no solution, and every alternative
+        # was undone: it holds at every stamp.  Any other result is kept
+        # only when deciding it did not move the stamp.  The subtyping memo
+        # keeps the same rule.
+        if isinstance(res, Fail) and (
+            not self.metas.any_created()
+            or meta_free((e, ty, ctx.entries), self._ground)
         ):
-            # Every alternative was undone, and a query without
-            # metavariables cannot read the store: the failure holds at
-            # every stamp.
             self._memo[key] = (None, res)
+        elif self.metas.stamp == stamp0:
+            self._memo[key] = (stamp0, res)
         return res
 
     def _check_dispatch(self, ctx, e, ty) -> Union[TypingDerivation, Fail]:
@@ -722,7 +725,8 @@ class Report:
     derivation: Optional[TypingDerivation] = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
     stats: Stats = field(default_factory=Stats)
-    exhausted: bool = False  # rejected only for running out of budget
+    # Rejected only for running out of budget, in typing or in a subtype query.
+    exhausted: bool = False
 
     @property
     def accepted(self) -> bool:
@@ -826,7 +830,7 @@ def _check_program(checker: Checker, prog: Program) -> Report:
         if isinstance(found, Fail):
             report = Report(
                 "reject", diagnostics=_diagnostics_from(found), stats=stats,
-                exhausted=checker._budget < 0,
+                exhausted=any(type(f) is Exhausted for f in (found, *found.parts)),
             )
         else:
             ty, d = found

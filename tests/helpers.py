@@ -901,8 +901,9 @@ def kway_source(k: int, variant: str) -> str:
     against that intersection.  The body is a k-way merge of
     `where x : c_i do (step x : c_(i+1))` ("guarded"), plain `step x`, or
     one contextual annotation ("ctxanno"); all three are well typed.
-    "swapped" guards branch i on c_(i+1) instead, so the only branch whose
-    guard passes claims the wrong result type: ill typed."""
+    "swapped" guards branch i on c_(i+1) instead, so for k >= 2 the only
+    branch whose guard passes claims the wrong result type: ill typed.  For
+    k = 1 the shift is 0 mod 1, so swapped is guarded, and well typed."""
     ty = " /\\ ".join(f"(c{i} -> c{(i + 1) % k})" for i in range(k))
     if variant in ("guarded", "swapped"):
         shift = 0 if variant == "guarded" else 1

@@ -195,6 +195,18 @@ class TestDesugar:
         assert code == 0
         assert "verified" in err
 
+    def test_verify_original_out_of_budget(self, capsys):
+        # parity_ctxanno.gl is well typed and verifies from --max-depth 20.
+        code, _, err = run_cli(
+            capsys, "desugar", "--verify", "--max-depth", "15",
+            program_path("parity_ctxanno.gl"),
+        )
+        assert code == 1
+        assert err == (
+            "error: encoding not verified: checking the original program "
+            "exceeded its budget of 15 rule applications (--max-depth)\n"
+        )
+
     def test_verify_out_of_budget_is_no_gap(self, capsys, tmp_path):
         # The original fits 9 rule applications, its encoding does not.
         path = tmp_path / "idcast.gl"
@@ -245,7 +257,7 @@ class TestCertify:
 
     def test_replay_failure_exits_three(self, capsys, monkeypatch):
         from guardlang import cli
-        from guardlang.subtyping import VerifyError
+        from guardlang.replay import VerifyError
 
         def broken(sig, d):
             raise VerifyError("[sub] synthesis premise")

@@ -21,12 +21,12 @@ from guardlang.ctxanno import (
     EncodingGapError,
     encode,
     encode_program,
-    verify_ctx_anno,
     verify_encoding,
 )
 from guardlang.interp import MergeMismatchError, erase
 from guardlang.parser import parse_program, parse_term, parse_type
-from guardlang.subtyping import Fail, VerifyError
+from guardlang.replay import VerifyError, verify_typing
+from guardlang.subtyping import Fail
 from guardlang.syntax import (
     Anno,
     CtxAnno,
@@ -127,6 +127,18 @@ class TestCheckCtxAnno:
         assert "typing 1 does not apply" in messages
         assert "context does not entail x : odd" in messages
 
+    def test_applied_typing_commits(self, psig):
+        # Typing 1 applies under x : odd, but snoc1 x is not odd; typing 2
+        # would check, yet the first typing that applies is committed.
+        res = self._synth(
+            psig, "odd", "((snoc1 x) :: [x : odd |- odd ; x : odd |- even])"
+        )
+        assert isinstance(res, Fail)
+        assert (
+            "contextual typing 1 applies, but the term does not check "
+            "against odd"
+        ) in res.messages()
+
     def test_disabled(self, psig):
         checker = Checker(psig, ctx_anno=False)
         ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom("odd")))
@@ -211,13 +223,13 @@ class TestVerifyCtxAnno:
 
     def test_untampered_node_replays(self):
         sig, node = self._node()
-        verify_ctx_anno(sig, node)
+        verify_typing(sig, node)
 
     def test_changed_conclusion_type(self):
         sig, node = self._node()
         bad = replace(node, ty=parse_type("list(a)"))
         with pytest.raises(VerifyError, match="substituted goal differs"):
-            verify_ctx_anno(sig, bad)
+            verify_typing(sig, bad)
 
     def test_swapped_checking_premise(self):
         sig, node = self._node()
@@ -225,7 +237,7 @@ class TestVerifyCtxAnno:
         # The checking premise's own premise synthesizes the same term.
         bad = replace(node, premises=(sub, chk.premises[0]))
         with pytest.raises(VerifyError, match="checking premise mismatch"):
-            verify_ctx_anno(sig, bad)
+            verify_typing(sig, bad)
 
 
 class TestEncode:

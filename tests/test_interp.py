@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import ACCEPTED_PROGRAMS, program_path
-from helpers import load_program
+from helpers import load_program, snoc_chain_program
+from guardlang import interp
 from guardlang.interp import (
     BoundExceeded,
     MergeMismatchError,
@@ -97,6 +98,33 @@ class TestStep:
         res = step(e)
         assert res == Stepped(Unit(), "beta")
 
+    @pytest.mark.parametrize(
+        "src, rule, reduct",
+        [
+            ("where x : odd do ((fn y => y) x)", "guard-drop", "(fn y => y) x"),
+            ("some b : int in (idcast x : list(b))", "some-drop", "(idcast x : list(b))"),
+            ("idxfn a : int => fn x => x", "idxfn-drop", "fn x => x"),
+            ("((fn y => y) :: [|- unit -> unit])", "ctxanno-drop", "fn y => y"),
+        ],
+    )
+    def test_annotation_binder_drops(self, src, rule, reduct):
+        # `some`, `idxfn` and contextual annotations are dropped even around
+        # a value; a guard only around a term that is not one.
+        res = step(parse_term(src, prims=SNOC))
+        assert res == Stepped(parse_term(reduct, prims=SNOC), rule)
+
+    def test_guarded_value_is_a_value(self):
+        assert isinstance(step(parse_term("where x : odd do (fn y => y)")), Value)
+
+    def test_step_in_function_position(self):
+        e = parse_term("((fn x => x) (fn y => y)) ()")
+        assert step(e) == Stepped(App(Lam("y", Var("y")), Unit()), "beta")
+
+    def test_stuck_function_position_propagates(self):
+        inner = App(Unit(), Unit())
+        res = step(App(inner, Unit()))
+        assert res == Stuck("cannot apply ()", inner)
+
 
 class TestEvaluate:
     def test_simple_application(self):
@@ -122,12 +150,44 @@ class TestEvaluate:
         res = evaluate(erase(prog.main), fuel=1)
         assert res.outcome == "fuel"
 
+    def test_stuck_after_a_step(self):
+        res = evaluate(parse_term("(fn x => x ()) ()"))
+        assert res.outcome == "stuck"
+        assert res.term == App(Unit(), Unit())
+        assert res.steps == 1
+        assert res.reason == "cannot apply ()"
+
     def test_inert_prim_spine(self):
         # snoc1 applied to a non-bitstring value has no reduction rule and
         # is treated as an inert constant application.
         e = App(Prim("snoc1"), Lam("x", Var("x")))
         assert is_value(e)
         assert evaluate(e).outcome == "value"
+
+
+class TestEvaluationGrowth:
+    def _walks(self, monkeypatch, n: int) -> int:
+        calls = 0
+        walk = interp._reduce
+
+        def counted(e):
+            nonlocal calls
+            calls += 1
+            return walk(e)
+
+        monkeypatch.setattr(interp, "_reduce", counted)
+        res = evaluate(erase(snoc_chain_program(n).main))
+        monkeypatch.undo()
+        assert res.outcome == "value" and res.steps == n
+        return calls
+
+    def test_snoc_chain_walks_grow_quadratically(self, monkeypatch):
+        # Each step is one walk from the root, so doubling the chain at most
+        # quadruples the walk's calls (3.92x from 50 to 100).  A step that
+        # re-decided value-hood at every application level gave 7.46x.
+        small = self._walks(monkeypatch, 50)
+        large = self._walks(monkeypatch, 100)
+        assert large <= 4.5 * small
 
 
 class TestStepAll:

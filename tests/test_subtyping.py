@@ -7,7 +7,8 @@ from helpers import (
     weaken,
 )
 from guardlang.parser import parse_type, pretty_type
-from guardlang.subtyping import Fail, subtype, verify_subtyping
+from guardlang.replay import verify_typing
+from guardlang.subtyping import Fail, subtype
 from guardlang.syntax import (
     Context,
     ILit,
@@ -75,6 +76,12 @@ class TestExamples:
         res = subtype(Context(isig), deep, parse_type("even"), max_depth=20)
         assert isinstance(res, Fail)
         assert "exceeded" in res.reason
+
+    def test_distinct_constructors(self, isig):
+        isig.declare_con("vec", INT)
+        res = subtype(Context(isig), parse_type("list(1)"), parse_type("vec(1)"))
+        assert isinstance(res, Fail)
+        assert res.reason == "distinct constructors list and vec"
 
     def test_pi_without_constraint_fails(self, isig):
         # No equality ever pins the instantiation down, so the search
@@ -147,7 +154,7 @@ class TestDerivationReplay:
             b = weaken(rng, isig, a) if rng.random() < 0.6 else gen_type(rng, 3)
             d = subtype(Context(isig), a, b)
             if ok(d):
-                verify_subtyping(isig, d)
+                verify_typing(isig, d)
                 replayed += 1
         assert replayed > 60
 

@@ -314,6 +314,27 @@ class TestPiExplicit:
         )
         assert not typecheck_program(parse_program(text)).accepted
 
+    def test_idxfn_shadowing_an_index_variable_is_renamed(self):
+        # The inner binder reuses `a`, which the outer one put in scope; it
+        # is renamed, so its annotation means the type's second variable.
+        text = self.HEADER + (
+            "val main : Pi a : int . Pi b : int . list(b) -> list(b) = "
+            "idxfn a : int => idxfn a : int => fn x => (x : list(a))"
+        )
+        prog = parse_program(text)
+        report = typecheck_program(prog)
+        assert report.accepted
+        verify_typing(prog.sig, report.derivation)
+
+    def test_idxfn_body_failure(self):
+        text = self.HEADER + (
+            "val main : Pi a : int . list(a) -> list(a) = "
+            "idxfn a : int => fn x => ()"
+        )
+        report = typecheck_program(parse_program(text))
+        assert not report.accepted and not report.exhausted
+        assert "under idxfn-bound a" in [d.message for d in report.diagnostics]
+
 
 class TestMergeAsAnnotation:
     def test_duplicating_subterms_preserves_acceptance(self):
@@ -855,6 +876,43 @@ class TestGuardDecidedOnce:
     def test_guarded_kway_fits_the_default_budget(self):
         for k in (9, 11, 13, 15):
             assert typecheck_program(kway_program(k, "guarded")).accepted, k
+
+
+class TestBudgetExhaustion:
+    WIDE = (
+        "".join(f"datasort a{i}\n" for i in range(30))
+        + "prim f : " + " /\\ ".join(f"a{i}" for i in range(30)) + "\n"
+        + "val main : a29 = f\n"
+    )
+
+    def test_subtype_query_out_of_budget_is_exhausted(self):
+        # Projecting a29 out of the 30-way intersection takes more than 60
+        # subtyping rules: no type error, the budget ran out.
+        prog = parse_program(self.WIDE)
+        report = typecheck_program(prog, max_depth=60)
+        assert not report.accepted and report.exhausted
+        assert [d.message for d in report.diagnostics] == [
+            "subtyping search exceeded 60 rule applications"
+        ]
+        assert typecheck_program(prog, max_depth=100).accepted
+
+    def test_synth_out_of_budget(self, psig):
+        checker = Checker(psig, max_depth=2)
+        ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom("odd")))
+        term = parse_term("snoc1 (snoc1 x)", prims=frozenset(psig.prims))
+        res = checker.synth(ctx, term)
+        assert isinstance(res, Fail)
+        assert "typing search exceeded 2 rule applications" in res.messages()
+
+    def test_goal_free_program_out_of_budget_is_exhausted(self):
+        text = (
+            "datasort odd <: bits\ndatasort even <: bits\n"
+            "prim snoc1 : (odd -> even) /\\ (even -> odd)\nprim b1 : odd\n"
+            "val main = snoc1 (snoc1 b1)\n"
+        )
+        report = typecheck_program(parse_program(text), max_depth=2)
+        assert not report.accepted and report.exhausted
+        assert typecheck_program(parse_program(text)).accepted
 
 
 class TestSearchCounts:
