@@ -38,12 +38,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, ctx_anno_flag: bool = True) -> None:
         p.add_argument("path", help="a .gl source file")
         p.add_argument("--max-depth", type=int, default=512, metavar="N",
-                       help="search bound in rule applications (default 512)")
-        p.add_argument("--no-ctx-anno", action="store_true",
-                       help="disable the contextual-annotation rule")
+                       help="budget of typing rules for one program check, and a "
+                       "separate one of N subtyping rules for each subtype query; "
+                       "not a bound on total work (default 512)")
+        if ctx_anno_flag:
+            p.add_argument("--no-ctx-anno", action="store_true",
+                           help="disable the contextual-annotation rule")
 
     p_check = sub.add_parser("check", help="typecheck a program")
     common(p_check)
@@ -69,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_desugar = sub.add_parser(
         "desugar", help="translate contextual annotations away"
     )
-    common(p_desugar)
+    common(p_desugar, ctx_anno_flag=False)
     p_desugar.add_argument("--verify", action="store_true",
                            help="re-check the translated program with the "
                            "contextual-annotation rule disabled")

@@ -7,9 +7,10 @@ rule `check_ctx_anno`: program-variable typings by subtyping of the
 looked-up type, index-variable sortings by instantiating a well-sorted index
 expression (found with the same metavariable machinery as Pi-left).  The
 first typing that applies, with every index instantiation solved, gives the
-type the term synthesizes.  Replaying a ctx-anno node (`replay`)
-substitutes the recorded witnesses into the typing and compares the result
-with the node's type by `alpha_eq`.
+type the term synthesizes.  Each instantiation renames the later sortings
+that its witness could be captured by (`syntax.instantiate`), so every step
+of the subsumption derivation carries the rest of the telescope as it is,
+and `replay` checks each step on its own.
 
 `encode` removes every contextual annotation: each typing becomes a branch
 of a right-nested merge, its variable typings become guards, its index
@@ -47,8 +48,8 @@ from .syntax import (
     Type,
     VarDecl,
     alpha_eq,
+    instantiate,
     rewrite,
-    subst,
     subterms,
     zonk_type,
 )
@@ -75,63 +76,44 @@ def _wf_typing(ctx: Context, typing: CtxTyping) -> None:
 
 def _match_entries(
     checker: Checker, ctx: Context, typing: CtxTyping
-) -> Union[tuple[CtxSubDerivation, Type], Fail]:
-    """Process the inner context left to right, yielding the derivation and
-    the substituted goal type (which may still mention the introduced
-    metavariables until they are solved)."""
-    if not typing.entries:
-        node = CtxSubDerivation("empty", typing, ctx.entries, typing.goal)
-        return node, typing.goal
-    d0 = typing.entries[0]
-    rest = CtxTyping(typing.entries[1:], typing.goal)
-    if isinstance(d0, VarDecl):
-        got = ctx.lookup_var(d0.name)
-        if got is None:
-            return Fail(
-                f"contextual typing requires '{d0.name}', which is not in scope",
-                d0.span,
-            )
-        sd = checker._subtype(ctx, got, d0.ty)
-        if isinstance(sd, Fail):
-            return Fail(
-                "context does not entail {} : {}",
-                d0.span,
-                (sd,),
-                args=(d0.name, d0.ty),
-            )
-        res = _match_entries(checker, ctx, rest)
-        if isinstance(res, Fail):
-            return res
-        subnode, goal = res
-        return (
-            CtxSubDerivation("pvar", typing, ctx.entries, goal, (sd, subnode)),
-            goal,
-        )
-    assert isinstance(d0, IdxDecl)
-    m = checker.metas.fresh(d0.sort, scope=ctx.index_vars())
-    rest = subst(m, d0.name, rest)
-    res = _match_entries(checker, ctx, rest)
-    if isinstance(res, Fail):
-        return res
-    subnode, goal = res
-    return (
-        CtxSubDerivation("ivar", typing, ctx.entries, goal, (subnode,), witness=m),
-        goal,
-    )
-
-
-def _ivar_witnesses(node: CtxSubDerivation) -> list[IMeta]:
-    out = []
-    cur = node
-    while True:
-        if cur.rule == "ivar":
-            assert isinstance(cur.witness, IMeta)
-            out.append(cur.witness)
-            cur = cur.premises[0]
-        elif cur.rule == "pvar":
-            cur = cur.premises[1]
+) -> Union[tuple[CtxSubDerivation, list[IMeta]], Fail]:
+    """Match the entries of `typing` against ctx left to right: a variable
+    typing by subtyping its looked-up type, an index sorting by instantiating
+    it with a fresh metavariable.  Returns the subsumption derivation, whose
+    goal may still mention the metavariables, and those metavariables."""
+    steps = []  # (rule, telescope, premises before the rest's, witness)
+    tel = typing
+    while tel.entries:
+        d0 = tel.entries[0]
+        rest = CtxTyping(tel.entries[1:], tel.goal)
+        if isinstance(d0, VarDecl):
+            got = ctx.lookup_var(d0.name)
+            if got is None:
+                return Fail(
+                    f"contextual typing requires '{d0.name}', which is not in scope",
+                    d0.span,
+                )
+            sd = checker._subtype(ctx, got, d0.ty)
+            if isinstance(sd, Fail):
+                return Fail(
+                    "context does not entail {} : {}",
+                    d0.span,
+                    (sd,),
+                    args=(d0.name, d0.ty),
+                )
+            steps.append(("pvar", tel, (sd,), None))
         else:
-            return out
+            m, rest = instantiate(
+                checker.metas, ctx.index_vars(), d0.name, d0.sort, rest
+            )
+            steps.append(("ivar", tel, (), m))
+        tel = rest
+    node = CtxSubDerivation("empty", tel, ctx.entries, tel.goal)
+    for rule, inner, ps, w in reversed(steps):
+        node = CtxSubDerivation(
+            rule, inner, ctx.entries, tel.goal, ps + (node,), witness=w
+        )
+    return node, [w for *_, w in steps if w is not None]
 
 
 def check_ctx_anno(
@@ -160,11 +142,8 @@ def check_ctx_anno(
             store.undo(mark)
             checker.stats.backtracks += 1
             continue
-        node, goal = res
-        unsolved = [
-            w for w in _ivar_witnesses(node) if store.solution(w.uid) is None
-        ]
-        if unsolved:
+        node, witnesses = res
+        if any(store.solution(w.uid) is None for w in witnesses):
             reasons.append(
                 Fail(
                     f"typing {k}: index instantiation undetermined",
@@ -174,7 +153,7 @@ def check_ctx_anno(
             store.undo(mark)
             checker.stats.backtracks += 1
             continue
-        goal = zonk_type(store, goal)
+        goal = zonk_type(store, node.goal)
         d = checker._check(ctx, e.body, goal)
         if isinstance(d, Fail):
             fails.append(

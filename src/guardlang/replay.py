@@ -14,8 +14,9 @@ is replayed once per pass.
   pi-e, some and ctx-anno.
 - Subtyping (`SubDerivation`): refl, atom, arrow, sect-r, sect-l1, sect-l2,
   ilr, pi-r and pi-l.
-- Contextual subsumption (`CtxSubDerivation`): empty, pvar and ivar.  The
-  ctx-anno node above a chain of them replays it from its own typing.
+- Contextual subsumption (`CtxSubDerivation`): empty, pvar and ivar.  A
+  step meets the first entry of its telescope and hands the rest, with its
+  witness substituted, to its last premise; empty carries the goal alone.
 
 The context invariant: a premise is derived in its conclusion's context,
 except that of a binding rule (arrow-i, pi-i, pi-i-explicit, pi-r), whose
@@ -23,7 +24,8 @@ context adds exactly the declaration the rule binds, under a new name.
 
 The instance of a Pi body (pi-e, pi-i, pi-i-explicit, pi-r, pi-l) is
 matched by `inst_eq` without being built; term-level premises (arrow-i,
-pi-i-explicit, some, ctx-anno) build the substitution and use `alpha_eq`.
+pi-i-explicit, some) and telescopes (ivar) build the substitution and use
+`alpha_eq`.
 An `ilr` equation holds at once when its sides are equal, else when their
 linear normal forms are.
 """
@@ -129,7 +131,7 @@ def _replay(sig: Signature, d, seen: set) -> None:
         for p in ps:
             if id(p) not in seen:
                 _replay(sig, p, seen)
-        msg = check and check(sig, d)
+        msg = check(sig, d)
     if msg is not None:
         where = f": {pretty_term(d.term)}" if type(d) is TypingDerivation else ""
         raise VerifyError(f"[{d.rule}] {msg}{where}")
@@ -347,26 +349,29 @@ def _ctx_anno(sig, d):
         return "substituted goal differs from conclusion"
     if chk.mode != "check" or not _is(chk, e.body, d.ty):
         return "checking premise mismatch"
-    # Walk the chain, replayed already, substituting each witness into the
-    # typing in turn.
-    cur, n = typing, node
-    while n.rule != "empty":
-        if not alpha_eq(n.premises[-1].goal, node.goal):
-            return "a subsumption step changes the goal"
-        d0 = cur.entries[0] if cur.entries else None
-        rest = CtxTyping(cur.entries[1:], cur.goal)
-        if n.rule == "pvar":
-            got = type(d0) is VarDecl and _lookup(d.ctx_entries, VarDecl, d0.name)
-            if not got or not _is(n.premises[0], got.ty, d0.ty):
-                return "subsumption of a variable typing mismatches"
-            cur = rest
-        elif type(d0) is not IdxDecl or _bad_witness(sig, n, d0.sort):
-            return "subsumption of an index sorting mismatches"
-        else:
-            cur = subst(n.witness, d0.name, rest)
-        n = n.premises[-1]
-    if cur.entries or not alpha_eq(cur.goal, node.goal):
-        return "substituted goal differs from conclusion"
+
+
+def _ctx_empty(sig, d):
+    if d.inner.entries or not alpha_eq(d.inner.goal, d.goal):
+        return "the telescope is not exactly the goal"
+
+
+def _ctx_step(sig, d):
+    # pvar and ivar: the first entry of the telescope is met, and the last
+    # premise carries the rest, instantiated by the witness, and this goal.
+    tel, nxt = d.inner, d.premises[-1]
+    d0 = tel.entries[0] if tel.entries else None
+    rest = CtxTyping(tel.entries[1:], tel.goal)
+    if d.rule == "pvar":
+        got = type(d0) is VarDecl and _lookup(d.ctx_entries, VarDecl, d0.name)
+        if not got or not _is(d.premises[0], got.ty, d0.ty):
+            return "the variable typing is not met"
+    elif type(d0) is not IdxDecl or _bad_witness(sig, d, d0.sort):
+        return "the index sorting is not met"
+    else:
+        rest = subst(d.witness, d0.name, rest)
+    if not (alpha_eq(nxt.inner, rest) and alpha_eq(nxt.goal, d.goal)):
+        return "the premise does not carry the rest of the telescope"
 
 
 def _refl(sig, d):
@@ -415,7 +420,7 @@ def _pi_l(sig, d):
 
 
 # (kind of node, rule) -> (check, the kinds of the premises, whether the
-# premise's context adds a declaration); ctx-anno checks a chain's steps.
+# premise's context adds a declaration).
 _T, _S, _C = TypingDerivation, SubDerivation, CtxSubDerivation
 _RULES: dict[tuple[type, str], tuple] = {
     (_T, "var"): (_var, (), False),
@@ -447,7 +452,7 @@ _RULES: dict[tuple[type, str], tuple] = {
     (_S, "ilr"): (_ilr, (), False),
     (_S, "pi-r"): (_pi_right, (_S,), True),
     (_S, "pi-l"): (_pi_l, (_S,), False),
-    (_C, "empty"): (None, (), False),
-    (_C, "pvar"): (None, (_S, _C), False),
-    (_C, "ivar"): (None, (_C,), False),
+    (_C, "empty"): (_ctx_empty, (), False),
+    (_C, "pvar"): (_ctx_step, (_S, _C), False),
+    (_C, "ivar"): (_ctx_step, (_C,), False),
 }

@@ -7,19 +7,19 @@ Pi-left introduces a metavariable for the instantiation witness and lets the
 indexed-constructor equality solve it; a derivation that completes with the
 witness unsolved fails.
 
-Subgoals are memoized on `(a, b, context entries)`, zonked, under the rule
-the typechecker's checking memo uses too: a failure of a query that holds no
-metavariable holds at every store stamp, and any other result holds at the
-stamp it was decided in, when deciding it did not move the stamp.  The
-typechecker passes one memo to all the subtype queries of its run, so a
-query asked again under another conjunct, merge branch or metavariable state
-is answered from the memo.  Failure messages are rendered only when read
-(see `Fail`).
+Subgoals are memoized on `(a, b, context entries)`, zonked, under the entry
+rule of the typechecker's checking memo: a result decided without moving
+the store's stamp holds at that stamp, and at every stamp when the query
+holds no metavariable; so does a failure of such a query, whatever the
+stamp did.  The typechecker passes one memo to all the subtype
+queries of its run, so a query asked again under another conjunct, merge
+branch or metavariable state is answered from the memo.  Failure messages
+are rendered only when read (see `Fail`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from . import indices
@@ -42,8 +42,8 @@ from .syntax import (
     Zonker,
     alpha_eq,
     bind_fresh,
+    instantiate,
     meta_free,
-    subst,
     zonk_index,
     zonk_type,
 )
@@ -137,19 +137,7 @@ class Stats:
     wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "rule_applications": self.rule_applications,
-            "backtracks": self.backtracks,
-            "subtype_queries": self.subtype_queries,
-            "entailment_queries": self.entailment_queries,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "synth_memo_hits": self.synth_memo_hits,
-            "synth_memo_misses": self.synth_memo_misses,
-            "sub_memo_hits": self.sub_memo_hits,
-            "sub_memo_misses": self.sub_memo_misses,
-            "wall_ms": round(self.wall_ms, 3),
-        }
+        return asdict(self) | {"wall_ms": round(self.wall_ms, 3)}
 
 
 class _Search:
@@ -188,12 +176,12 @@ class _Search:
         self.stats.sub_memo_misses += 1
         res = self._sub_dispatch(ctx, a, b)
         # The checking memo's entry rule (see `Checker._check`).
-        if isinstance(res, Fail) and (
-            not self.store.any_created() or meta_free(key, self.ground)
-        ):
-            self.memo[key] = (None, res)
-        elif self.store.stamp == stamp0:
-            self.memo[key] = (stamp0, res)
+        moved = self.store.stamp != stamp0
+        if not moved or isinstance(res, Fail):
+            if not self.store.any_created() or meta_free(key, self.ground):
+                self.memo[key] = (None, res)
+            elif not moved:
+                self.memo[key] = (stamp0, res)
         return res
 
     def _sub_dispatch(
@@ -300,8 +288,7 @@ class _Search:
         return SubDerivation("pi-r", ctx.entries, a, b, (p,))
 
     def _pi_l(self, ctx, a: TPi, b):
-        m = self.store.fresh(a.sort, scope=ctx.index_vars())
-        inst = subst(m, a.var, a.body)
+        m, inst = instantiate(self.store, ctx.index_vars(), a.var, a.sort, a.body)
         p = self.sub(ctx, inst, b)
         if isinstance(p, Fail):
             return Fail("left Pi instantiation", None, (p,))

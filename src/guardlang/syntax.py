@@ -724,7 +724,8 @@ def subst(repl: Union[Term, IndexExpr], var: str, x: Syntax) -> Syntax:
     entry named `var` is renamed when repl is a variable; otherwise it is
     discharged, the guard dropped for its body and the entry removed.
     Renaming `var` to itself returns x, so that replay can compare by
-    identity.
+    identity.  A metavariable is substituted by `instantiate`, which renames
+    the binders its solution could be captured by.
     """
     ns = TERM if isinstance(repl, Term) else INDEX
     cls = type(repl)
@@ -732,11 +733,20 @@ def subst(repl: Union[Term, IndexExpr], var: str, x: Syntax) -> Syntax:
         if repl.name == var:
             return x
         free = frozenset((repl.name,))
-    elif cls is IMeta:
-        free = frozenset()
     else:
         free = free_vars(repl, ns)
     return rewrite(x, _subst_hook, (repl, var, ns, free))
+
+
+def instantiate(
+    store: MetaStore, scope: frozenset[str], var: str, sort: IndexSort, body: Syntax
+) -> tuple[IMeta, Syntax]:
+    """A fresh metavariable of `sort` and `scope`, and body (a Pi body, a
+    term or a telescope) with it for the index variable `var`.  Its solution
+    may name any variable of `scope` and is zonked in without renaming, so
+    every binder of body named in `scope` is renamed here."""
+    m = store.fresh(sort, scope)
+    return m, rewrite(body, _subst_hook, (m, var, INDEX, scope))
 
 
 def _subst_hook(x, state):

@@ -13,13 +13,15 @@ goal only guard-chk and subsumption apply, both needing `x : A` in the same
 store state, so it is decided once, before either: a failed guard costs no
 typing rule, and guard-chk uses the evidence of one that holds.
 
-A `some` binder substitutes a fresh metavariable for its variable and
-requires it solved by the end of that subterm's derivation.  Checking-mode
-results are memoized per occurrence, which is where repeated checking under
-intersection introduction would otherwise blow up.  A result is reused while
-the metavariable store is unchanged since it was computed; a failure of a
-query whose term, type and context hold no metavariables is reused always,
-even when the call solved and undid metavariables of its own.
+A `some` binder instantiates its variable with a fresh metavariable
+(`syntax.instantiate`) and requires it solved by the end of that subterm's
+derivation.  Checking-mode results are memoized per occurrence, which is
+where repeated checking under intersection introduction would otherwise
+blow up.  A result is reused while the metavariable store is unchanged
+since it was computed.  A query whose term, type and context hold no
+metavariables has its failure reused always, even when the call solved and
+undid metavariables of its own, and so is a success whose call left the
+store unchanged.
 
 A third memo holds the synthesis candidates of applications.  Eliminating
 an intersection checks the argument once per conjunct, and a check against
@@ -104,6 +106,7 @@ from .syntax import (
     Zonker,
     bind_fresh,
     free_vars,
+    instantiate,
     meta_free,
     subst,
     zonk_type,
@@ -293,18 +296,20 @@ class Checker:
             return hit[1]
         self.stats.memo_misses += 1
         res = self._check_dispatch(ctx, e, ty)
-        # A failure of a query with no metavariable (none has one while the
-        # store has created none) read no solution, and every alternative
-        # was undone: it holds at every stamp.  Any other result is kept
-        # only when deciding it did not move the stamp.  The subtyping memo
-        # keeps the same rule.
-        if isinstance(res, Fail) and (
-            not self.metas.any_created()
-            or meta_free((e, ty, ctx.entries), self._ground)
-        ):
-            self._memo[key] = (None, res)
-        elif self.metas.stamp == stamp0:
-            self._memo[key] = (stamp0, res)
+        # A result of a query with no metavariable (none has one while the
+        # store has created none) holds at every stamp if it is a failure,
+        # which read no solution and undid every alternative, or if deciding
+        # it did not move the stamp; another result holds at its stamp when
+        # deciding it did not move it.  `_Search.sub` writes the same rule
+        # out: a shared function would cost a call on every miss.
+        moved = self.metas.stamp != stamp0
+        if not moved or isinstance(res, Fail):
+            if not self.metas.any_created() or meta_free(
+                (e, ty, ctx.entries), self._ground
+            ):
+                self._memo[key] = (None, res)
+            elif not moved:
+                self._memo[key] = (stamp0, res)
         return res
 
     def _check_dispatch(self, ctx, e, ty) -> Union[TypingDerivation, Fail]:
@@ -408,8 +413,7 @@ class Checker:
         return TypingDerivation("unit-i", "check", ctx.entries, e, ty)
 
     def _chk_some(self, ctx, e: Some, ty):
-        m = self.metas.fresh(e.sort, scope=ctx.index_vars())
-        body = subst(m, e.var, e.body)
+        m, body = instantiate(self.metas, ctx.index_vars(), e.var, e.sort, e.body)
         d = self._check(ctx, body, ty)
         if isinstance(d, Fail):
             return Fail(f"under `some {e.var}`", e.span, (d,))
@@ -564,8 +568,7 @@ class Checker:
                     self.metas.undo(mark)
                     self.stats.backtracks += 1
             case Some(var, sort, body):
-                m = self.metas.fresh(sort, scope=ctx.index_vars())
-                inner = subst(m, var, body)
+                m, inner = instantiate(self.metas, ctx.index_vars(), var, sort, body)
                 mark = self.metas.mark()
                 produced_unsolved = False
                 for ty, d in self._synth(ctx, inner, fails):
@@ -681,8 +684,7 @@ class Checker:
                 yield from self._elim_arrow(ctx, side, node, fails)
             return
         if isinstance(ty, TPi):
-            m = self.metas.fresh(ty.sort, scope=ctx.index_vars())
-            inst = subst(m, ty.var, ty.body)
+            m, inst = instantiate(self.metas, ctx.index_vars(), ty.var, ty.sort, ty.body)
             node = TypingDerivation(
                 "pi-e", "synth", ctx.entries, d.term, inst, (d,), witness=m
             )

@@ -195,6 +195,15 @@ class TestDesugar:
         assert code == 0
         assert "verified" in err
 
+    def test_no_ctx_anno_is_not_an_option(self, capsys):
+        # The desugar check always runs the contextual rule on the original.
+        code, _, err = run_cli(
+            capsys, "desugar", "--no-ctx-anno", "--verify",
+            program_path("parity_ctxanno.gl"),
+        )
+        assert code == 2
+        assert "unrecognized arguments: --no-ctx-anno" in err
+
     def test_verify_original_out_of_budget(self, capsys):
         # parity_ctxanno.gl is well typed and verifies from --max-depth 20.
         code, _, err = run_cli(
@@ -266,6 +275,69 @@ class TestCertify:
         code, _, err = run_cli(capsys, "check", "--certify", program_path("parity.gl"))
         assert code == 3
         assert "error: derivation does not replay: [sub] synthesis premise" in err
+
+
+# A bound index variable is instantiated with a metavariable whose solution
+# may name any index variable in scope; a binder of the same name inside the
+# instantiated body must not capture it.
+CAPTURE_F = (
+    "indexcon list :: int\n"
+    "prim f : Pi a : int . Pi b : int . list(a) -> list(b) -> unit\n"
+)
+CAPTURE_SOME = (
+    "indexcon list :: int\n"
+    "val main : Pi b : int . list(b) -> {} =\n"
+    "  fn x => some a : int in where x : list(a) do {}\n"
+)
+
+
+class TestCaptureSafeInstantiation:
+    def _check(self, capsys, tmp_path, source, *flags):
+        path = tmp_path / "capture.gl"
+        path.write_text(source)
+        return run_cli(capsys, "check", "--certify", *flags, str(path))
+
+    @pytest.mark.parametrize("source", [
+        # pi-l: the witness b of `a` lands under f's own `Pi b`.
+        CAPTURE_F + "val main : Pi b : int . list(b) -> list(b) -> unit = f",
+        # pi-e: the same, instantiating f in an application.
+        CAPTURE_F + "val main : Pi b : int . list(b) -> unit = fn x => f x x",
+        # some: the witness b of `a` lands under the annotation's `Pi b`.
+        CAPTURE_SOME.format(
+            "(Pi c : int . list(c) -> list(b) -> unit)",
+            "((fn y => fn z => ()) : Pi b : int . list(b) -> list(a) -> unit)",
+        ),
+    ], ids=["pi-l", "pi-e", "some"])
+    def test_accepted_and_certified(self, capsys, tmp_path, source):
+        code, out, err = self._check(capsys, tmp_path, source)
+        assert code == 0, err
+        assert out.startswith("accepted")
+        assert err.strip().endswith("certified")
+
+    def test_captured_witness_does_not_satisfy_the_annotation(self, capsys, tmp_path):
+        # `Pi b : int . list(a) -> unit` with a := b is not `list(b) -> unit`:
+        # its own b cannot be instantiated.
+        source = CAPTURE_SOME.format(
+            "list(b) -> unit", "((fn y => ()) : Pi b : int . list(a) -> unit)"
+        )
+        code, out, err = self._check(capsys, tmp_path, source)
+        assert code == 1
+        assert out == "rejected\n"
+        assert "no instantiation determined for Pi-bound 'b1'" in err
+
+    def test_subsumption_step_carries_the_renamed_telescope(self, capsys, tmp_path):
+        source = (
+            "indexcon list :: int\n"
+            "prim f : Pi c : int . Pi d : int . list(c) -> list(d) -> list(c + d)\n"
+            "val main : Pi b : int . Pi e : int . list(b) -> list(e) -> list(b + e) =\n"
+            "  fn y => fn x => ((f y x) :: "
+            "[a : int, y : list(a), b : int, x : list(b) |- list(a + b)])\n"
+        )
+        code, out, err = self._check(capsys, tmp_path, source, "--trace")
+        assert code == 0, err
+        assert err.strip().endswith("certified")
+        assert "[<~ pvar] (y : list(b), b1 : int, x : list(b1) |- list(b + b1))" in out
+        assert "list(b + b)" not in out
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")

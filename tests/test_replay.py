@@ -25,7 +25,6 @@ from guardlang import replay
 from guardlang.ctxanno import encode_program
 from guardlang.parser import parse_program, parse_type
 from guardlang.replay import (
-    CtxSubDerivation,
     SubDerivation,
     TypingDerivation,
     VerifyError,
@@ -81,17 +80,14 @@ EXTRA_SUBTYPINGS = [
 
 
 def _nodes(root):
-    """Each distinct node of a derivation once, with whether a typing node
-    holds it as a premise."""
+    """Each distinct node of a derivation once."""
     seen: dict = {}
-    stack = [(root, False)]
+    stack = [root]
     while stack:
-        d, under_typing = stack.pop()
-        if id(d) in seen:
-            seen[id(d)] = (d, seen[id(d)][1] or under_typing)
-            continue
-        seen[id(d)] = (d, under_typing)
-        stack.extend((p, type(d) is TypingDerivation) for p in d.premises)
+        d = stack.pop()
+        if id(d) not in seen:
+            seen[id(d)] = d
+            stack.extend(d.premises)
     return list(seen.values())
 
 
@@ -134,7 +130,7 @@ def test_every_derivation_of_the_checker_replays():
 
 
 def test_the_families_reach_every_rule_of_the_kernel():
-    occurring = {_key(d) for _, root in _roots() for d, _ in _nodes(root)}
+    occurring = {_key(d) for _, root in _roots() for d in _nodes(root)}
     assert occurring == {(kind.__name__, rule) for kind, rule in replay._RULES}
 
 
@@ -228,7 +224,7 @@ def _mutants(d):
         yield "branch", replace(d, branch=d.branch - 1 if d.branch == n else d.branch + 1)
 
 
-def _still_valid(d, field: str, is_root: bool, under_typing: bool):
+def _still_valid(d, field: str, is_root: bool):
     """Why the change of `field` leaves node d a valid derivation, or None
     when it should not."""
     if field == "witness":
@@ -250,11 +246,6 @@ def _still_valid(d, field: str, is_root: bool, under_typing: bool):
         )
         if same:
             return "the branches are the same, so either one derives the node"
-    if field == "term" and type(d) is CtxSubDerivation and not under_typing:
-        return (
-            "a later step of a subsumption chain carries the rest of the telescope "
-            "for display only: replay substitutes into the annotation's own typing"
-        )
     if field == "context" and is_root and not d.premises:
         return "a rule without premises holds in a larger context"
     return None
@@ -265,15 +256,15 @@ def test_tamper_suite_rejects_every_changed_node():
     sampled: dict = {}
     for sig, root in _roots():
         taken = set()
-        for d, under_typing in _nodes(root):
+        for d in _nodes(root):
             key = _key(d)
             if key in taken or len(sampled.setdefault(key, [])) >= per_rule:
                 continue
             taken.add(key)
-            sampled[key].append((sig, root, d, under_typing))
+            sampled[key].append((sig, root, d))
     rejected, skipped, wrong, n_rejected = {}, [], [], 0
     for key, cases in sampled.items():
-        for sig, root, d, under_typing in cases:
+        for sig, root, d in cases:
             for field, bad in _mutants(d):
                 try:
                     verify_typing(sig, _swap(root, d, bad, {}))
@@ -281,7 +272,7 @@ def test_tamper_suite_rejects_every_changed_node():
                     rejected.setdefault(key, set()).add(field)
                     n_rejected += 1
                     continue
-                reason = _still_valid(d, field, d is root, under_typing)
+                reason = _still_valid(d, field, d is root)
                 if reason is None:
                     wrong.append((key, field))
                 else:

@@ -8,12 +8,14 @@ from helpers import (
 )
 from guardlang.parser import parse_type, pretty_type
 from guardlang.replay import verify_typing
-from guardlang.subtyping import Fail, subtype
+from guardlang.subtyping import Fail, Stats, subtype
 from guardlang.syntax import (
     Context,
     ILit,
     INT,
     IdxDecl,
+    MetaStore,
+    TAtom,
     TPi,
 )
 
@@ -178,3 +180,19 @@ class TestDerivationReplay:
         res = subtype(ctx, parse_type("Pi a : int . list(a)"), parse_type("even"))
         assert isinstance(res, Fail)
         assert store.mark() == 0
+
+
+class TestMemo:
+    def test_metavariable_free_success_outlives_the_stamp(self, isig):
+        # A success that holds no metavariable and solved none holds in every
+        # store state: a later query is answered from the memo.
+        store, memo, stats = MetaStore(), {}, Stats()
+        ctx = Context(isig, (), store)
+        m = store.fresh(INT, frozenset())
+        query = (ctx, TAtom("odd"), TAtom("bits"))
+        assert ok(subtype(*query, store=store, stats=stats, memo=memo))
+        assert (stats.sub_memo_hits, stats.sub_memo_misses) == (0, 1)
+        store.assign(m.uid, ILit(0))
+        d = subtype(*query, store=store, stats=stats, memo=memo)
+        assert ok(d) and d.rule == "atom"
+        assert (stats.sub_memo_hits, stats.sub_memo_misses) == (1, 1)

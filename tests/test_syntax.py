@@ -62,6 +62,7 @@ from guardlang.syntax import (
     alpha_eq,
     free_vars,
     fresh_name,
+    instantiate,
     meta_free,
     rewrite,
     subst,
@@ -249,6 +250,48 @@ class TestMetaFree:
         _, m, _ = _two_metas()
         t = TCon("list", m)
         assert meta_free(TArrow(t, TUnit()), {id(t): t})
+
+
+class TestInstantiate:
+    """A bound variable is instantiated with a fresh metavariable, and every
+    binder named in the metavariable's scope is renamed, so the solution it
+    gets later is not captured when it is zonked."""
+
+    def _solved(self, body, var="a"):
+        store = MetaStore()
+        m, out = instantiate(store, frozenset({"b"}), var, INT, body)
+        assert store.sort_of(m.uid) == INT and store.scope_of(m.uid) == {"b"}
+        store.assign(m.uid, IVar("b"))
+        return Zonker(store).visit(out)
+
+    def test_pi_body(self):
+        # [b/a](Pi b . list(a) -> list(b)), with the b bound.
+        body = TPi("b", INT, TArrow(_list(IVar("a")), _list(IVar("b"))))
+        assert self._solved(body) == TPi(
+            "b1", INT, TArrow(_list(IVar("b")), _list(IVar("b1")))
+        )
+
+    def test_term_body(self):
+        body = parse_term("(fn y => () : Pi b : int . list(a) -> list(b) -> unit)")
+        assert self._solved(body) == parse_term(
+            "(fn y => () : Pi b1 : int . list(b) -> list(b1) -> unit)"
+        )
+
+    def test_telescope(self):
+        t = CtxTyping(
+            (IdxDecl("b", INT), VarDecl("x", _list(IVar("b")))),
+            _list(IAdd(IVar("a"), IVar("b"))),
+        )
+        assert self._solved(t) == CtxTyping(
+            (IdxDecl("b1", INT), VarDecl("x", _list(IVar("b1")))),
+            _list(IAdd(IVar("b"), IVar("b1"))),
+        )
+
+    def test_shadowing_binder_is_left_alone(self):
+        body = TPi("a", INT, _list(IVar("a")))
+        store = MetaStore()
+        _, out = instantiate(store, frozenset({"b"}), "a", INT, body)
+        assert out is body
 
 
 class TestFreeIndexVars:
