@@ -4,8 +4,9 @@ Exit codes: 0 on acceptance/success, 1 on type errors (and on stuck or
 out-of-fuel evaluation, an encoding gap, or an encoded check out of
 budget), 2 on usage, missing-file and parse errors, 3 when `check
 --certify` finds that the accepted derivation does not replay, and 4, no
-verdict, when the input nests too deeply for the parser, checker or
-evaluator to walk within Python's recursion limit.
+verdict, when the input nests too deeply for the checker, for erasure or
+for the desugaring encoding to walk within Python's recursion limit (the
+parser reads any depth).
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import sys
 from typing import Optional
 
 from . import ctxanno, interp
-from .parser import (
-    ParseError, format_derivation, parse_program, pretty_program, pretty_term, pretty_type
-)
+from .parser import ParseError, format_derivation, parse_program, pretty, pretty_program
 from .replay import SubDerivation, VerifyError, verify_typing
 from .syntax import Program
 from .typecheck import Report, typecheck_program
@@ -100,7 +99,7 @@ def report_to_dict(report: Report, *, derivation: bool = False) -> dict:
         "statistics": report.stats.as_dict(),
     }
     if report.checked_type is not None:
-        out["type"] = pretty_type(report.checked_type)
+        out["type"] = pretty(report.checked_type)
     if derivation and report.derivation is not None:
         out["derivation"] = format_derivation(report.derivation)
     return out
@@ -113,7 +112,7 @@ def _print_report(report: Report, args) -> None:
     if report.accepted:
         line = "accepted"
         if report.checked_type is not None:
-            line += f" : {pretty_type(report.checked_type)}"
+            line += f" : {pretty(report.checked_type)}"
         print(line)
     else:
         print("rejected")
@@ -185,7 +184,7 @@ def cmd_eval(args) -> int:
             except interp.MergeMismatchError as ex:
                 print(f"error: {ex}", file=sys.stderr)
                 return EXIT_TYPE_ERROR
-        print(pretty_term(value))
+        print(pretty(value))
         print(f"steps: {result.steps}")
         return EXIT_OK
     label = "out of fuel" if result.outcome == "fuel" else "stuck"

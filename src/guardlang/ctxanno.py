@@ -104,7 +104,7 @@ def _match_entries(
             steps.append(("pvar", tel, (sd,), None))
         else:
             m, rest = instantiate(
-                checker.metas, ctx.index_vars(), d0.name, d0.sort, rest
+                checker.metas, ctx.index_vars(), d0.name, d0.sort, rest, d0.span
             )
             steps.append(("ivar", tel, (), m))
         tel = rest

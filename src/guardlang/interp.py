@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .parser import pretty_term
+from .parser import pretty
 from .syntax import (
     Anno,
     App,
@@ -48,8 +48,7 @@ class MergeMismatchError(Exception):
 
     def __init__(self, term: Merge, lhs: Term, rhs: Term) -> None:
         super().__init__(
-            f"merge branches erase differently: {pretty_term(lhs)} vs "
-            f"{pretty_term(rhs)}"
+            f"merge branches erase differently: {pretty(lhs)} vs {pretty(rhs)}"
         )
         self.term = term
 
@@ -181,10 +180,10 @@ def _reduce(e: Term) -> Union[Value, Stuck, tuple[str, list[Term]]]:
                 return "beta", [subst(a, core.var, core.body)]
             head, args = _spine(e)
             if not isinstance(head, Prim):
-                return Stuck(f"cannot apply {pretty_term(f)}", e)
+                return Stuck(f"cannot apply {pretty(f)}", e)
             result = apply_prim(head.name, [_strip(x) for x in args])
             return _VALUE if result is None else ("delta", [result])
-    return Stuck(f"no rule applies to {pretty_term(e)}", e)
+    return Stuck(f"no rule applies to {pretty(e)}", e)
 
 
 def is_value(e: Term) -> bool:

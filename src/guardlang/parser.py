@@ -27,16 +27,27 @@ Grammar (EBNF, whitespace-insensitive, `--` starts a line comment):
 
     index    = iterm (("+" | "-") iterm)*            -- left associative
     iterm    = ifactor ("*" ifactor)*                -- at most one non-literal
-    ifactor  = INT | IDENT | "(" index ")" | "-" ifactor
+    ifactor  = NUM | IDENT | "(" index ")" | "-" ifactor
 
 Binders (`fn`, `where`, `some`, `idxfn`) extend as far right as possible, so
 a merge under a binder belongs to the binder's body; parenthesize the binder
-to merge it.  Identifiers match [A-Za-z_][A-Za-z0-9_']*.
+to merge it.  Identifiers match [A-Za-z_][A-Za-z0-9_']*; a numeral NUM is a
+run of decimal digits, and `int` is a keyword, not a numeral.
+
+The precedences, associativities and binder headers above are written once,
+in the grammar table (`INFIX`, `PRODUCT` and `PREFIX`), which the parser and
+`pretty` both read.  Neither recurses per syntax level: operator chains and
+binders go on an explicit stack, one shunting-yard loop per expression, and
+bracketed nesting runs as generators on the stack of a trampoline (`_run`).
+So input of any depth parses and prints within Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
+from math import prod
+from types import GeneratorType
 from typing import Optional
 
 from .syntax import (
@@ -44,7 +55,6 @@ from .syntax import (
     App,
     CtxAnno,
     CtxTyping,
-    Decl,
     Guard,
     IAdd,
     ILit,
@@ -58,6 +68,7 @@ from .syntax import (
     IndexSort,
     Lam,
     Merge,
+    Node,
     Prim,
     Program,
     Signature,
@@ -75,24 +86,7 @@ from .syntax import (
     Var,
     VarDecl,
     SORTS,
-    rewrite,
 )
-
-KEYWORDS = {
-    "fn",
-    "where",
-    "do",
-    "some",
-    "in",
-    "idxfn",
-    "Pi",
-    "unit",
-    "int",
-    "datasort",
-    "indexcon",
-    "prim",
-    "val",
-}
 
 # One alternative per token class, tried in order at each position; longer
 # punctuation comes before its prefixes.  `word` admits any `\w` start but
@@ -102,7 +96,7 @@ _TOKEN = re.compile(
       (?P<nl>\n)
     | (?P<skip>[ \t\r]+|--[^\n]*)
     | (?P<word>[^\W\d][\w']*)
-    | (?P<int>\d+)
+    | (?P<num>\d+)
     | (?P<punct>,,|::|\|-|->|=>|/\\|<:|[()\[\],:;.*+\-=])
     """,
     re.VERBOSE,
@@ -110,19 +104,11 @@ _TOKEN = re.compile(
 
 
 class ParseError(Exception):
-    def __init__(
-        self,
-        message: str,
-        span: Optional[Span] = None,
-        expected: tuple[str, ...] = (),
-        found: str = "",
-    ) -> None:
+    def __init__(self, message: str, span: Optional[Span] = None) -> None:
         where = f"{span}: " if span else ""
         super().__init__(f"{where}{message}")
         self.message = message
         self.span = span
-        self.expected = expected
-        self.found = found
 
 
 class Token:
@@ -134,7 +120,7 @@ class Token:
     def __init__(
         self, kind: str, text: str, file: str, line: int, col: int, end_col: int
     ) -> None:
-        self.kind = kind  # punctuation/keyword text, or "ident", "int", "eof"
+        self.kind = kind  # punctuation/keyword text, or "ident", "num", "eof"
         self.text = text
         self.file = file
         self.line = line
@@ -158,11 +144,9 @@ def tokenize(text: str, path: str = "<string>") -> list[Token]:
         if kind == "word" and not (text[pos].isalpha() or text[pos] == "_"):
             kind = None
         if kind is None:
-            c = text[pos]
             raise ParseError(
-                f"unexpected character {c!r}",
+                f"unexpected character {text[pos]!r}",
                 Span(path, line, col, line, col + 1),
-                found=c,
             )
         end = m.end()
         if kind == "nl":
@@ -180,18 +164,95 @@ def tokenize(text: str, path: str = "<string>") -> list[Token]:
     return tokens
 
 
+# ---------------------------------------------------------------------------
+# The grammar table.  A higher precedence binds tighter.  An operand slot has
+# a level, and a form whose precedence is below the level of its slot needs
+# parentheses there.
+
+# Infix forms: class -> (token, precedence, right associative).  Application
+# is juxtaposition and has no token.
+INFIX: dict[type, tuple[Optional[str], int, bool]] = {
+    Merge: (",,", 0, True),
+    App: (None, 1, False),
+    TArrow: ("->", 0, True),
+    TSect: ("/\\", 1, True),
+    IAdd: ("+", 0, False),
+    ISub: ("-", 0, False),
+}
+
+# A product `c*i` binds tighter than `+` and `-`; its factor is an atom.
+PRODUCT = 1
+
+# Prefix binders: class -> header, its tokens and, in braces, the fields
+# before the body, in field order.  A binder's body extends as far right as
+# it can, so a binder has precedence 0: it starts only in a slot of level 0,
+# where a full expression may.
+PREFIX: dict[type, str] = {
+    Lam: "fn {var} =>",
+    Guard: "where {decl} do",
+    Some: "some {var} : {sort} in",
+    IdxLam: "idxfn {var} : {sort} =>",
+    TPi: "Pi {var} : {sort} .",
+}
+
+KEYWORDS = {w for head in PREFIX.values() for w in head.split() if w.isalpha()} | {
+    "unit", "int", "datasort", "indexcon", "prim", "val"
+}
+
+
+# Per syntax class, the table's infix tokens and binder keywords.
+_SYNTAX = {
+    base: (
+        {tok: (cls, prec, right) for cls, (tok, prec, right) in INFIX.items()
+         if issubclass(cls, base)},
+        {head.split()[0]: (cls, head.split()[1:]) for cls, head in PREFIX.items()
+         if issubclass(cls, base)},
+    )
+    for base in (Term, Type, IndexExpr)
+}
+# The tokens that start an argument, so a juxtaposition (no-token) infix.
+_ARGUMENT = ("(", "ident")
+
+
+def _run(gen):
+    """Run the generator `gen` to its return value.  A generator it yields
+    runs first, and its return value is sent back: nesting costs one
+    generator on this loop's stack, and no Python frame."""
+    stack, value = [], None
+    while True:
+        try:
+            sub = gen.send(value)
+        except StopIteration as done:
+            if not stack:
+                return done.value
+            gen, value = stack.pop(), done.value
+        else:
+            stack.append(gen)
+            gen, value = sub, None
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(
+        self, tokens: list[Token], prims: frozenset[str] = frozenset()
+    ) -> None:
         self.tokens = tokens
         self.pos = 0
+        # Free occurrences of these names are primitives; `bound` counts the
+        # enclosing `fn` binders of each name, which shadow them.
+        self.prims = prims
+        self.bound: dict[str, int] = {}
 
     # -- token machinery ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
+
+    def accept(self, kind: str) -> bool:
+        """Read the current token if it is of `kind`."""
+        if self.tokens[self.pos].kind != kind:
+            return False
+        self.pos += 1
+        return True
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -200,54 +261,187 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ParseError(
-                f"expected {kind!r}, found {found!r}",
-                tok.span,
-                expected=(kind,),
-                found=found,
-            )
+        if self.tokens[self.pos].kind != kind:
+            raise self.fail(f"expected {kind!r}")
         return self.advance()
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = self.peek()
-        found = tok.text or "end of input"
-        return ParseError(
-            f"{message}, found {found!r}", tok.span, expected=expected, found=found
-        )
+    def fail(self, message: str) -> ParseError:
+        tok = self.tokens[self.pos]
+        return ParseError(f"{message}, found {tok.text or 'end of input'!r}", tok.span)
 
     def span_from(self, start: Token) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)]
         return Span(start.file, start.line, start.col, prev.line, prev.end_col)
 
-    # -- sorts and index expressions ----------------------------------------
+    # -- expressions ----------------------------------------------------------
 
-    def sort(self) -> IndexSort:
-        tok = self.peek()
-        if tok.kind in SORTS:
-            self.advance()
-            return SORTS[tok.kind]
-        raise self.fail("expected an index sort", expected=tuple(SORTS))
+    def expr(self, base: type):
+        """One term, type or index expression (`base`), as a generator for
+        `_run`.  Operands go on `args` with their first token, operators
+        and binders on `ops` with their precedence; an operator pops the
+        entries that bind at least as tightly as it, and the end pops all."""
+        infix, binders = _SYNTAX[base]
+        operand = self.OPERAND[base]
+        args: list[tuple[Node, Token]] = []
+        ops: list[tuple] = []
+        full = True  # whether this operand slot has level 0
+        while True:
+            tok = self.tokens[self.pos]
+            binder = full and binders.get(tok.kind)
+            if binder:
+                cls, header = binder
+                self.pos += 1
+                values = []
+                for word in header:
+                    if word == "{decl}":
+                        values.append((yield self.decl()))
+                    elif word == "{sort}":
+                        values.append(self.sort())
+                    elif word == "{var}":
+                        values.append(self.expect("ident").text)
+                    else:
+                        self.expect(word)
+                if cls is Lam:
+                    self.bound[values[0]] = self.bound.get(values[0], 0) + 1
+                ops.append((-1, cls, values, tok))  # only the end pops it
+                continue
+            x = operand(self, tok)
+            if type(x) is GeneratorType:
+                x = yield x
+            args.append((x, tok))
+            kind = self.tokens[self.pos].kind
+            entry = infix.get(kind)
+            if entry is None and (None not in infix or kind not in _ARGUMENT):
+                break
+            cls, prec, right = entry or infix[None]
+            if ops and ops[-1][0] >= prec + right:
+                self.reduce(args, ops, prec + right)
+            if entry:
+                self.pos += 1
+            ops.append((prec, cls, None, None))
+            full = prec + (not right) == 0  # the level of the right operand
+        self.reduce(args, ops, -1)
+        return args[0][0]
 
-    def index(self) -> IndexExpr:
-        start = self.peek()
-        expr = self.index_term()
-        while self.at("+") or self.at("-"):
-            op = self.advance().kind
-            rhs = self.index_term()
-            cls = IAdd if op == "+" else ISub
-            expr = cls(expr, rhs, span=self.span_from(start))
-        return expr
+    def reduce(self, args: list, ops: list, level: int) -> None:
+        """Pop the entries of `ops` of precedence `level` or more, building
+        their nodes, which end at the token before the current one."""
+        last = self.tokens[self.pos - 1]
+        while ops and ops[-1][0] >= level:
+            _, cls, values, start = ops.pop()
+            x = args.pop()[0]
+            if values is None:
+                lhs, start = args.pop()
+                values = (lhs,)
+            elif cls is Lam:
+                self.bound[values[0]] -= 1
+            span = Span(start.file, start.line, start.col, last.line, last.end_col)
+            args.append((cls(*values, x, span=span), start))
 
-    def index_term(self) -> IndexExpr:
-        start = self.peek()
-        factors = [self.index_factor()]
-        while self.at("*"):
-            self.advance()
-            factors.append(self.index_factor())
-        literals = [f for f in factors if isinstance(f, ILit)]
+    def term_operand(self, tok: Token):
+        kind = tok.kind
+        if kind == "ident":
+            self.pos += 1
+            if tok.text in self.prims and not self.bound.get(tok.text):
+                return Prim(tok.text, span=tok.span)
+            return Var(tok.text, span=tok.span)
+        if kind == "(":
+            self.pos += 1
+            return self.paren(tok)
+        raise self.fail("expected a term")
+
+    def type_operand(self, tok: Token):
+        kind = tok.kind
+        if kind == "unit":
+            self.pos += 1
+            return TUnit(span=tok.span)
+        if kind == "ident":
+            self.pos += 1
+            if self.accept("("):
+                return self.group(IndexExpr, tok)
+            return TAtom(tok.text, span=tok.span)
+        if kind == "(":
+            self.pos += 1
+            return self.group(Type)
+        raise self.fail("expected a type")
+
+    # -- bracketed forms, run by `_run` ----------------------------------------
+
+    def group(self, base: type, con: Optional[Token] = None):
+        """`(` expression `)` with its `(` read, or `con(index)`."""
+        x = yield self.expr(base)
+        self.expect(")")
+        return x if con is None else TCon(con.text, x, span=self.span_from(con))
+
+    def paren(self, start: Token):
+        """`(` term `)`, `(` term `:` type `)` or `(` term `::` `[` ctyps `]`
+        `)`, or `()`, with its `(` read."""
+        if self.accept(")"):
+            return Unit(span=self.span_from(start))
+        body = yield self.expr(Term)
+        if self.accept(":"):
+            ty = yield self.expr(Type)
+            self.expect(")")
+            return Anno(body, ty, span=self.span_from(start))
+        if self.accept("::"):
+            self.expect("[")
+            typings = []
+            while not typings or self.accept(";"):
+                first = self.tokens[self.pos]
+                entries = []
+                if not self.at("|-"):
+                    entries.append((yield self.decl()))
+                    while self.accept(","):
+                        entries.append((yield self.decl()))
+                self.expect("|-")
+                goal = yield self.expr(Type)
+                typings.append(
+                    CtxTyping(tuple(entries), goal, span=self.span_from(first))
+                )
+            self.expect("]")
+            self.expect(")")
+            return CtxAnno(body, tuple(typings), span=self.span_from(start))
+        self.expect(")")
+        return body
+
+    def decl(self):
+        start = self.expect("ident")
+        self.expect(":")
+        if self.tokens[self.pos].kind in SORTS:
+            return IdxDecl(start.text, self.sort(), span=self.span_from(start))
+        ty = yield self.expr(Type)
+        return VarDecl(start.text, ty, span=self.span_from(start))
+
+    def product(self, start: Token):
+        """iterm: linear, so at most one of its factors is not a literal."""
+        factors = []
+        while True:
+            signs = []
+            while self.at("-"):
+                signs.append(self.advance())
+            tok = self.tokens[self.pos]
+            if tok.kind == "num":
+                self.advance()
+                factor = ILit(int(tok.text), span=tok.span)
+            elif tok.kind == "ident":
+                self.advance()
+                factor = IVar(tok.text, span=tok.span)
+            elif tok.kind == "(":
+                self.advance()
+                factor = yield self.expr(IndexExpr)
+                self.expect(")")
+            else:
+                raise self.fail("expected an index expression")
+            for sign in reversed(signs):
+                if isinstance(factor, ILit):
+                    factor = ILit(-factor.value, span=sign.span)
+                elif isinstance(factor, IMul):
+                    factor = IMul(-factor.coeff, factor.factor, span=sign.span)
+                else:
+                    factor = IMul(-1, factor, span=sign.span)
+            factors.append(factor)
+            if not self.accept("*"):
+                break
         others = [f for f in factors if not isinstance(f, ILit)]
         if len(others) > 1:
             raise ParseError(
@@ -255,215 +449,38 @@ class _Parser:
                 "per product",
                 self.span_from(start),
             )
-        coeff = 1
-        for lit in literals:
-            coeff *= lit.value
+        coeff = prod(f.value for f in factors if isinstance(f, ILit))
         if not others:
             return ILit(coeff, span=self.span_from(start))
         if coeff == 1 and len(factors) == 1:
             return others[0]
         return IMul(coeff, others[0], span=self.span_from(start))
 
-    def index_factor(self) -> IndexExpr:
-        tok = self.peek()
-        if tok.kind == "int":
+    def sort(self) -> IndexSort:
+        tok = self.tokens[self.pos]
+        if tok.kind in SORTS:
             self.advance()
-            return ILit(int(tok.text), span=tok.span)
-        if tok.kind == "ident":
-            self.advance()
-            return IVar(tok.text, span=tok.span)
-        if tok.kind == "(":
-            self.advance()
-            expr = self.index()
-            self.expect(")")
-            return expr
-        if tok.kind == "-":
-            self.advance()
-            inner = self.index_factor()
-            if isinstance(inner, ILit):
-                return ILit(-inner.value, span=tok.span)
-            if isinstance(inner, IMul):
-                return IMul(-inner.coeff, inner.factor, span=tok.span)
-            return IMul(-1, inner, span=tok.span)
-        raise self.fail("expected an index expression")
-
-    # -- types ---------------------------------------------------------------
-
-    def type_(self) -> Type:
-        start = self.peek()
-        if self.at("Pi"):
-            self.advance()
-            name = self.expect("ident").text
-            self.expect(":")
-            sort = self.sort()
-            self.expect(".")
-            body = self.type_()
-            return TPi(name, sort, body, span=self.span_from(start))
-        lhs = self.sect_type()
-        if self.at("->"):
-            self.advance()
-            rhs = self.type_()
-            return TArrow(lhs, rhs, span=self.span_from(start))
-        return lhs
-
-    def sect_type(self) -> Type:
-        start = self.peek()
-        lhs = self.type_atom()
-        if self.at("/\\"):
-            self.advance()
-            rhs = self.sect_type()
-            return TSect(lhs, rhs, span=self.span_from(start))
-        return lhs
-
-    def type_atom(self) -> Type:
-        tok = self.peek()
-        if tok.kind == "unit":
-            self.advance()
-            return TUnit(span=tok.span)
-        if tok.kind == "ident":
-            self.advance()
-            if self.at("("):
-                self.advance()
-                idx = self.index()
-                self.expect(")")
-                return TCon(tok.text, idx, span=self.span_from(tok))
-            return TAtom(tok.text, span=tok.span)
-        if tok.kind == "(":
-            self.advance()
-            ty = self.type_()
-            self.expect(")")
-            return ty
-        raise self.fail("expected a type")
-
-    # -- declarations --------------------------------------------------------
-
-    def decl(self) -> Decl:
-        start = self.expect("ident")
-        self.expect(":")
-        if self.peek().kind in SORTS:
-            sort = self.sort()
-            return IdxDecl(start.text, sort, span=self.span_from(start))
-        ty = self.type_()
-        return VarDecl(start.text, ty, span=self.span_from(start))
-
-    # -- terms ---------------------------------------------------------------
-
-    def term(self) -> Term:
-        start = self.peek()
-        if self.at("fn"):
-            self.advance()
-            name = self.expect("ident").text
-            self.expect("=>")
-            body = self.term()
-            return Lam(name, body, span=self.span_from(start))
-        if self.at("where"):
-            self.advance()
-            d = self.decl()
-            self.expect("do")
-            body = self.term()
-            return Guard(d, body, span=self.span_from(start))
-        if self.at("some"):
-            self.advance()
-            name = self.expect("ident").text
-            self.expect(":")
-            sort = self.sort()
-            self.expect("in")
-            body = self.term()
-            return Some(name, sort, body, span=self.span_from(start))
-        if self.at("idxfn"):
-            self.advance()
-            name = self.expect("ident").text
-            self.expect(":")
-            sort = self.sort()
-            self.expect("=>")
-            body = self.term()
-            return IdxLam(name, sort, body, span=self.span_from(start))
-        return self.merge_term()
-
-    def merge_term(self) -> Term:
-        start = self.peek()
-        lhs = self.app_term()
-        if self.at(",,"):
-            self.advance()
-            rhs = self.term()
-            return Merge(lhs, rhs, span=self.span_from(start))
-        return lhs
-
-    def app_term(self) -> Term:
-        start = self.peek()
-        expr = self.atom_term()
-        while self.peek().kind in ("(", "ident"):
-            arg = self.atom_term()
-            expr = App(expr, arg, span=self.span_from(start))
-        return expr
-
-    def atom_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return Var(tok.text, span=tok.span)
-        if tok.kind == "(":
-            self.advance()
-            if self.at(")"):
-                self.advance()
-                return Unit(span=self.span_from(tok))
-            body = self.term()
-            if self.at(":"):
-                self.advance()
-                ty = self.type_()
-                self.expect(")")
-                return Anno(body, ty, span=self.span_from(tok))
-            if self.at("::"):
-                self.advance()
-                self.expect("[")
-                typings = [self.ctx_typing()]
-                while self.at(";"):
-                    self.advance()
-                    typings.append(self.ctx_typing())
-                self.expect("]")
-                self.expect(")")
-                return CtxAnno(body, tuple(typings), span=self.span_from(tok))
-            self.expect(")")
-            return body
-        raise self.fail("expected a term")
-
-    def ctx_typing(self) -> CtxTyping:
-        start = self.peek()
-        entries: list[Decl] = []
-        if not self.at("|-"):
-            entries.append(self.decl())
-            while self.at(","):
-                self.advance()
-                entries.append(self.decl())
-        self.expect("|-")
-        goal = self.type_()
-        return CtxTyping(tuple(entries), goal, span=self.span_from(start))
+            return SORTS[tok.kind]
+        raise self.fail("expected an index sort")
 
     # -- programs ------------------------------------------------------------
 
-    def program(self, path: str) -> Program:
+    def program(self, path: str):
         sig = Signature()
-        while True:
-            if self.at("datasort"):
-                self.advance()
-                name = self.expect("ident").text
+        while self.tokens[self.pos].kind in ("datasort", "indexcon", "prim"):
+            kind = self.advance().kind
+            name = self.expect("ident").text
+            if kind == "datasort":
                 parent = None
-                if self.at("<:"):
-                    self.advance()
+                if self.accept("<:"):
                     parent = self.expect("ident").text
                 sig.declare_atom(name, parent)
-            elif self.at("indexcon"):
-                self.advance()
-                name = self.expect("ident").text
+            elif kind == "indexcon":
                 self.expect("::")
                 sig.declare_con(name, self.sort())
-            elif self.at("prim"):
-                self.advance()
-                name = self.expect("ident").text
-                self.expect(":")
-                sig.declare_prim(name, self.type_())
             else:
-                break
+                self.expect(":")
+                sig.declare_prim(name, (yield self.expr(Type)))
         self.expect("val")
         name_tok = self.expect("ident")
         if name_tok.text != "main":
@@ -471,57 +488,41 @@ class _Parser:
                 f"expected 'main', found {name_tok.text!r}", name_tok.span
             )
         goal = None
-        if self.at(":"):
-            self.advance()
-            goal = self.type_()
+        if self.accept(":"):
+            goal = yield self.expr(Type)
         self.expect("=")
-        main = self.term()
+        self.prims = frozenset(sig.prims)
+        main = yield self.expr(Term)
         self.expect("eof")
-        main = resolve_prims(main, frozenset(sig.prims))
         return Program(sig, main, goal, path=path)
 
-
-def resolve_prims(e: Term, prims: frozenset[str]) -> Term:
-    """Rewrite free variables naming declared primitives into Prim nodes."""
-    return rewrite(e, _resolve_hook, (prims, frozenset()))
-
-
-def _resolve_hook(e, state):
-    prims, bound = state
-    if type(e) is Var:
-        if e.name in prims and e.name not in bound:
-            return Prim(e.name, span=e.span)
-        return e
-    if type(e) is Lam:
-        return prims, bound | {e.var}
-    return state if isinstance(e, Term) else e
+    OPERAND = {Term: term_operand, Type: type_operand, IndexExpr: product}
 
 
 def parse_program(text: str, path: str = "<string>") -> Program:
-    return _Parser(tokenize(text, path)).program(path)
+    return _run(_Parser(tokenize(text, path)).program(path))
+
+
+def _parse(base: type, text: str, path: str, prims: frozenset[str] = frozenset()):
+    parser = _Parser(tokenize(text, path), prims)
+    x = _run(parser.expr(base))
+    parser.expect("eof")
+    return x
 
 
 def parse_type(text: str, path: str = "<string>") -> Type:
-    parser = _Parser(tokenize(text, path))
-    ty = parser.type_()
-    parser.expect("eof")
-    return ty
+    return _parse(Type, text, path)
 
 
 def parse_term(
     text: str, path: str = "<string>", prims: frozenset[str] = frozenset()
 ) -> Term:
-    parser = _Parser(tokenize(text, path))
-    e = parser.term()
-    parser.expect("eof")
-    return resolve_prims(e, prims)
+    """A term; free occurrences of the names in `prims` are primitives."""
+    return _parse(Term, text, path, prims)
 
 
 def parse_index(text: str, path: str = "<string>") -> IndexExpr:
-    parser = _Parser(tokenize(text, path))
-    i = parser.index()
-    parser.expect("eof")
-    return i
+    return _parse(IndexExpr, text, path)
 
 
 # ---------------------------------------------------------------------------
@@ -529,111 +530,84 @@ def parse_index(text: str, path: str = "<string>") -> IndexExpr:
 # types; derivations print as an indented rule tree.
 
 
+def _layouts() -> dict[type, tuple[Optional[int], tuple]]:
+    """Each form's precedence (None: it needs no parentheses) and parts:
+    text, formatted with its fields, and (field, level) slots."""
+    out = {
+        **dict.fromkeys((Var, Prim, IVar, TAtom), (None, ("{name}",))),
+        Unit: (None, ("()",)),
+        TUnit: (None, ("unit",)),
+        ILit: (None, ("{value}",)),
+        IMeta: (None, ("?{uid}",)),
+        IdxDecl: (None, ("{name} : {sort}",)),
+        VarDecl: (None, ("{name} : ", ("ty", 0))),
+        TCon: (None, ("{con}(", ("index", 0), ")")),
+        Anno: (None, ("(", ("body", 0), " : ", ("ty", 0), ")")),
+        IMul: (PRODUCT, ("{coeff}*", ("factor", PRODUCT + 1))),
+    }
+    for cls, (tok, prec, right) in INFIX.items():
+        lhs, rhs = (f.name for f in fields(cls) if f.compare)
+        sep = " " if tok is None else f" {tok} "
+        out[cls] = (prec, ((lhs, prec + right), sep, (rhs, prec + (not right))))
+    for cls, head in PREFIX.items():
+        before, decl, after = (head + " ").partition("{decl}")
+        parts = (before, ("decl", 0), after) if decl else (before,)
+        out[cls] = (0, (*parts, ("body", 0)))
+    return out
+
+
+_LAYOUT = _layouts()
+# The forms with no slot, printed in place of their slot.
+_LEAF = {cls: parts[0] for cls, (_, parts) in _LAYOUT.items() if len(parts) == 1}
+
+
 def pretty(x) -> str:
-    if isinstance(x, Term):
-        return pretty_term(x)
-    if isinstance(x, Type):
-        return pretty_type(x)
-    if isinstance(x, IndexExpr):
-        return pretty_index(x)
-    if isinstance(x, Decl):
-        return pretty_decl(x)
-    if isinstance(x, CtxTyping):
-        return pretty_ctx_typing(x)
-    if hasattr(x, "rule") and hasattr(x, "premises"):
-        return format_derivation(x)
-    raise TypeError(f"pretty: unexpected {x!r}")
+    """The text of a term, type, index expression, declaration, contextual
+    typing or derivation."""
+    if not isinstance(x, Node):
+        if hasattr(x, "rule") and hasattr(x, "premises"):
+            return format_derivation(x)
+        raise TypeError(f"pretty: unexpected {x!r}")
+    out: list[str] = []
+    todo: list = [(x, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        x, level = item
+        cls = type(x)
+        if cls is CtxAnno:
+            prec, parts = None, ["(", (x.body, 0), " :: ["]
+            for k, t in enumerate(x.typings):
+                parts += [" ; ", (t, 0)] if k else [(t, 0)]
+            parts.append("])")
+        elif cls is CtxTyping:
+            prec, parts = None, []
+            for d in x.entries:
+                parts += [(d, 0), ", "]
+            parts[-1:] = [" |- " if parts else "|- ", (x.goal, 0)]
+        elif cls in _LAYOUT:
+            prec, layout = _LAYOUT[cls]
+            values = x.__dict__
+            parts = []
+            for p in layout:
+                if type(p) is str:
+                    parts.append(p.format_map(values))
+                    continue
+                y = values[p[0]]
+                leaf = _LEAF.get(type(y))
+                parts.append(leaf.format_map(y.__dict__) if leaf else (y, p[1]))
+        else:
+            raise TypeError(f"pretty: unexpected {x!r}")
+        if prec is not None and prec < level:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
-def pretty_index(i: IndexExpr, level: int = 0) -> str:
-    match i:
-        case IVar(name):
-            return name
-        case IMeta(uid):
-            return f"?{uid}"
-        case ILit(value):
-            return str(value)
-        case IAdd(l, r):
-            s = f"{pretty_index(l, 0)} + {pretty_index(r, 1)}"
-            return f"({s})" if level > 0 else s
-        case ISub(l, r):
-            s = f"{pretty_index(l, 0)} - {pretty_index(r, 1)}"
-            return f"({s})" if level > 0 else s
-        case IMul(c, f):
-            s = f"{c}*{pretty_index(f, 2)}"
-            return f"({s})" if level > 1 else s
-    raise TypeError(f"pretty_index: unexpected {i!r}")
-
-
-def pretty_type(ty: Type, level: int = 0) -> str:
-    match ty:
-        case TUnit():
-            return "unit"
-        case TAtom(name):
-            return name
-        case TCon(con, idx):
-            return f"{con}({pretty_index(idx)})"
-        case TArrow(a, b):
-            s = f"{pretty_type(a, 1)} -> {pretty_type(b, 0)}"
-            return f"({s})" if level > 0 else s
-        case TSect(l, r):
-            s = f"{pretty_type(l, 2)} /\\ {pretty_type(r, 1)}"
-            return f"({s})" if level > 1 else s
-        case TPi(a, sort, body):
-            s = f"Pi {a} : {sort} . {pretty_type(body, 0)}"
-            return f"({s})" if level > 0 else s
-    raise TypeError(f"pretty_type: unexpected {ty!r}")
-
-
-def pretty_decl(d: Decl) -> str:
-    if isinstance(d, VarDecl):
-        return f"{d.name} : {pretty_type(d.ty)}"
-    return f"{d.name} : {d.sort}"
-
-
-def pretty_ctx_typing(t: CtxTyping) -> str:
-    if t.entries:
-        decls = ", ".join(pretty_decl(d) for d in t.entries)
-        return f"{decls} |- {pretty_type(t.goal)}"
-    return f"|- {pretty_type(t.goal)}"
-
-
-def pretty_term(e: Term, level: int = 0) -> str:
-    match e:
-        case Var(name) | Prim(name):
-            return name
-        case Unit():
-            return "()"
-        case Anno(body, ty):
-            return f"({pretty_term(body, 0)} : {pretty_type(ty)})"
-        case CtxAnno(body, typings):
-            inner = " ; ".join(pretty_ctx_typing(t) for t in typings)
-            return f"({pretty_term(body, 0)} :: [{inner}])"
-        case App(f, a):
-            s = f"{pretty_term(f, 1)} {pretty_term(a, 2)}"
-            return f"({s})" if level > 1 else s
-        case Merge(l, r):
-            s = f"{pretty_term(l, 1)} ,, {pretty_term(r, 0)}"
-            return f"({s})" if level > 0 else s
-        case Lam(x, body):
-            s = f"fn {x} => {pretty_term(body, 0)}"
-            return f"({s})" if level > 0 else s
-        case Guard(d, body):
-            s = f"where {pretty_decl(d)} do {pretty_term(body, 0)}"
-            return f"({s})" if level > 0 else s
-        case Some(a, sort, body):
-            s = f"some {a} : {sort} in {pretty_term(body, 0)}"
-            return f"({s})" if level > 0 else s
-        case IdxLam(a, sort, body):
-            s = f"idxfn {a} : {sort} => {pretty_term(body, 0)}"
-            return f"({s})" if level > 0 else s
-    raise TypeError(f"pretty_term: unexpected {e!r}")
-
-
-def pretty_context(entries) -> str:
-    if not entries:
-        return "."
-    return ", ".join(pretty_decl(d) for d in entries)
+def _context(entries) -> str:
+    return ", ".join(pretty(d) for d in entries) if entries else "."
 
 
 def pretty_program(prog: Program) -> str:
@@ -646,36 +620,30 @@ def pretty_program(prog: Program) -> str:
     for name, sort in prog.sig.cons.items():
         lines.append(f"indexcon {name} :: {sort}")
     for name, ty in prog.sig.prims.items():
-        lines.append(f"prim {name} : {pretty_type(ty)}")
-    goal = f" : {pretty_type(prog.goal)}" if prog.goal is not None else ""
-    lines.append(f"val main{goal} = {pretty_term(prog.main)}")
+        lines.append(f"prim {name} : {pretty(ty)}")
+    goal = f" : {pretty(prog.goal)}" if prog.goal is not None else ""
+    lines.append(f"val main{goal} = {pretty(prog.main)}")
     return "\n".join(lines) + "\n"
 
 
-def format_derivation(d, indent: int = 0) -> str:
+def format_derivation(d) -> str:
     """Indented rule tree for typing, subtyping and contextual-subsumption
-    derivations."""
-    pad = "  " * indent
-    if hasattr(d, "mode"):  # typing node
-        arrow = "<=" if d.mode == "check" else "=>"
-        ty = pretty_type(d.ty) if d.ty is not None else "-"
-        head = (
-            f"{pad}[{d.rule}] {pretty_context(d.ctx_entries)} |- "
-            f"{pretty_term(d.term)} {arrow} {ty}"
-        )
-    elif hasattr(d, "inner"):  # contextual subsumption node
-        head = (
-            f"{pad}[<~ {d.rule}] ({pretty_ctx_typing(d.inner)}) <~ "
-            f"({pretty_context(d.ctx_entries)} |- {pretty_type(d.goal)})"
-        )
-    else:  # subtyping node
-        head = (
-            f"{pad}[{d.rule}] {pretty_context(d.ctx_entries)} |- "
-            f"{pretty_type(d.lhs)} <= {pretty_type(d.rhs)}"
-        )
-    if getattr(d, "witness", None) is not None:
-        head += f"   with {pretty_index(d.witness)}"
-    lines = [head]
-    for p in d.premises:
-        lines.append(format_derivation(p, indent + 1))
+    derivations, in preorder."""
+    lines: list[str] = []
+    todo = [(d, 0)]
+    while todo:
+        d, depth = todo.pop()
+        ctx = _context(d.ctx_entries)
+        if hasattr(d, "mode"):  # typing node
+            arrow = "<=" if d.mode == "check" else "=>"
+            ty = pretty(d.ty) if d.ty is not None else "-"
+            head = f"[{d.rule}] {ctx} |- {pretty(d.term)} {arrow} {ty}"
+        elif hasattr(d, "inner"):  # contextual subsumption node
+            head = f"[<~ {d.rule}] ({pretty(d.inner)}) <~ ({ctx} |- {pretty(d.goal)})"
+        else:  # subtyping node
+            head = f"[{d.rule}] {ctx} |- {pretty(d.lhs)} <= {pretty(d.rhs)}"
+        if getattr(d, "witness", None) is not None:
+            head += f"   with {pretty(d.witness)}"
+        lines.append("  " * depth + head)
+        todo.extend((p, depth + 1) for p in reversed(d.premises))
     return "\n".join(lines)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .indices import UnboundIndexVariable, entails, sort_of
-from .parser import pretty_term
+from .parser import pretty
 from .syntax import (
     _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, CtxTyping, Decl,
     Guard, IVar, IdxDecl, IdxLam, IndexExpr, Lam, Merge, MetaStore, Prim,
@@ -133,7 +133,7 @@ def _replay(sig: Signature, d, seen: set) -> None:
                 _replay(sig, p, seen)
         msg = check(sig, d)
     if msg is not None:
-        where = f": {pretty_term(d.term)}" if type(d) is TypingDerivation else ""
+        where = f": {pretty(d.term)}" if type(d) is TypingDerivation else ""
         raise VerifyError(f"[{d.rule}] {msg}{where}")
 
 

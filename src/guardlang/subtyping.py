@@ -288,7 +288,9 @@ class _Search:
         return SubDerivation("pi-r", ctx.entries, a, b, (p,))
 
     def _pi_l(self, ctx, a: TPi, b):
-        m, inst = instantiate(self.store, ctx.index_vars(), a.var, a.sort, a.body)
+        m, inst = instantiate(
+            self.store, ctx.index_vars(), a.var, a.sort, a.body, a.span
+        )
         p = self.sub(ctx, inst, b)
         if isinstance(p, Fail):
             return Fail("left Pi instantiation", None, (p,))

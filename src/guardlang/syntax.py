@@ -401,13 +401,13 @@ class Program:
 # Metavariable store
 
 
+@dataclass(slots=True)
 class MetaInfo:
-    __slots__ = ("sort", "scope", "solution")
-
-    def __init__(self, sort: IndexSort, scope: frozenset[str]) -> None:
-        self.sort = sort
-        self.scope = scope
-        self.solution: Optional[IndexExpr] = None
+    sort: IndexSort
+    scope: frozenset[str]
+    name: str  # the bound variable it stands for
+    origin: Optional[Span]  # the syntax that instantiated it
+    solution: Optional[IndexExpr] = None
 
 
 class MetaStore:
@@ -424,11 +424,29 @@ class MetaStore:
         self._next = 1
         self.stamp = 0
 
-    def fresh(self, sort: IndexSort, scope: frozenset[str]) -> IMeta:
+    def fresh(
+        self,
+        sort: IndexSort,
+        scope: frozenset[str],
+        var: Optional[str] = None,
+        origin: Optional[Span] = None,
+    ) -> IMeta:
         uid = self._next
         self._next += 1
-        self._info[uid] = MetaInfo(sort, scope)
+        self._info[uid] = MetaInfo(sort, scope, var or f"?{uid}", origin)
         return IMeta(uid)
+
+    def describe(self, uids) -> str:
+        """The metavariables `uids`, each named by its variable and origin,
+        once per pair and in source order: so the text does not depend on
+        how many times a search instantiated the same binder."""
+        named = {(self._info[u].name, self._info[u].origin) for u in uids}
+        return ", ".join(
+            f"{name} at {o}" if o else name
+            for name, o in sorted(named, key=lambda p: (
+                p[1] is None, p[1] and (p[1].start_line, p[1].start_col), p[0]
+            ))
+        )
 
     def __contains__(self, uid: int) -> bool:
         return uid in self._info
@@ -739,13 +757,19 @@ def subst(repl: Union[Term, IndexExpr], var: str, x: Syntax) -> Syntax:
 
 
 def instantiate(
-    store: MetaStore, scope: frozenset[str], var: str, sort: IndexSort, body: Syntax
+    store: MetaStore,
+    scope: frozenset[str],
+    var: str,
+    sort: IndexSort,
+    body: Syntax,
+    origin: Optional[Span] = None,
 ) -> tuple[IMeta, Syntax]:
     """A fresh metavariable of `sort` and `scope`, and body (a Pi body, a
     term or a telescope) with it for the index variable `var`.  Its solution
     may name any variable of `scope` and is zonked in without renaming, so
-    every binder of body named in `scope` is renamed here."""
-    m = store.fresh(sort, scope)
+    every binder of body named in `scope` is renamed here.  The metavariable
+    records `var` and `origin`, the span of the instantiating syntax."""
+    m = store.fresh(sort, scope, var, origin)
     return m, rewrite(body, _subst_hook, (m, var, INDEX, scope))
 
 

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .indices import UnboundIndexVariable, sort_of
-from .parser import pretty_term  # for the benchmark's tracer, which wraps it here
+from .parser import pretty as pretty_term  # the benchmark's tracer wraps this name
 from .replay import TypingDerivation, verify_typing  # the replay, for its callers
 from .subtyping import DepthExceeded, Exhausted, Fail, Stats, subtype
 from .syntax import (
@@ -193,7 +193,7 @@ class Checker:
         if leftover:
             return Fail(
                 "derivation left index metavariables unresolved: "
-                + ", ".join(f"?{u}" for u in sorted(leftover)),
+                + self.metas.describe(leftover),
                 e.span,
             )
         return zonked
@@ -413,7 +413,9 @@ class Checker:
         return TypingDerivation("unit-i", "check", ctx.entries, e, ty)
 
     def _chk_some(self, ctx, e: Some, ty):
-        m, body = instantiate(self.metas, ctx.index_vars(), e.var, e.sort, e.body)
+        m, body = instantiate(
+            self.metas, ctx.index_vars(), e.var, e.sort, e.body, e.span
+        )
         d = self._check(ctx, body, ty)
         if isinstance(d, Fail):
             return Fail(f"under `some {e.var}`", e.span, (d,))
@@ -568,7 +570,9 @@ class Checker:
                     self.metas.undo(mark)
                     self.stats.backtracks += 1
             case Some(var, sort, body):
-                m, inner = instantiate(self.metas, ctx.index_vars(), var, sort, body)
+                m, inner = instantiate(
+                    self.metas, ctx.index_vars(), var, sort, body, e.span
+                )
                 mark = self.metas.mark()
                 produced_unsolved = False
                 for ty, d in self._synth(ctx, inner, fails):
@@ -684,7 +688,9 @@ class Checker:
                 yield from self._elim_arrow(ctx, side, node, fails)
             return
         if isinstance(ty, TPi):
-            m, inst = instantiate(self.metas, ctx.index_vars(), ty.var, ty.sort, ty.body)
+            m, inst = instantiate(
+                self.metas, ctx.index_vars(), ty.var, ty.sort, ty.body, d.term.span
+            )
             node = TypingDerivation(
                 "pi-e", "synth", ctx.entries, d.term, inst, (d,), witness=m
             )

@@ -25,7 +25,7 @@ from helpers import (
 from guardlang.ctxanno import verify_encoding
 from guardlang.indices import entails, normalize
 from guardlang.interp import Stepped, erase, evaluate, step, step_all
-from guardlang.parser import parse_index, parse_program, pretty_type
+from guardlang.parser import parse_index, parse_program, pretty
 from guardlang.subtyping import Fail, subtype
 from guardlang.syntax import (
     Context,
@@ -187,7 +187,7 @@ def test_criterion_5_subtyping_lattice_laws():
         else:
             b = gen_type(rng, depth=4)
             c = gen_type(rng, depth=4)
-        assert ok(subtype(ctx, a, a)), pretty_type(a)
+        assert ok(subtype(ctx, a, a)), pretty(a)
         meet = TSect(a, b)
         assert ok(subtype(ctx, meet, a))
         assert ok(subtype(ctx, meet, b))
@@ -200,9 +200,9 @@ def test_criterion_5_subtyping_lattice_laws():
         ):
             checked_trans += 1
             assert ok(subtype(ctx, a, c)), (
-                pretty_type(a),
-                pretty_type(b),
-                pretty_type(c),
+                pretty(a),
+                pretty(b),
+                pretty(c),
             )
     assert checked_trans >= 100
     print(
@@ -319,7 +319,7 @@ def test_criterion_8_annotation_freedom():
                 name,
                 "anno",
                 info.path,
-                pretty_type(info.ty),
+                pretty(info.ty),
             )
             wrapped += 1
             doubled = duplicate_with_merge(prog, info)

@@ -63,6 +63,18 @@ class TestCheck:
         assert code == 2
         assert err == "error: sup.gl:2:15: unexpected character '²'\n"
 
+    def test_keyword_int_as_an_index_exit_two(self, tmp_path, capsys, monkeypatch):
+        # The keyword `int` is not a numeral: no ValueError traceback.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kw.gl").write_text(
+            "indexcon list :: int\nprim p : list(int)\nval main = p\n"
+        )
+        code, out, err = run_cli(capsys, "check", "kw.gl")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: kw.gl:2:15: expected an index expression, found 'int'\n"
+        )
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--json", program_path("parity.gl")
@@ -456,27 +468,45 @@ def _snoc_source(n: int) -> str:
     )
 
 
-DEEP_SOURCES = {
-    "parens": "datasort bits\nprim b : bits\nval main = "
-    + "(" * 3000
-    + "b"
-    + ")" * 3000
-    + "\n",
-    "snoc": _snoc_source(400),
-}
+DEEP_SOURCES = {"snoc": _snoc_source(2000)}
+DEEP_PARENS = (
+    "datasort bits\nprim b : bits\nval main = " + "(" * 3000 + "b" + ")" * 3000 + "\n"
+)
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_SOURCES))
 @pytest.mark.parametrize(
     "command",
-    [("check",), ("check", "--max-depth", "1000000"), ("eval",), ("desugar",)],
-    ids=["check", "check-max-depth", "eval", "desugar"],
+    [("check", "--max-depth", "1000000"), ("eval", "--unsafe-eval"), ("desugar",)],
+    ids=["check-max-depth", "eval", "desugar"],
 )
 def test_deep_input_exits_four(tmp_path, capsys, monkeypatch, shape, command):
-    # No traceback and no type-error verdict: exit 4 means no verdict.
+    # No traceback and no type-error verdict: exit 4 means no verdict.  The
+    # parser reads any depth; the checker, `erase` and `encode` still recurse.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "deep.gl").write_text(DEEP_SOURCES[shape])
     code, out, err = run_cli(capsys, *command, "deep.gl")
     assert code == 4
     assert out == ""
     assert err == "error: deep.gl: input nests too deeply for this checker\n"
+
+
+def test_deep_snoc_runs_out_of_the_default_budget(tmp_path, capsys):
+    src = tmp_path / "deep.gl"
+    src.write_text(DEEP_SOURCES["snoc"])
+    code, out, err = run_cli(capsys, "check", str(src))
+    assert (code, out) == (1, "rejected\n")
+    assert "typing search exceeded 512 rule applications" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("check",), ("check", "--max-depth", "1000000"), ("eval",), ("desugar",)],
+    ids=["check", "check-max-depth", "eval", "desugar"],
+)
+def test_deep_parens_are_accepted(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.gl").write_text(DEEP_PARENS)
+    code, out, err = run_cli(capsys, *command, "deep.gl")
+    assert (code, err) == (0, "")
+    assert "b" in out

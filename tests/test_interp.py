@@ -15,7 +15,7 @@ from guardlang.interp import (
     step,
     step_all,
 )
-from guardlang.parser import parse_term, pretty_term
+from guardlang.parser import parse_term, pretty
 from guardlang.syntax import (
     Anno,
     App,
@@ -237,7 +237,7 @@ class TestCorpusProperties:
         for name in ERASABLE:
             prog = load_program(program_path(name))
             values = step_all(prog.main)
-            assert len(values) == 1, (name, [pretty_term(v) for v in values])
+            assert len(values) == 1, (name, [pretty(v) for v in values])
 
     def test_annotation_drop_steps_preserve_checking(self):
         for name in ERASABLE:
@@ -261,4 +261,4 @@ class TestCorpusProperties:
                 report = typecheck_program(
                     Program(prog.sig, cur, prog.goal)
                 )
-                assert report.accepted, (name, res.rule, pretty_term(cur))
+                assert report.accepted, (name, res.rule, pretty(cur))

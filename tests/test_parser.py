@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,7 @@ from guardlang.syntax import (
     Var,
     VarDecl,
     alpha_eq,
+    subterms,
 )
 
 PARITY_TEXT = (
@@ -216,7 +219,79 @@ class TestRobustness:
         ty = parse_type("list(٣)")  # ARABIC-INDIC DIGIT THREE
         assert isinstance(ty, TCon) and ty.index.value == 3
 
+    def test_keyword_int_is_not_an_index(self):
+        text = "indexcon list :: int\nprim p : list(int)\nval main = p\n"
+        with pytest.raises(ParseError) as info:
+            parse_program(text, "kw.gl")
+        assert info.value.message == "expected an index expression, found 'int'"
+        assert str(info.value.span) == "kw.gl:2:15"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "val main : Pi a : 7 . unit = idxfn b : 42 => ()",
+                "expected an index sort, found '7'",
+            ),
+            ("indexcon list :: 5\nval main = ()", "expected an index sort, found '5'"),
+            ("val main = some a : 3 in ()", "expected an index sort, found '3'"),
+            ("val main = where x : 7 do ()", "expected a type, found '7'"),
+        ],
+    )
+    def test_numeral_is_not_a_sort(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_program(text)
+        assert info.value.message == message
+
     def test_superscript_digit_continues_an_identifier(self):
         term = parse_term("fn x² => x²")
         assert isinstance(term, Lam) and term.var == "x²"
         assert term.body == Var("x²")
+
+
+DEPTH = 10_000
+SNOC_HEADER = (
+    "datasort odd <: bits\ndatasort even <: bits\n"
+    "prim snoc1 : (odd -> even) /\\ (even -> odd)\nprim b1 : odd\n"
+)
+# Each deep program and its printed form.
+DEEP = {
+    "snoc": (
+        SNOC_HEADER + "val main : odd =\n  " + "snoc1 (" * DEPTH + "b1" + ")" * DEPTH,
+        f"datasort bits\n{SNOC_HEADER}val main : odd = "
+        + "snoc1 (" * (DEPTH - 1) + "snoc1 b1" + ")" * (DEPTH - 1),
+    ),
+    "fn": ("val main = " + "fn x => " * DEPTH + "x",) * 2,
+    "parens": (
+        "datasort bits\nprim b : bits\nval main = " + "(" * DEPTH + "b" + ")" * DEPTH,
+        "datasort bits\nprim b : bits\nval main = b",
+    ),
+    "arrows": ("val main : " + "unit -> " * DEPTH + "unit = ()",) * 2,
+}
+
+
+def _frames() -> int:
+    n, frame = 0, sys._getframe()
+    while frame is not None:
+        n, frame = n + 1, frame.f_back
+    return n
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_deep_input_parses_prints_and_reparses(shape):
+    # Neither the parser nor the printer takes a Python frame per level.
+    # Compared by text: `==` on nodes still recurses.
+    source, printed = DEEP[shape]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 100)
+    try:
+        prog = parse_program(source)
+        text = pretty_program(prog)
+        again = pretty_program(parse_program(text))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == printed + "\n"
+    assert again == text
+    apps = [e for e in subterms(prog.main) if type(e) is App]
+    assert len(apps) == (DEPTH if shape == "snoc" else 0)
+    assert all(type(e.fn) is Prim for e in apps)

@@ -6,7 +6,7 @@ from helpers import (
     lattice_closure,
     weaken,
 )
-from guardlang.parser import parse_type, pretty_type
+from guardlang.parser import parse_type, pretty
 from guardlang.replay import verify_typing
 from guardlang.subtyping import Fail, Stats, subtype
 from guardlang.syntax import (
@@ -74,7 +74,7 @@ class TestExamples:
         a = parse_type("odd")
         deep = a
         for _ in range(60):
-            deep = parse_type(f"({pretty_type(deep)}) /\\ odd")
+            deep = parse_type(f"({pretty(deep)}) /\\ odd")
         res = subtype(Context(isig), deep, parse_type("even"), max_depth=20)
         assert isinstance(res, Fail)
         assert "exceeded" in res.reason
@@ -107,9 +107,9 @@ class TestLatticeLaws:
                 b = gen_type(rng, depth=3)
                 c = gen_type(rng, depth=3)
             # Reflexivity
-            assert ok(subtype(ctx, a, a)), pretty_type(a)
+            assert ok(subtype(ctx, a, a)), pretty(a)
             # Meet laws
-            meet = parse_type(f"({pretty_type(a)}) /\\ ({pretty_type(b)})")
+            meet = parse_type(f"({pretty(a)}) /\\ ({pretty(b)})")
             assert ok(subtype(ctx, meet, a))
             assert ok(subtype(ctx, meet, b))
             # Greatest lower bound
@@ -124,8 +124,8 @@ class TestLatticeLaws:
                 holds = ok(subtype(ctx, a, c))
                 if pi_free:
                     assert holds, (
-                        f"transitivity: {pretty_type(a)} <= {pretty_type(b)}"
-                        f" <= {pretty_type(c)}"
+                        f"transitivity: {pretty(a)} <= {pretty(b)}"
+                        f" <= {pretty(c)}"
                     )
                 elif not holds:
                     pi_trans_failures += 1
@@ -168,7 +168,7 @@ class TestDerivationReplay:
             b = gen_type(rng, depth=2, allow_pi=False)
             got = ok(subtype(Context(isig), a, b))
             want = brute_subtype(isig, a, b, depth=6)
-            assert got == want, f"{pretty_type(a)} <= {pretty_type(b)}"
+            assert got == want, f"{pretty(a)} <= {pretty(b)}"
             agreements += 1
         assert agreements == 200
 

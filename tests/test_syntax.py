@@ -15,14 +15,7 @@ import strategies
 from helpers import oracle_subst_type
 from guardlang.ctxanno import encode
 from guardlang.interp import erase
-from guardlang.parser import (
-    parse_term,
-    parse_type,
-    pretty_decl,
-    pretty_term,
-    pretty_type,
-    resolve_prims,
-)
+from guardlang.parser import parse_term, parse_type, pretty
 from guardlang.syntax import (
     BINDERS,
     INDEX,
@@ -482,9 +475,6 @@ TRAVERSALS = {
     "alpha_eq": lambda: alpha_eq(_chain(DEEP, Var("x")), _chain(DEEP, Var("x"))),
     "erase": lambda: erase(_chain(DEEP, Var("x"))),
     "encode": lambda: encode(_chain(DEEP, Var("x"))),
-    "resolve_prims": lambda: resolve_prims(
-        _chain(DEEP, Var("f")), frozenset({"f"})
-    ),
 }
 
 
@@ -543,10 +533,10 @@ def test_every_syntax_form_is_traversed(cls):
 def _reparsed(x, prefix):
     if isinstance(x, Term):
         prims = frozenset(y.name for y in subterms(x) if type(y) is Prim)
-        return parse_term(prefix + pretty_term(x), prims=prims)
+        return parse_term(prefix + pretty(x), prims=prims)
     if isinstance(x, Type):
-        return parse_type(prefix + pretty_type(x))
-    return parse_term(f"{prefix}where {pretty_decl(x)} do ()").decl
+        return parse_type(prefix + pretty(x))
+    return parse_term(f"{prefix}where {pretty(x)} do ()").decl
 
 
 SYNTAX = st.one_of(strategies.terms(), strategies.types(), strategies.decls())

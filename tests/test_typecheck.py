@@ -518,9 +518,28 @@ class TestMemoEquivalence:
         self._agree(prog, "reject")
         report = typecheck_program(prog)
         assert [d.message for d in report.diagnostics] == [
-            "derivation left index metavariables unresolved: ?1, ?2"
+            "derivation left index metavariables unresolved: "
+            "c at <string>:3:3, c at <string>:3:6"
         ]
         assert report.stats.synth_memo_hits == 0
+
+    def test_unresolved_metavariables_read_the_same_without_the_memo(self):
+        # Without the memo the search instantiates each `k` more than once;
+        # the leftovers are named by binder and instantiation site, not uid.
+        prog = parse_program(
+            "prim k : Pi c : int . unit -> unit\n"
+            "val main : unit /\\ unit = k (k ())\n",
+            "m.gl",
+        )
+        messages = []
+        for memoize in (True, False):
+            checker = Checker(prog.sig, memoize=memoize)
+            res = checker.check(checker.fresh_ctx(), prog.main, prog.goal)
+            messages.append(res.reason)
+        assert messages == [
+            "derivation left index metavariables unresolved: "
+            "c at m.gl:2:27, c at m.gl:2:30"
+        ] * 2
 
 
 # Two structurally equal occurrences of `(b1 : even)`, on lines 4 and 5,
@@ -626,7 +645,7 @@ class TestSharing:
             parse_program(header + "val main : unit =\n  f ()\n", "m.gl")
         )
         assert [d.message for d in checked.diagnostics] == [
-            "derivation left index metavariables unresolved: ?1"
+            "derivation left index metavariables unresolved: a at m.gl:3:3"
         ]
         synthesized = typecheck_program(
             parse_program(header + "val main =\n  f ()\n", "m.gl")
