@@ -263,7 +263,7 @@ def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
 
     Both checks run on one `Checker`, so the second reuses what the first
     decided: the checking, candidate and subtyping memos, the table of
-    ground objects and the metavariable store.  `encode` returns every
+    ground derivations and the metavariable store.  `encode` returns every
     subterm outside a `CtxAnno` as the same object, so for the encoded
     program only what the translation built is derived again.  This is
     sound because the checker reads its contextual-annotation switch only at

@@ -29,7 +29,6 @@ from .syntax import (
     IndexExpr,
     IndexSort,
     MetaStore,
-    zonk_index,
 )
 
 # Keys of a linear form: ("v", name) for index variables, ("m", uid) for
@@ -59,45 +58,46 @@ class LinearForm:
         items = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0))
         return LinearForm(items, const)
 
-    def coeffs(self) -> dict[Key, int]:
-        return dict(self.terms)
 
-    def add(self, other: LinearForm) -> LinearForm:
-        acc = self.coeffs()
-        for k, c in other.terms:
-            acc[k] = acc.get(k, 0) + c
-        return LinearForm.from_dict(acc, self.const + other.const)
-
-    def scale(self, factor: int) -> LinearForm:
-        if factor == 0:
-            return LinearForm((), 0)
-        return LinearForm(
-            tuple((k, c * factor) for k, c in self.terms), self.const * factor
-        )
-
-    def sub(self, other: LinearForm) -> LinearForm:
-        return self.add(other.scale(-1))
-
-    def keys(self) -> frozenset[Key]:
-        return frozenset(k for k, _ in self.terms)
+def _linear(
+    i: IndexExpr, j: Optional[IndexExpr] = None, store: Optional[MetaStore] = None
+) -> tuple[dict[Key, int], int]:
+    """The coefficients, none of them zero, and the constant of `i - j` (of
+    i alone without j), in one walk.  With a store, a solved metavariable
+    reads as its solution."""
+    coeffs: dict[Key, int] = {}
+    const = 0
+    stack = [(i, 1)] if j is None else [(j, -1), (i, 1)]
+    while stack:
+        x, k = stack.pop()
+        cls = type(x)
+        if cls is IVar:
+            key: Key = ("v", x.name)
+        elif cls is IMeta:
+            sol = None if store is None else store.solution(x.uid)
+            if sol is not None:
+                stack.append((sol, k))
+                continue
+            key = ("m", x.uid)
+        elif cls is ILit:
+            const += k * x.value
+            continue
+        elif cls is IAdd or cls is ISub:
+            stack.append((x.rhs, k if cls is IAdd else -k))
+            stack.append((x.lhs, k))
+            continue
+        elif cls is IMul:
+            stack.append((x.factor, k * x.coeff))
+            continue
+        else:
+            raise TypeError(f"normalize: unexpected {x!r}")
+        coeffs[key] = coeffs.get(key, 0) + k
+    return {key: c for key, c in coeffs.items() if c}, const
 
 
 def normalize(i: IndexExpr) -> LinearForm:
     """Semantics-preserving canonical form of a linear index expression."""
-    match i:
-        case IVar(name):
-            return LinearForm.from_dict({("v", name): 1}, 0)
-        case IMeta(uid):
-            return LinearForm.from_dict({("m", uid): 1}, 0)
-        case ILit(value):
-            return LinearForm((), value)
-        case IAdd(l, r):
-            return normalize(l).add(normalize(r))
-        case ISub(l, r):
-            return normalize(l).sub(normalize(r))
-        case IMul(c, f):
-            return normalize(f).scale(c)
-    raise TypeError(f"normalize: unexpected {i!r}")
+    return LinearForm.from_dict(*_linear(i))
 
 
 def linear_to_expr(lf: LinearForm) -> IndexExpr:
@@ -161,7 +161,7 @@ def sort_of(ctx: Context, i: IndexExpr) -> IndexSort:
 
 def entails(i: IndexExpr, j: IndexExpr) -> bool:
     """Does `i = j` hold for every assignment of its variables?"""
-    return normalize(i) == normalize(j)
+    return _linear(i, j) == ({}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,48 +180,48 @@ def solve_meta(ctx: Context, constraint: Eq) -> tuple[int, IndexExpr]:
     mention only index variables that were in scope when the metavariable was
     introduced.  Raises NoSolution otherwise.
     """
-    lf = normalize(constraint.lhs).sub(normalize(constraint.rhs))
+    coeffs, const = _linear(constraint.lhs, constraint.rhs)
     store = ctx.metas
-    meta_keys = [
-        k
-        for k in lf.keys()
-        if k[0] == "m"
-        and (store is None or store.solution(k[1]) is None)
+    unsolved = [
+        k for k in coeffs
+        if k[0] == "m" and (store is None or store.solution(k[1]) is None)
     ]
-    if len(meta_keys) != 1:
+    if len(unsolved) != 1:
         raise NoSolution(
-            f"expected exactly one unsolved metavariable, found {len(meta_keys)}"
+            f"expected exactly one unsolved metavariable, found {len(unsolved)}"
         )
-    mkey = meta_keys[0]
+    return _solve(coeffs, const, unsolved[0], store)
+
+
+def _solve(
+    coeffs: dict[Key, int], const: int, mkey: Key, store: Optional[MetaStore]
+) -> tuple[int, IndexExpr]:
+    """Solve `coeffs . keys + const = 0`, a form of `_linear`, for the
+    metavariable `mkey`: see `solve_meta`."""
     uid = mkey[1]
-    assert isinstance(uid, int)
-    coeffs = lf.coeffs()
     c = coeffs.pop(mkey)
     # c * m + rest + const = 0  =>  m = -(rest + const) / c
     solved: dict[Key, int] = {}
-    for k, v in coeffs.items():
+    for k, v in sorted(coeffs.items()):
         if v % c != 0:
             raise NoSolution(
                 f"coefficient {c} does not divide {v} symbolically"
             )
         solved[k] = -(v // c)
-    if lf.const % c != 0:
+    if const % c != 0:
         raise NoSolution(
-            f"coefficient {c} does not divide constant {lf.const}"
+            f"coefficient {c} does not divide constant {const}"
         )
-    const = -(lf.const // c)
-    solution_lf = LinearForm.from_dict(solved, const)
-    if any(k[0] == "m" for k in solution_lf.keys()):
+    if any(k[0] == "m" for k in solved):
         raise NoSolution("solution still mentions a metavariable")
     if store is not None:
-        scope = store.scope_of(uid)
-        out = {k[1] for k in solution_lf.keys() if k[0] == "v"} - scope
+        out = {k[1] for k in solved if k[0] == "v"} - store.scope_of(uid)
         if out:
             raise NoSolution(
                 "solution mentions variables bound after the metavariable: "
                 + ", ".join(sorted(str(v) for v in out))
             )
-    return uid, linear_to_expr(solution_lf)
+    return uid, linear_to_expr(LinearForm(tuple(solved.items()), -(const // c)))
 
 
 def match_indices(
@@ -234,23 +234,19 @@ def match_indices(
     the solution recorded in the store; with none, the equation must be
     entailed, which counts one `stats.entailment_queries`.  Returns whether
     the equation holds.  Raises NoSolution when several metavariables are
-    unsolved, or the one there is has no solution.
+    unsolved, or the one there is has no solution.  Both sides are read in
+    one walk, solved metavariables through their solutions.
     """
-    i = zonk_index(store, i)
-    j = zonk_index(store, j)
-    unsolved = [
-        k
-        for k in normalize(i).sub(normalize(j)).keys()
-        if k[0] == "m" and store.solution(k[1]) is None
-    ]
+    coeffs, const = _linear(i, j, store)
+    unsolved = [k for k in coeffs if k[0] == "m"]
     if len(unsolved) > 1:
         raise NoSolution("index constraint with several unsolved metavariables")
     if unsolved:
         try:
-            uid, solution = solve_meta(ctx, Eq(i, j))
+            uid, solution = _solve(coeffs, const, unsolved[0], ctx.metas)
         except NoSolution as ex:
             raise NoSolution(f"index constraint has no solution: {ex}") from None
         store.assign(uid, solution)
         return True
     stats.entailment_queries += 1
-    return entails(i, j)
+    return not coeffs and const == 0

@@ -88,16 +88,23 @@ from .syntax import (
     SORTS,
 )
 
-# One alternative per token class, tried in order at each position; longer
-# punctuation comes before its prefixes.  `word` admits any `\w` start but
+# One match per token: the whitespace, newlines and `--` comments before it,
+# then one alternative per token class, tried in order.  Longer punctuation
+# comes before its prefixes, `eof` matches at the end of the text and `bad`
+# at any other character.  So some alternative matches wherever the trivia
+# ends, and the trivia is never backtracked into: a comment cannot end early
+# and let a token be read inside it.  `word` admits any `\w` start but
 # identifiers must start with a letter or `_`, which `tokenize` checks.
 _TOKEN = re.compile(
     r"""
-      (?P<nl>\n)
-    | (?P<skip>[ \t\r]+|--[^\n]*)
-    | (?P<word>[^\W\d][\w']*)
-    | (?P<num>\d+)
-    | (?P<punct>,,|::|\|-|->|=>|/\\|<:|[()\[\],:;.*+\-=])
+      (?:[ \t\r\n]+|--[^\n]*)*
+      (?:
+        (?P<word>[^\W\d][\w']*)
+      | (?P<num>\d+)
+      | (?P<punct>,,|::|\|-|->|=>|/\\|<:|[()\[\],:;.*+\-=])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+      )
     """,
     re.VERBOSE,
 )
@@ -135,32 +142,31 @@ class Token:
 def tokenize(text: str, path: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
-    pos, n = 0, len(text)
-    match = _TOKEN.match
-    while pos < n:
-        m = match(text, pos)
-        kind = m and m.lastgroup
-        col = pos - line_start + 1
-        if kind == "word" and not (text[pos].isalpha() or text[pos] == "_"):
-            kind = None
-        if kind is None:
+    nl = text.find("\n")  # the first newline not yet counted, or -1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        if -1 < nl < start:
+            line += text.count("\n", nl, start)
+            line_start = text.rindex("\n", nl, start) + 1
+            nl = text.find("\n", start)
+        col = start - line_start + 1
+        word = text[start:end]
+        if kind == "word":
+            if not (word[0].isalpha() or word[0] == "_"):
+                kind = "bad"
+            else:
+                kind = word if word in KEYWORDS else "ident"
+        elif kind == "punct":
+            kind = word
+        if kind == "bad":
             raise ParseError(
-                f"unexpected character {text[pos]!r}",
+                f"unexpected character {word[0]!r}",
                 Span(path, line, col, line, col + 1),
             )
-        end = m.end()
-        if kind == "nl":
-            line, line_start = line + 1, end
-        elif kind != "skip":
-            word = m.group()
-            if kind == "word":
-                kind = word if word in KEYWORDS else "ident"
-            elif kind == "punct":
-                kind = word
-            tokens.append(Token(kind, word, path, line, col, col + end - pos))
-        pos = end
-    col = n - line_start + 1
-    tokens.append(Token("eof", "", path, line, col, col))
+        tokens.append(Token(kind, word, path, line, col, col + end - start))
+        if kind == "eof":
+            break
     return tokens
 
 

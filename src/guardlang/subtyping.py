@@ -147,14 +147,11 @@ class _Search:
         stats: Stats,
         budget: int,
         memo: dict,
-        ground: Optional[dict],
     ) -> None:
         self.store = store
         self.stats = stats
         self.budget = budget
         self.memo = memo
-        # Objects known to hold no metavariable (see `syntax.meta_free`).
-        self.ground = ground
 
     def tick(self) -> None:
         self.stats.rule_applications += 1
@@ -178,7 +175,7 @@ class _Search:
         # The checking memo's entry rule (see `Checker._check`).
         moved = self.store.stamp != stamp0
         if not moved or isinstance(res, Fail):
-            if not self.store.any_created() or meta_free(key, self.ground):
+            if not self.store.any_created() or meta_free(key):
                 self.memo[key] = (None, res)
             elif not moved:
                 self.memo[key] = (stamp0, res)
@@ -310,7 +307,6 @@ def subtype(
     stats: Optional[Stats] = None,
     max_depth: int = 512,
     memo: Optional[dict] = None,
-    ground: Optional[dict] = None,
 ) -> Union[SubDerivation, Fail]:
     """Decide ctx |- a <= b.
 
@@ -318,10 +314,9 @@ def subtype(
     solutions remain recorded in the store; on failure the store is restored
     to its entry state.  Calls that pass the same `memo` dict share their
     decided subgoals (a checker passes one for its whole run); without one,
-    the call starts from an empty memo.  `ground` is a table of objects
-    known to hold no metavariable (see `syntax.meta_free`), which the call
-    reads and extends; a checker passes one for its whole run, and without
-    one the call starts from an empty table.
+    the call starts from an empty memo.  Whether a query holds a
+    metavariable is read from the bits its syntax carries (see
+    `syntax.meta_free`), and the final zonk returns ground syntax unwalked.
     """
     if store is None:
         store = ctx.metas if ctx.metas is not None else MetaStore()
@@ -330,10 +325,7 @@ def subtype(
     if stats is None:
         stats = Stats()
     stats.subtype_queries += 1
-    search = _Search(
-        store, stats, max_depth, {} if memo is None else memo,
-        {} if ground is None else ground,
-    )
+    search = _Search(store, stats, max_depth, {} if memo is None else memo)
     mark = store.mark()
     try:
         res = search.sub(ctx, a, b)
@@ -344,4 +336,4 @@ def subtype(
     if isinstance(res, Fail):
         store.undo(mark)
         return res
-    return Zonker(store, ground).visit(res) if store.any_solved() else res
+    return Zonker(store).visit(res) if store.any_solved() else res

@@ -5,15 +5,19 @@ freely and used as dict keys.  Source spans are carried on every node but
 excluded from equality and hashing: two terms are equal iff they are
 structurally equal, regardless of where they were parsed.
 
-A node's hash is computed once, by its constructor, from its class, its
-atomic fields and the hashes its child nodes stored when they were built.
-Hashing a node then costs one Python frame that reads a slot, whatever the
-node's size: it never descends into the children, so it takes no frame per
-syntax level and works at any depth.  A memo key holding a whole term, its
-type and its context hashes in time linear in the number of context
-entries, not in the size of the term.  The price is paid once per node
-built, hashed or not.  Copies and unpickled nodes are rebuilt by the
-constructor, because string hashes differ between processes.
+Each node class's constructor is generated from its fields (`_register`).
+It computes two facts once, from the node's atomic fields and from what its
+child nodes stored when they were built: the node's hash, and its
+metavariable bit `_metas`, which is true for an `IMeta` and for a node with
+a child whose bit is true.  Hashing a node then costs one Python frame that
+reads a slot, whatever the node's size, and works at any depth; a memo key
+holding a whole term, its type and its context hashes in time linear in the
+number of context entries, not in the size of the term.  The bit lets
+zonking and `meta_free` return ground syntax without walking it.  Equality
+compares the stored hashes first and walks both trees with an explicit
+stack.  The price is paid once per node built.  Copies and unpickled nodes
+are rebuilt by the constructor, because string hashes differ between
+processes.
 
 The binding structure is declared once, in `BINDERS` and `OCCURRENCES`,
 and every traversal (children, free variables, substitution, renaming,
@@ -38,8 +42,7 @@ variable, an entry in `BINDERS` or `OCCURRENCES`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
-from typing import Iterator, Optional, Union, get_type_hints
+from typing import Iterator, Optional, Union, get_origin, get_type_hints
 
 
 # ---------------------------------------------------------------------------
@@ -58,22 +61,46 @@ class Span:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True)
+# A syntax class is a frozen dataclass whose constructor `_register`
+# generates, and whose equality and hash are Node's.
+_syntax = dataclass(frozen=True, init=False, eq=False)
+
+
+@_syntax
 class Node:
-    # The structural hash, set once by the constructor; see `__post_init__`.
-    __slots__ = ("_hash",)
+    # The structural hash and the metavariable bit, set once by the
+    # constructor that `_register` generates.
+    __slots__ = ("_hash", "_metas")
 
     span: Optional[Span] = field(
         default=None, compare=False, repr=False, kw_only=True
     )
 
-    def __post_init__(self) -> None:
-        # The children were built first and hold their hashes already, so
-        # hashing a new node takes no recursion at any depth.
-        _set_hash(self, hash(_HASH_KEY[type(self)](self)))
-
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            cls = type(x)
+            if cls is not type(y) or x._hash != y._hash:
+                return False
+            for name in _FIELDS[cls]:
+                a, b = getattr(x, name), getattr(y, name)
+                if a is b:
+                    continue
+                if type(a) is tuple:
+                    if len(a) != len(b):
+                        return False
+                    stack.extend(zip(a, b))
+                elif isinstance(a, Node):
+                    stack.append((a, b))
+                elif a != b:
+                    return False
+        return True
 
     def __reduce__(self):
         # Copies and unpickled nodes go through the constructor, which
@@ -84,9 +111,6 @@ class Node:
 
 def _build(cls: type, span: Optional[Span], *values) -> Node:
     return cls(*values, span=span)
-
-
-_set_hash = Node._hash.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -110,43 +134,43 @@ class IndexExpr(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_syntax
 class IVar(IndexExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@_syntax
 class ILit(IndexExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@_syntax
 class IAdd(IndexExpr):
     lhs: IndexExpr
     rhs: IndexExpr
 
 
-@dataclass(frozen=True)
+@_syntax
 class ISub(IndexExpr):
     lhs: IndexExpr
     rhs: IndexExpr
 
 
-@dataclass(frozen=True)
+@_syntax
 class IMul(IndexExpr):
     # The coefficient is a literal integer; the index language is linear.
     coeff: int
     factor: IndexExpr
 
 
-@dataclass(frozen=True)
+@_syntax
 class IMeta(IndexExpr):
     """Checker-internal placeholder for an index expression to be solved."""
 
     uid: int
 
 
-@dataclass(frozen=True)
+@_syntax
 class Eq(Node):
     """The index equation `lhs = rhs`."""
 
@@ -162,35 +186,35 @@ class Type(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_syntax
 class TUnit(Type):
     pass
 
 
-@dataclass(frozen=True)
+@_syntax
 class TAtom(Type):
     name: str
 
 
-@dataclass(frozen=True)
+@_syntax
 class TArrow(Type):
     arg: Type
     res: Type
 
 
-@dataclass(frozen=True)
+@_syntax
 class TSect(Type):
     lhs: Type
     rhs: Type
 
 
-@dataclass(frozen=True)
+@_syntax
 class TCon(Type):
     con: str
     index: IndexExpr
 
 
-@dataclass(frozen=True)
+@_syntax
 class TPi(Type):
     var: str
     sort: IndexSort
@@ -205,19 +229,19 @@ class Decl(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_syntax
 class VarDecl(Decl):
     name: str
     ty: Type
 
 
-@dataclass(frozen=True)
+@_syntax
 class IdxDecl(Decl):
     name: str
     sort: IndexSort
 
 
-@dataclass(frozen=True)
+@_syntax
 class CtxTyping(Node):
     """One `Gamma |- A` entry of a contextual annotation.
 
@@ -237,29 +261,29 @@ class Term(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_syntax
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@_syntax
 class Unit(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_syntax
 class Lam(Term):
     var: str
     body: Term
 
 
-@dataclass(frozen=True)
+@_syntax
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@_syntax
 class Anno(Term):
     """Right-hand annotation `(e : A)`."""
 
@@ -267,7 +291,7 @@ class Anno(Term):
     ty: Type
 
 
-@dataclass(frozen=True)
+@_syntax
 class Guard(Term):
     """Left-hand annotation `where d do e`: the context must support d."""
 
@@ -275,13 +299,13 @@ class Guard(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@_syntax
 class Merge(Term):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@_syntax
 class Some(Term):
     """`some a : sort in e` binds a to an index chosen by the checker."""
 
@@ -290,7 +314,7 @@ class Some(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@_syntax
 class IdxLam(Term):
     """`idxfn a : sort => e`, the explicit introduction form for Pi types."""
 
@@ -299,7 +323,7 @@ class IdxLam(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@_syntax
 class CtxAnno(Term):
     """Contextual annotation `(e :: [G1 |- A1 ; ... ; Gn |- An])`."""
 
@@ -307,7 +331,7 @@ class CtxAnno(Term):
     typings: tuple[CtxTyping, ...]
 
 
-@dataclass(frozen=True)
+@_syntax
 class Prim(Term):
     """Reference to a primitive constant declared in the program header."""
 
@@ -586,27 +610,33 @@ _FIELDS: dict[type, tuple[str, ...]] = {}
 # Per syntax class, (position in _FIELDS, name) of each field that holds
 # syntax: a node, or a tuple of nodes.
 _KIDS: dict[type, tuple[tuple[int, str], ...]] = {}
-# Per syntax class, a function from a node to the value its hash is taken
-# of: the class and the fields of _FIELDS, a field that holds one node read
-# as that node's stored hash, without a call.
-_HASH_KEY: dict[type, attrgetter] = {}
 
 
 def _register(cls: type) -> None:
     hints = get_type_hints(cls)
     names = _FIELDS[cls] = tuple(f.name for f in fields(cls) if f.compare)
-    _KIDS[cls] = tuple(
+    _KIDS[cls] = kids = tuple(
         (k, n) for k, n in enumerate(names) if hints[n] not in _ATOMIC
     )
-    _HASH_KEY[cls] = attrgetter("__class__", *(
-        f"{n}._hash" if isinstance(hints[n], type) and issubclass(hints[n], Node)
-        else n
-        for n in names
-    ))
-    if cls is not Node and "__hash__" in vars(cls):
-        # The dataclass decorator's `__hash__` hashes every field on each
-        # call; the cached one of Node takes its place.
-        del cls.__hash__
+    # The constructor: the hash is taken of the class and the fields, a
+    # child node read as its stored hash, and the metavariable bit is the
+    # `or` of the children's.
+    nodes = {n for _, n in kids if get_origin(hints[n]) is not tuple}
+    key = ", ".join(f"{n}._hash" if n in nodes else n for n in names)
+    metas = " or ".join(
+        f"{n}._metas" if n in nodes else f"any(x._metas for x in {n})"
+        for _, n in kids
+    )
+    src = (
+        f"def __init__(self, {''.join(n + ', ' for n in names)}*, span=None):\n"
+        + "".join(f"    _set(self, {n!r}, {n})\n" for n in (*names, "span"))
+        + f"    _set_hash(self, hash((cls, {key})))\n"
+        + f"    _set_metas(self, {'True' if cls is IMeta else metas or 'False'})\n"
+    )
+    env = {"cls": cls, "_set": object.__setattr__,
+           "_set_hash": Node._hash.__set__, "_set_metas": Node._metas.__set__}
+    exec(src, env)
+    cls.__init__ = env["__init__"]
     for sub in cls.__subclasses__():
         _register(sub)
 
@@ -705,28 +735,12 @@ def free_vars(x: Syntax, ns: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def meta_free(x, known: dict[int, object]) -> bool:
-    """Whether x, a syntax object or a tuple of them, holds no metavariable.
-
-    `known` maps `id` to object for objects already known to hold none; the
-    walk does not enter them.  When the answer is yes, every object the walk
-    visited is added, so a later walk over a larger object that contains x
-    stops at x.  The table keeps its objects alive, so no id is reused while
-    it is in use.
-    """
-    seen = []
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        if id(y) in known:
-            continue
-        if type(y) is IMeta:
-            return False
-        seen.append(y)
-        stack.extend(y if type(y) is tuple else children(y))
-    for y in seen:
-        known[id(y)] = y
-    return True
+def meta_free(x) -> bool:
+    """Whether x, a syntax object or a tuple of them, holds no metavariable:
+    read from the bits its constructors set, without walking it."""
+    if type(x) is tuple:
+        return all(map(meta_free, x))
+    return not x._metas
 
 
 # ---------------------------------------------------------------------------
@@ -920,17 +934,19 @@ def _bind(lmap, rmap, ns, a, b, depth):
 # sides are the same object.
 
 
-# With nothing solved in the store every object is already zonked, so the
-# search's frequent zonks of metavariable-free types cost nothing.
+# Syntax that holds no metavariable, and any syntax while nothing is solved
+# in the store, is already zonked: it is returned without a walk.
 def zonk_index(store: MetaStore, i: IndexExpr) -> IndexExpr:
-    return rewrite(i, _zonk_hook, store) if store.any_solved() else i
+    return rewrite(i, _zonk_hook, store) if i._metas and store.any_solved() else i
 
 
 def zonk_type(store: MetaStore, ty: Type) -> Type:
-    return rewrite(ty, _zonk_hook, store) if store.any_solved() else ty
+    return rewrite(ty, _zonk_hook, store) if ty._metas and store.any_solved() else ty
 
 
 def _zonk_hook(x, store: MetaStore):
+    if not x._metas:
+        return x
     if type(x) is IMeta:
         sol = store.solution(x.uid) if x.uid in store else None
         return x if sol is None else rewrite(sol, _zonk_hook, store)
@@ -941,15 +957,16 @@ class Zonker:
     """One zonking pass over syntax and over anything built from it out of
     frozen dataclasses and tuples, derivations included.
 
-    Each distinct object is visited once: results are memoized on `id` for
-    the life of the pass, and the memo keeps every visited object alive so
-    that no id is reused meanwhile.  Drop the pass when done with it.  The
-    uids of the metavariables left unsolved are collected in `unsolved` as
-    the pass goes.
+    Syntax that holds no metavariable is returned as it is, without a walk.
+    Each other distinct object is visited once: results are memoized on `id`
+    for the life of the pass, and the memo keeps every visited object alive
+    so that no id is reused meanwhile.  Drop the pass when done with it.
+    The uids of the metavariables left unsolved are collected in `unsolved`
+    as the pass goes.
 
-    `known`, a table of objects known to hold no metavariable (see
-    `meta_free`), is only read: the pass returns each of them unchanged
-    without entering it.
+    `known`, a table from `id` to objects known to hold no metavariable
+    (derivations, which carry no bit), is only read: the pass returns each
+    of them unchanged without entering it.
     """
 
     def __init__(self, store: MetaStore, known: Optional[dict] = None) -> None:
@@ -959,15 +976,17 @@ class Zonker:
         self._known = {} if known is None else known
 
     def visit(self, x):
+        if isinstance(x, Node) and not x._metas:
+            return x
         hit = self._memo.get(id(x))
         if hit is not None:
             return hit[1]
         if id(x) in self._known:
             return x
-        # Atomic fields are skipped before the call, and plain loops are
-        # used, not comprehensions or map: each derivation level then costs
-        # two Python frames, which keeps deep chains inside the default
-        # recursion limit.
+        # Atomic fields and ground syntax are skipped before the call, and
+        # plain loops are used, not comprehensions or map: each derivation
+        # level then costs two Python frames, which keeps deep chains inside
+        # the default recursion limit.
         if isinstance(x, IMeta):
             sol = self.store.solution(x.uid) if x.uid in self.store else None
             if sol is None:
@@ -978,7 +997,7 @@ class Zonker:
         elif isinstance(x, tuple):
             items = None
             for k, old in enumerate(x):
-                if isinstance(old, _ATOMIC):
+                if isinstance(old, _ATOMIC) or isinstance(old, Node) and not old._metas:
                     continue
                 new = self.visit(old)
                 if new is not old:
@@ -991,14 +1010,21 @@ class Zonker:
             names = _FIELDS.get(cls)
             if names is None:
                 names = _FIELDS[cls] = tuple(f.name for f in fields(cls) if f.compare)
-            changed = {}
-            for name in names:
+            values = None
+            for k, name in enumerate(names):
                 old = getattr(x, name)
-                if isinstance(old, _ATOMIC):
+                if isinstance(old, _ATOMIC) or isinstance(old, Node) and not old._metas:
                     continue
                 new = self.visit(old)
                 if new is not old:
-                    changed[name] = new
-            out = replace(x, **changed) if changed else x
+                    if values is None:
+                        values = [getattr(x, n) for n in names]
+                    values[k] = new
+            if values is None:
+                out = x
+            elif isinstance(x, Node):
+                out = cls(*values, span=x.span)
+            else:
+                out = cls(*values)
         self._memo[id(x)] = (x, out)
         return out

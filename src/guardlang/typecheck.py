@@ -32,9 +32,10 @@ between, when the enumeration ran to the end, moved the store's stamp,
 and its term, its context and every candidate (zonked when it was yielded)
 hold no metavariable; a hit yields the stored candidates and appends the
 stored failures.  A miss yields the candidates it stores, zonked, as a hit
-does.  What is known to hold no metavariable is kept in one table for the
-run, so neither the test nor the zonk of a candidate walks a part already
-known to be ground twice.
+does.  Whether syntax holds a metavariable is a bit its constructor set, so
+the test reads one bit per part and the zonk of a candidate stops at ground
+syntax; the stored candidates' derivations, which carry no bit, are kept in
+one table for the run, which the zonk does not enter.
 
 The memos, the ground table and the store belong to the `Checker`, not to
 one program: `_check_program` runs one program on a given checker, and
@@ -170,8 +171,9 @@ class Checker:
         self._synth_memo: dict[tuple, tuple] = {}
         # One subtyping memo for the run; None gives each query its own.
         self._sub_memo: Optional[dict] = {} if memoize else None
-        # id -> object, for objects known to hold no metavariable (see
-        # `syntax.meta_free`).  It keeps them alive for the run.
+        # id -> derivation, for the stored candidates' derivations, known to
+        # hold no metavariable: the Zonker does not enter them.  Syntax needs
+        # no table, it carries its own bit.  It keeps them alive for the run.
         self._ground: Optional[dict[int, object]] = {} if memoize else None
         self._budget = max_depth
 
@@ -240,7 +242,7 @@ class Checker:
     def _grounded(
         self, ty: Type, d: TypingDerivation
     ) -> Optional[tuple[Type, TypingDerivation]]:
-        """The candidate (ty, d) zonked, and recorded as known ground; None
+        """The candidate (ty, d) zonked, with d recorded as known ground; None
         when it keeps an unsolved metavariable."""
         if not self.metas.any_created():
             return ty, d
@@ -248,7 +250,6 @@ class Checker:
         zty, zd = zonk.visit(ty), zonk.visit(d)
         if zonk.unsolved:
             return None
-        self._ground[id(zty)] = zty
         self._ground[id(zd)] = zd
         return zty, zd
 
@@ -272,7 +273,7 @@ class Checker:
     def _subtype(self, ctx: Context, a: Type, b: Type):
         res = subtype(
             ctx, a, b, store=self.metas, stats=self.stats,
-            max_depth=self.max_depth, memo=self._sub_memo, ground=self._ground,
+            max_depth=self.max_depth, memo=self._sub_memo,
         )
         if type(res) is Exhausted:
             # A query out of its budget ends the check, as the typing
@@ -304,9 +305,7 @@ class Checker:
         # out: a shared function would cost a call on every miss.
         moved = self.metas.stamp != stamp0
         if not moved or isinstance(res, Fail):
-            if not self.metas.any_created() or meta_free(
-                (e, ty, ctx.entries), self._ground
-            ):
+            if not self.metas.any_created() or meta_free((e, ty, ctx.entries)):
                 self._memo[key] = (None, res)
             elif not moved:
                 self._memo[key] = (stamp0, res)
@@ -650,8 +649,7 @@ class Checker:
                 if (
                     events is not None
                     and self.metas.stamp != stamp0
-                    and meta_free(e, self._ground)
-                    and meta_free(ctx.entries, self._ground)
+                    and meta_free((e, ctx.entries))
                 ):
                     events.extend(fails[start:])
                     memo[key] = tuple(events)

@@ -877,10 +877,14 @@ def idx_chain_program(n: int) -> Program:
     `Pi a : int . list(a*2) -> list(a*2)`.  Well typed through the Pi
     conjunct of `idcast`; the `unit -> unit` conjunct is tried first at
     every level and fails."""
+    return parse_program(idx_chain_source(n))
+
+
+def idx_chain_source(n: int) -> str:
     body = "x"
     for _ in range(n):
         body = f"idcast ({body})"
-    return parse_program(
+    return (
         "indexcon list :: int\n"
         "prim idcast : (unit -> unit) /\\ (Pi c : int . list(c) -> list(c))\n"
         "val main : Pi a : int . list(a*2) -> list(a*2) =\n"

@@ -1,3 +1,6 @@
+import hashlib
+import os
+import re
 import sys
 
 import pytest
@@ -5,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
+from conftest import PROGRAMS_DIR
+from helpers import KWAY_VARIANTS, idx_chain_source, kway_source
 from guardlang.parser import (
+    KEYWORDS,
     ParseError,
     parse_index,
     parse_program,
@@ -13,6 +19,7 @@ from guardlang.parser import (
     parse_type,
     pretty,
     pretty_program,
+    tokenize,
 )
 from guardlang.syntax import (
     Anno,
@@ -279,19 +286,129 @@ def _frames() -> int:
 
 @pytest.mark.parametrize("shape", sorted(DEEP))
 def test_deep_input_parses_prints_and_reparses(shape):
-    # Neither the parser nor the printer takes a Python frame per level.
-    # Compared by text: `==` on nodes still recurses.
+    # Neither the parser, the printer nor `==` on nodes takes a Python
+    # frame per level.
     source, printed = DEEP[shape]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frames() + 100)
     try:
         prog = parse_program(source)
         text = pretty_program(prog)
-        again = pretty_program(parse_program(text))
+        again = parse_program(text)
+        same = again.main == prog.main and again.goal == prog.goal
     finally:
         sys.setrecursionlimit(limit)
     assert text == printed + "\n"
-    assert again == text
+    assert same and again.main is not prog.main
     apps = [e for e in subterms(prog.main) if type(e) is App]
     assert len(apps) == (DEPTH if shape == "snoc" else 0)
     assert all(type(e.fn) is Prim for e in apps)
+
+
+# The token stream, pinned: kind, text, file, line and columns of every
+# token, as (count, sha256 prefix) per source.
+TOKEN_STREAMS = {
+    "ctxanno_indexed.gl": (75, '02b3efb92f745ad0'),
+    "idxfn_merge.gl": (74, 'dc4b8c5ca4c3825f'),
+    "loopy.gl": (42, '7fb68d4100ab6e62'),
+    "parity.gl": (70, '64e11c84a6cdba76'),
+    "parity_apply.gl": (81, '5d1f6a9ae6f80570'),
+    "parity_badguard.gl": (70, '9869cb992fd31c22'),
+    "parity_ctxanno.gl": (61, '140943b94de2471d'),
+    "parity_plain.gl": (43, '4c4f98feda6a2a8e'),
+    "parity_twice.gl": (37, 'c00e370992709916'),
+    "parity_unguarded.gl": (56, '9ab06fcedb044d75'),
+    "some_bad.gl": (60, '69026f2f0ed2b65f'),
+    "some_expr.gl": (62, '757d542725be2de0'),
+    "some_guard.gl": (64, 'ccaddc8d7661a27f'),
+    "unit.gl": (8, 'c551de353d16f2c1'),
+    "kway(8, guarded)": (232, '0c02e3c727e8475f'),
+    "kway(8, plain)": (123, '1bd0c776f3d57d9b'),
+    "kway(8, ctxanno)": (177, '767cd99b48e25985'),
+    "kway(8, swapped)": (232, '9eefa474107df4dd'),
+    "idx-chain(8)": (80, 'd8b316b3905c4e30'),
+}
+
+
+def _token_sources():
+    for name in sorted(os.listdir(PROGRAMS_DIR)):
+        with open(os.path.join(PROGRAMS_DIR, name)) as f:
+            yield name, f.read(), name
+    for v in KWAY_VARIANTS:
+        yield f"kway(8, {v})", kway_source(8, v), "kway.gl"
+    yield "idx-chain(8)", idx_chain_source(8), "idx.gl"
+
+
+def _digest(tokens):
+    h = hashlib.sha256()
+    for t in tokens:
+        h.update(f"{t.kind}\x1f{t.text}\x1f{t.file}\x1f{t.line}\x1f{t.col}\x1f{t.end_col}\n".encode())
+    return len(tokens), h.hexdigest()[:16]
+
+
+def test_token_streams_are_pinned():
+    got = {name: _digest(tokenize(text, path)) for name, text, path in _token_sources()}
+    assert got == TOKEN_STREAMS
+
+
+# The reference: one regex match per token and per run of trivia.
+_REFERENCE = re.compile(
+    r"""
+      (?P<nl>\n)
+    | (?P<skip>[ \t\r]+|--[^\n]*)
+    | (?P<word>[^\W\d][\w']*)
+    | (?P<num>\d+)
+    | (?P<punct>,,|::|\|-|->|=>|/\\|<:|[()\[\],:;.*+\-=])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokens(text):
+    out, line, line_start, pos = [], 1, 0, 0
+    while pos < len(text):
+        m = _REFERENCE.match(text, pos)
+        kind = m and m.lastgroup
+        col = pos - line_start + 1
+        if kind is None or kind == "word" and not (text[pos].isalpha() or text[pos] == "_"):
+            return out, ("error", text[pos], line, col)
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind != "skip":
+            word = m.group()
+            kind = {"word": word if word in KEYWORDS else "ident", "punct": word}.get(kind, kind)
+            out.append((kind, word, line, col, col + len(word)))
+        pos = m.end()
+    col = pos - line_start + 1
+    return out, ("eof", line, col)
+
+
+def _tokens(text):
+    try:
+        toks = tokenize(text)
+    except ParseError as ex:
+        s = ex.span
+        assert (s.end_line, s.end_col) == (s.start_line, s.start_col + 1)
+        return None, ex.message, (s.start_line, s.start_col)
+    *toks, eof = [(t.kind, t.text, t.line, t.col, t.end_col) for t in toks]
+    return toks, (eof[0], eof[2], eof[3])
+
+
+@given(
+    st.lists(
+        st.sampled_from(
+            ["fn", "x", "_y'", "where", "12", " ", "\t", "\r", "\n", "--", "-- c\n",
+             "-", ">", "/", "\\", "|", ":", ",", "(", ")", "[", "=", "<", "*", "+",
+             "é", "²", "§", "\x0b"]
+        ),
+        max_size=24,
+    ).map("".join)
+)
+@settings(max_examples=400)
+def test_tokenize_agrees_with_one_match_per_trivia_run(text):
+    toks, end = _reference_tokens(text)
+    if end[0] == "error":
+        _, char, line, col = end
+        assert _tokens(text) == (None, f"unexpected character {char!r}", (line, col))
+    else:
+        assert _tokens(text) == (toks, end)

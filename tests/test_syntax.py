@@ -28,6 +28,7 @@ from guardlang.syntax import (
     Guard,
     IAdd,
     ILit,
+    IMeta,
     IMul,
     INT,
     IVar,
@@ -53,6 +54,7 @@ from guardlang.syntax import (
     VarDecl,
     Zonker,
     alpha_eq,
+    children,
     free_vars,
     fresh_name,
     instantiate,
@@ -229,20 +231,25 @@ class TestZonk:
 
 
 class TestMetaFree:
-    def test_answers_and_extends_the_table(self):
+    """`meta_free` reads the bits that the constructors set: it walks no
+    node and keeps no table."""
+
+    def test_answers_from_the_bits(self):
         store, m, _ = _two_metas()
         ground = TArrow(TCon("list", IVar("a")), TUnit())
-        known: dict = {}
-        assert not meta_free(TArrow(ground, TCon("list", m)), known)
-        assert known == {}
+        assert meta_free(ground)
+        assert not meta_free(TArrow(ground, TCon("list", m)))
         entries = (VarDecl("x", ground),)
-        assert meta_free(entries, known)
-        assert known[id(entries)] is entries and known[id(ground)] is ground
+        assert meta_free(entries) and meta_free((ground, entries))
+        assert not meta_free((ground, (VarDecl("y", TCon("list", m)),)))
 
-    def test_does_not_enter_known_objects(self):
+    def test_does_not_enter_children(self):
+        # The answer is the bit of the root, set when it was built from its
+        # children's bits: a child is not looked into again.
         _, m, _ = _two_metas()
         t = TCon("list", m)
-        assert meta_free(TArrow(t, TUnit()), {id(t): t})
+        object.__setattr__(t, "_metas", False)
+        assert meta_free(TArrow(t, TUnit()))
 
 
 class TestInstantiate:
@@ -466,7 +473,8 @@ TRAVERSALS = {
     "hash-type": lambda: hash(_type_chain(DEEP)),
     "free_index_vars": lambda: free_vars(_chain(DEEP, Var("x")), INDEX),
     "free_term_vars": lambda: free_vars(_chain(DEEP, Var("x")), TERM),
-    "meta_free": lambda: meta_free(_chain(DEEP, Var("x")), {}),
+    "meta_free": lambda: meta_free(_chain(DEEP, Var("x"))),
+    "eq": lambda: _chain(DEEP, Var("x")) == _chain(DEEP, Var("x")),
     "subterms": lambda: list(subterms(_chain(DEEP, Var("x")))),
     "subst-term": lambda: subst(Var("y"), "x", _chain(DEEP, Var("x"))),
     "subst-index": lambda: subst(
@@ -585,3 +593,109 @@ def test_unpickled_node_hashes_as_built_here():
     ).stdout
     there, here = pickle.loads(out), parse_term(src)
     assert there == here and hash(there) == hash(here)
+
+
+# The metavariable bit of every node is "an IMeta occurs below", however
+# the node was made: by a constructor, the parser, substitution,
+# instantiation, a rewrite, zonking, a copy or pickling.
+
+
+def _holds_meta(x) -> bool:
+    """The reference: a plain walk that looks for an IMeta."""
+    return type(x) is IMeta or any(_holds_meta(c) for c in children(x))
+
+
+def _wrong_bits(x) -> list:
+    """The nodes of x whose bit disagrees with the reference."""
+    stack, out = [x], []
+    while stack:
+        y = stack.pop()
+        if y._metas != _holds_meta(y):
+            out.append(y)
+        stack.extend(children(y))
+    return out
+
+
+def _made_with_metas(x, a, b, solve):
+    """Syntax derived from x in every way a node is made, with metavariables
+    brought in by instantiating the index variable a and substituting for b."""
+    store = MetaStore()
+    m, y = instantiate(store, frozenset({"n"}), a, INT, x)
+    k = store.fresh(INT, frozenset())
+    y = subst(IAdd(k, ILit(1)), b, y)
+    # A rewrite that brings metavariables into the literals, and one that
+    # takes them out of the index variables.
+    r1 = rewrite(y, lambda v, s: IAdd(v, m) if type(v) is ILit else s, None)
+    r2 = rewrite(y, lambda v, s: ILit(0) if type(v) is IMeta else s, None)
+    if solve:
+        store.assign(m.uid, IAdd(IVar("n"), k))
+        store.assign(k.uid, ILit(2))
+    made = [x, y, r1, r2, Zonker(store).visit(r1)]
+    if isinstance(y, Type):
+        made.append(zonk_type(store, r1))
+    made += [copy.copy(r1), copy.deepcopy(r1), pickle.loads(pickle.dumps(r1))]
+    return made
+
+
+@given(
+    x=SYNTAX,
+    a=strategies.IDX_NAMES,
+    b=strategies.IDX_NAMES,
+    solve=st.booleans(),
+)
+@settings(max_examples=150)
+def test_metavariable_bit_is_an_occurrence_below(x, a, b, solve):
+    for y in (_reparsed(x, ""), *_made_with_metas(x, a, b, solve)):
+        assert _wrong_bits(y) == []
+
+
+def test_metavariable_bits_of_nodes_unpickled_in_another_process():
+    # The bits are recomputed by the constructor, so a node unpickled under
+    # another string hash seed carries the right ones.
+    made = [
+        y
+        for src in ("Pi a : int . list(a*2) -> list(a + b)", "(c -> c) /\\ list(a)")
+        for y in _made_with_metas(parse_type(src), "a", "b", False)
+    ]
+    assert any(y._metas for y in made) and not all(y._metas for y in made)
+    code = (
+        "import pickle, sys\n"
+        "from guardlang.syntax import IMeta, children\n"
+        "def holds(x):\n"
+        "    return type(x) is IMeta or any(holds(c) for c in children(x))\n"
+        "def wrong(x):\n"
+        "    return x._metas != holds(x) or any(wrong(c) for c in children(x))\n"
+        "made = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(sum(map(wrong, made)), sum(y._metas for y in made))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(guardlang.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": "54321", "PYTHONPATH": src_dir}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, input=pickle.dumps(made),
+        capture_output=True, check=True,
+    ).stdout
+    assert out.split() == [b"0", str(sum(y._metas for y in made)).encode()]
+
+
+class TestEquality:
+    """`==` compares the stored hashes first, then walks both trees with an
+    explicit stack."""
+
+    def test_structural_and_span_blind(self):
+        a = parse_term("fn x => (f x : odd)", prims=frozenset({"f"}))
+        b = parse_term("fn x =>\n  (f x : odd)", prims=frozenset({"f"}))
+        assert a == b and a is not b and a.span != b.span
+        assert a != parse_term("fn x => (f x : even)", prims=frozenset({"f"}))
+        assert CtxTyping((IdxDecl("a", INT),), TUnit()) != CtxTyping((), TUnit())
+
+    def test_other_classes_are_not_equal(self):
+        assert TAtom("odd") != Var("odd") and TUnit() != Unit()
+        assert TUnit().__eq__(()) is NotImplemented and TUnit() != None
+
+    def test_equal_hashes_are_not_enough(self):
+        for x, y in (
+            (TAtom("odd"), TAtom("even")),
+            (CtxTyping((IdxDecl("a", INT),), TUnit()), CtxTyping((), TUnit())),
+        ):
+            object.__setattr__(y, "_hash", x._hash)
+            assert x != y
