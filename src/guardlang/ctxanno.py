@@ -1,21 +1,25 @@
 """Contextual typing annotations and their translation into guards, merges,
 right-hand annotations and `some` binders.
 
-A contextual annotation carries typings `Gamma0 |- A0`.  Whether the ambient
-context satisfies `Gamma0` is decided in one place, inside the synthesis
-rule `check_ctx_anno`: program-variable typings by subtyping of the
-looked-up type, index-variable sortings by instantiating a well-sorted index
-expression (found with the same metavariable machinery as Pi-left).  The
-first typing that applies, with every index instantiation solved, gives the
-type the term synthesizes.  Each instantiation renames the later sortings
-that its witness could be captured by (`syntax.instantiate`), so every step
-of the subsumption derivation carries the rest of the telescope as it is,
-and `replay` checks each step on its own.
+A contextual annotation carries typings `Gamma0 |- A0`, each a chain of
+one node per entry (`syntax.CtxIdx`, `syntax.CtxVar`) ending in the goal
+(`syntax.CtxGoal`).  Whether the ambient context satisfies `Gamma0` is
+decided in one place, inside the synthesis rule `check_ctx_anno`:
+program-variable typings by subtyping of the looked-up type, index-variable
+sortings by instantiating a well-sorted index expression (found with the
+same metavariable machinery as Pi-left).  The first typing that applies,
+with every index instantiation solved, gives the type the term synthesizes.
+Each instantiation renames the later sortings that its witness could be
+captured by (`syntax.instantiate`), so every step of the subsumption
+derivation carries the rest of the chain as it is, and `replay` checks each
+step on its own.
 
 `encode` removes every contextual annotation: each typing becomes a branch
 of a right-nested merge, its variable typings become guards, its index
 sortings become `some` binders (the sorting behaves existentially, exactly
 like the instantiation rule), around a right-hand annotation of the subject.
+A `some` binder wraps the subject, so a sorting named like an index variable
+free in the subject is renamed (`syntax.bind_fresh`) rather than capture it.
 `verify_encoding` checks the translation end to end: whatever the
 annotation-enabled checker accepts, the encoded program must pass with the
 contextual rule disabled, on the same checker (see its docstring).
@@ -32,22 +36,24 @@ from .indices import entails, solve_meta
 from .replay import CtxSubDerivation
 from .subtyping import Fail, subtype
 from .syntax import (
+    INDEX,
     Anno,
     Context,
     CtxAnno,
+    CtxGoal,
+    CtxIdx,
     CtxTyping,
+    CtxVar,
     Guard,
     IMeta,
-    IdxDecl,
     Merge,
     Program,
     Some,
-    TArrow,
-    TPi,
     Term,
     Type,
-    VarDecl,
     alpha_eq,
+    bind_fresh,
+    free_vars,
     instantiate,
     rewrite,
     subterms,
@@ -64,16 +70,6 @@ from .typecheck import (
 )
 
 
-def _wf_typing(ctx: Context, typing: CtxTyping) -> None:
-    """Well-formedness of one contextual typing `d1, ..., dn |- A`: that of
-    the type which reads each `a : s` as `Pi a : s .` and each `x : B` as
-    `B ->`, so each sorting is in scope for the later entries and the goal."""
-    ty = typing.goal
-    for d in reversed(typing.entries):
-        ty = TPi(d.name, d.sort, ty) if isinstance(d, IdxDecl) else TArrow(d.ty, ty)
-    check_type_wf(ctx, ty)
-
-
 def _match_entries(
     checker: Checker, ctx: Context, typing: CtxTyping
 ) -> Union[tuple[CtxSubDerivation, list[IMeta]], Fail]:
@@ -83,10 +79,10 @@ def _match_entries(
     goal may still mention the metavariables, and those metavariables."""
     steps = []  # (rule, telescope, premises before the rest's, witness)
     tel = typing
-    while tel.entries:
-        d0 = tel.entries[0]
-        rest = CtxTyping(tel.entries[1:], tel.goal)
-        if isinstance(d0, VarDecl):
+    while type(tel) is not CtxGoal:
+        rest = tel.body
+        if type(tel) is CtxVar:
+            d0 = tel.decl
             got = ctx.lookup_var(d0.name)
             if got is None:
                 return Fail(
@@ -104,14 +100,14 @@ def _match_entries(
             steps.append(("pvar", tel, (sd,), None))
         else:
             m, rest = instantiate(
-                checker.metas, ctx.index_vars(), d0.name, d0.sort, rest, d0.span
+                checker.metas, ctx.index_vars(), tel.var, tel.sort, rest, tel.span
             )
             steps.append(("ivar", tel, (), m))
         tel = rest
-    node = CtxSubDerivation("empty", tel, ctx.entries, tel.goal)
+    node = CtxSubDerivation("empty", tel, ctx.entries, tel.ty)
     for rule, inner, ps, w in reversed(steps):
         node = CtxSubDerivation(
-            rule, inner, ctx.entries, tel.goal, ps + (node,), witness=w
+            rule, inner, ctx.entries, tel.ty, ps + (node,), witness=w
         )
     return node, [w for *_, w in steps if w is not None]
 
@@ -129,7 +125,7 @@ def check_ctx_anno(
     reasons: list[Fail] = []
     for k, typing in enumerate(e.typings, 1):
         try:
-            _wf_typing(ctx, typing)
+            check_type_wf(ctx, typing)
         except IllFormedType as ex:
             reasons.append(
                 Fail(f"typing {k} is ill-formed: {ex}", typing.span)
@@ -198,12 +194,15 @@ def _encode_hook(e, state):
 
 
 def _encode_typing(t: CtxTyping, subject: Term) -> Term:
-    out: Term = Anno(subject, t.goal)
-    for d in reversed(t.entries):
-        if isinstance(d, VarDecl):
-            out = Guard(d, out)
-        else:
-            out = Some(d.name, d.sort, out)
+    avoid = free_vars(subject, INDEX)
+    entries = []
+    while type(t) is not CtxGoal:
+        t = bind_fresh(t, avoid) if type(t) is CtxIdx else t
+        entries.append(t)
+        t = t.body
+    out: Term = Anno(subject, t.ty)
+    for d in reversed(entries):
+        out = Guard(d.decl, out) if type(d) is CtxVar else Some(d.var, d.sort, out)
     return out
 
 

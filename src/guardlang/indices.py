@@ -13,8 +13,7 @@ comparison of normal forms: sound and complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .syntax import (
     Context,
@@ -40,23 +39,6 @@ class UnboundIndexVariable(Exception):
     def __init__(self, name: str) -> None:
         super().__init__(f"unbound index variable '{name}'")
         self.name = name
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """Canonical sum of coefficient * variable plus a constant.
-
-    Terms are sorted by key and never carry zero coefficients, so two forms
-    denote the same function iff they are equal.
-    """
-
-    terms: tuple[tuple[Key, int], ...]
-    const: int
-
-    @staticmethod
-    def from_dict(coeffs: dict[Key, int], const: int) -> LinearForm:
-        items = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0))
-        return LinearForm(items, const)
 
 
 def _linear(
@@ -90,25 +72,21 @@ def _linear(
             stack.append((x.factor, k * x.coeff))
             continue
         else:
-            raise TypeError(f"normalize: unexpected {x!r}")
+            raise TypeError(f"linear form: unexpected {x!r}")
         coeffs[key] = coeffs.get(key, 0) + k
     return {key: c for key, c in coeffs.items() if c}, const
 
 
-def normalize(i: IndexExpr) -> LinearForm:
-    """Semantics-preserving canonical form of a linear index expression."""
-    return LinearForm.from_dict(*_linear(i))
-
-
-def linear_to_expr(lf: LinearForm) -> IndexExpr:
-    """Rebuild an index expression from a linear form (canonical shape)."""
+def linear_to_expr(terms: Iterable[tuple[Key, int]], const: int) -> IndexExpr:
+    """The index expression, in canonical shape, of the linear form with
+    `terms`, (key, coefficient) pairs sorted by key, and `const`."""
     expr: Optional[IndexExpr] = None
-    for key, coeff in lf.terms:
+    for key, coeff in terms:
         base: IndexExpr = IVar(key[1]) if key[0] == "v" else IMeta(key[1])
         part = base if coeff == 1 else IMul(coeff, base)
         expr = part if expr is None else IAdd(expr, part)
-    if lf.const != 0 or expr is None:
-        lit = ILit(lf.const)
+    if const != 0 or expr is None:
+        lit = ILit(const)
         expr = lit if expr is None else IAdd(expr, lit)
     return expr
 
@@ -221,12 +199,10 @@ def _solve(
                 "solution mentions variables bound after the metavariable: "
                 + ", ".join(sorted(str(v) for v in out))
             )
-    return uid, linear_to_expr(LinearForm(tuple(solved.items()), -(const // c)))
+    return uid, linear_to_expr(solved.items(), -(const // c))
 
 
-def match_indices(
-    ctx: Context, store: MetaStore, stats, i: IndexExpr, j: IndexExpr
-) -> bool:
+def match_indices(store: MetaStore, stats, i: IndexExpr, j: IndexExpr) -> bool:
     """Make the equation `i = j` of a search hold, in the current state of
     `store`.
 
@@ -243,7 +219,7 @@ def match_indices(
         raise NoSolution("index constraint with several unsolved metavariables")
     if unsolved:
         try:
-            uid, solution = _solve(coeffs, const, unsolved[0], ctx.metas)
+            uid, solution = _solve(coeffs, const, unsolved[0], store)
         except NoSolution as ex:
             raise NoSolution(f"index constraint has no solution: {ex}") from None
         store.assign(uid, solution)

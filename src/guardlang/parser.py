@@ -45,7 +45,7 @@ So input of any depth parses and prints within Python's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from math import prod
 from types import GeneratorType
 from typing import Optional
@@ -54,7 +54,9 @@ from .syntax import (
     Anno,
     App,
     CtxAnno,
-    CtxTyping,
+    CtxGoal,
+    CtxIdx,
+    CtxVar,
     Guard,
     IAdd,
     ILit,
@@ -393,17 +395,19 @@ class _Parser:
             self.expect("[")
             typings = []
             while not typings or self.accept(";"):
-                first = self.tokens[self.pos]
                 entries = []
                 if not self.at("|-"):
                     entries.append((yield self.decl()))
                     while self.accept(","):
                         entries.append((yield self.decl()))
-                self.expect("|-")
-                goal = yield self.expr(Type)
-                typings.append(
-                    CtxTyping(tuple(entries), goal, span=self.span_from(first))
-                )
+                bar = self.expect("|-")
+                t = CtxGoal((yield self.expr(Type)), span=self.span_from(bar))
+                for d in reversed(entries):
+                    span = replace(t.span, start_line=d.span.start_line,
+                                   start_col=d.span.start_col)
+                    t = (CtxVar(d, t, span=span) if type(d) is VarDecl
+                         else CtxIdx(d.name, d.sort, t, span=span))
+                typings.append(t)
             self.expect("]")
             self.expect(")")
             return CtxAnno(body, tuple(typings), span=self.span_from(start))
@@ -546,6 +550,7 @@ def _layouts() -> dict[type, tuple[Optional[int], tuple]]:
         ILit: (None, ("{value}",)),
         IMeta: (None, ("?{uid}",)),
         IdxDecl: (None, ("{name} : {sort}",)),
+        CtxGoal: (None, ("|- ", ("ty", 0))),
         VarDecl: (None, ("{name} : ", ("ty", 0))),
         TCon: (None, ("{con}(", ("index", 0), ")")),
         Anno: (None, ("(", ("body", 0), " : ", ("ty", 0), ")")),
@@ -588,11 +593,10 @@ def pretty(x) -> str:
             for k, t in enumerate(x.typings):
                 parts += [" ; ", (t, 0)] if k else [(t, 0)]
             parts.append("])")
-        elif cls is CtxTyping:
-            prec, parts = None, []
-            for d in x.entries:
-                parts += [(d, 0), ", "]
-            parts[-1:] = [" |- " if parts else "|- ", (x.goal, 0)]
+        elif cls is CtxIdx or cls is CtxVar:
+            head = f"{x.var} : {x.sort}" if cls is CtxIdx else (x.decl, 0)
+            sep = " " if type(x.body) is CtxGoal else ", "
+            prec, parts = None, [head, sep, (x.body, 0)]
         elif cls in _LAYOUT:
             prec, layout = _LAYOUT[cls]
             values = x.__dict__

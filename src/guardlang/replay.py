@@ -38,10 +38,10 @@ from typing import Optional
 from .indices import UnboundIndexVariable, entails, sort_of
 from .parser import pretty
 from .syntax import (
-    _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, CtxTyping, Decl,
-    Guard, IVar, IdxDecl, IdxLam, IndexExpr, Lam, Merge, MetaStore, Prim,
-    Signature, Some, TArrow, TAtom, TCon, TPi, TSect, TUnit, Term, Type, Unit,
-    Var, VarDecl, Zonker, _aeq, _bind, alpha_eq, subst,
+    _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, CtxGoal, CtxIdx,
+    CtxTyping, CtxVar, Decl, Guard, IVar, IdxDecl, IdxLam, IndexExpr, Lam,
+    Merge, MetaStore, Prim, Signature, Some, TArrow, TAtom, TCon, TPi, TSect,
+    TUnit, Term, Type, Unit, Var, VarDecl, Zonker, _aeq, _bind, alpha_eq, subst,
 )
 
 
@@ -352,7 +352,7 @@ def _ctx_anno(sig, d):
 
 
 def _ctx_empty(sig, d):
-    if d.inner.entries or not alpha_eq(d.inner.goal, d.goal):
+    if type(d.inner) is not CtxGoal or not alpha_eq(d.inner.ty, d.goal):
         return "the telescope is not exactly the goal"
 
 
@@ -360,16 +360,15 @@ def _ctx_step(sig, d):
     # pvar and ivar: the first entry of the telescope is met, and the last
     # premise carries the rest, instantiated by the witness, and this goal.
     tel, nxt = d.inner, d.premises[-1]
-    d0 = tel.entries[0] if tel.entries else None
-    rest = CtxTyping(tel.entries[1:], tel.goal)
     if d.rule == "pvar":
-        got = type(d0) is VarDecl and _lookup(d.ctx_entries, VarDecl, d0.name)
-        if not got or not _is(d.premises[0], got.ty, d0.ty):
+        got = type(tel) is CtxVar and _lookup(d.ctx_entries, VarDecl, tel.decl.name)
+        if not got or not _is(d.premises[0], got.ty, tel.decl.ty):
             return "the variable typing is not met"
-    elif type(d0) is not IdxDecl or _bad_witness(sig, d, d0.sort):
+        rest = tel.body
+    elif type(tel) is not CtxIdx or _bad_witness(sig, d, tel.sort):
         return "the index sorting is not met"
     else:
-        rest = subst(d.witness, d0.name, rest)
+        rest = subst(d.witness, tel.var, tel.body)
     if not (alpha_eq(nxt.inner, rest) and alpha_eq(nxt.goal, d.goal)):
         return "the premise does not carry the rest of the telescope"
 

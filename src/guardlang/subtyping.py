@@ -267,7 +267,7 @@ class _Search:
         if a.con != b.con:
             return Fail(f"distinct constructors {a.con} and {b.con}")
         try:
-            if indices.match_indices(ctx, self.store, self.stats, a.index, b.index):
+            if indices.match_indices(self.store, self.stats, a.index, b.index):
                 return SubDerivation("ilr", ctx.entries, a, b)
         except NoSolution as ex:
             return Fail(str(ex))

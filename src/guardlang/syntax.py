@@ -23,13 +23,12 @@ The binding structure is declared once, in `BINDERS` and `OCCURRENCES`,
 and every traversal (children, free variables, substitution, renaming,
 alpha-equivalence) is derived from it and from one field table:
 
-- `Lam` binds a term variable; `TPi`, `Some` and `IdxLam` each bind an
-  index variable.  In all four the `var` field names the variable and
-  `body` is its scope.
-- A `CtxTyping` is a telescope: each `IdxDecl` entry binds its variable in
-  the later entries and in the goal.
-- `Var`, `IVar`, guard subjects and the `VarDecl` entries of a contextual
-  typing are occurrences, not binders.
+- `Lam` binds a term variable; `TPi`, `Some`, `IdxLam` and `CtxIdx` each
+  bind an index variable.  In all five the `var` field names the variable
+  and `body` is its scope.  So the index sortings of a contextual typing
+  bind in the later entries and in the goal.
+- `Var`, `IVar` and declarations are occurrences, not binders: the
+  declaration of a guard subject or of a contextual variable typing.
 
 Substitution is capture-avoiding, with fresh names chosen deterministically
 from the set of names to avoid.  A recursive traversal spends exactly one
@@ -241,16 +240,35 @@ class IdxDecl(Decl):
     sort: IndexSort
 
 
-@_syntax
 class CtxTyping(Node):
-    """One `Gamma |- A` entry of a contextual annotation.
+    """One `Gamma |- A` of a contextual annotation: a chain of one node per
+    entry of Gamma, ending in the goal A.  Each node's span runs from its
+    first token to the end of the typing."""
 
-    IdxDecl entries bind their variable in the remaining entries and in the
-    goal; VarDecl entries refer to program variables of the outer scope.
-    """
 
-    entries: tuple[Decl, ...]
-    goal: Type
+@_syntax
+class CtxIdx(CtxTyping):
+    """`a : sort, ...`: binds the index variable a in the rest, like `TPi`."""
+
+    var: str
+    sort: IndexSort
+    body: CtxTyping
+
+
+@_syntax
+class CtxVar(CtxTyping):
+    """`x : A, ...`: the context must give the program variable x a subtype
+    of A.  Its declaration is an occurrence of x, as a guard subject is."""
+
+    decl: VarDecl
+    body: CtxTyping
+
+
+@_syntax
+class CtxGoal(CtxTyping):
+    """`|- A`, the type the annotated term is checked against."""
+
+    ty: Type
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +606,11 @@ TERM = "term"
 INDEX = "index"
 
 # Binders: the `var` field names a variable of the namespace, bound in `body`.
-BINDERS: dict[type, str] = {Lam: TERM, TPi: INDEX, Some: INDEX, IdxLam: INDEX}
+BINDERS: dict[type, str] = {
+    Lam: TERM, TPi: INDEX, Some: INDEX, IdxLam: INDEX, CtxIdx: INDEX
+}
 # Occurrences: the `name` field refers to a variable of the namespace.  A
-# declaration occurs as a guard subject or as an entry of a CtxTyping, whose
-# IdxDecl entries are the one exception: they bind (see `_subst_telescope`).
+# declaration occurs as the subject of a `Guard` or of a `CtxVar`.
 OCCURRENCES: dict[type, str] = {
     Var: TERM,
     VarDecl: TERM,
@@ -718,14 +737,6 @@ def free_vars(x: Syntax, ns: str) -> frozenset[str]:
     while stack:
         y, bound = stack.pop()
         cls = type(y)
-        if cls is CtxTyping and ns == INDEX:
-            for d in y.entries:
-                if type(d) is IdxDecl:
-                    bound = bound | {d.name}
-                else:
-                    stack.append((d, bound))
-            stack.append((y.goal, bound))
-            continue
         if OCCURRENCES.get(cls) == ns and y.name not in bound:
             out.add(y.name)
         if BINDERS.get(cls) == ns:
@@ -752,9 +763,9 @@ def subst(repl: Union[Term, IndexExpr], var: str, x: Syntax) -> Syntax:
     the binders that would capture a variable of repl.
 
     The namespace is repl's kind: a term replaces a term variable, an index
-    expression an index variable.  A guard subject or a contextual-typing
-    entry named `var` is renamed when repl is a variable; otherwise it is
-    discharged, the guard dropped for its body and the entry removed.
+    expression an index variable.  The subject of a guard or of a
+    contextual variable typing named `var` is renamed when repl is a
+    variable; otherwise it is discharged, the node dropped for its body.
     Renaming `var` to itself returns x, so that replay can compare by
     identity.  A metavariable is substituted by `instantiate`, which renames
     the binders its solution could be captured by.
@@ -779,10 +790,11 @@ def instantiate(
     origin: Optional[Span] = None,
 ) -> tuple[IMeta, Syntax]:
     """A fresh metavariable of `sort` and `scope`, and body (a Pi body, a
-    term or a telescope) with it for the index variable `var`.  Its solution
-    may name any variable of `scope` and is zonked in without renaming, so
-    every binder of body named in `scope` is renamed here.  The metavariable
-    records `var` and `origin`, the span of the instantiating syntax."""
+    term or the rest of a contextual typing) with it for the index variable
+    `var`.  Its solution may name any variable of `scope` and is zonked in
+    without renaming, so every binder of body named in `scope` is renamed
+    here.  The metavariable records `var` and `origin`, the span of the
+    instantiating syntax."""
     m = store.fresh(sort, scope, var, origin)
     return m, rewrite(body, _subst_hook, (m, var, INDEX, scope))
 
@@ -792,58 +804,21 @@ def _subst_hook(x, state):
     cls = type(x)
     if cls is Var or cls is IVar:
         return repl if x.name == var and OCCURRENCES[cls] is ns else x
-    if cls is CtxTyping:
-        return _subst_telescope(x, state)
-    if ns is TERM and not isinstance(x, Term):
-        return x  # types and indices hold no term variables
+    if ns is TERM and isinstance(x, (Type, IndexExpr, Decl)):
+        return x  # types, indices and declarations hold no term variables
     if BINDERS.get(cls) is ns:
         if x.var == var:
             return x
         if x.var in free:
             return rewrite(bind_fresh(x, free | {var}), _subst_hook, state)
-    elif cls is Guard:
+    elif cls is Guard or cls is CtxVar:
         d = x.decl
         if d.name == var and OCCURRENCES[type(d)] is ns:
             body = rewrite(x.body, _subst_hook, state)
             if type(repl) is not _VARIABLE[ns]:
                 return body
-            return Guard(replace(d, name=repl.name), body, span=x.span)
+            return cls(replace(d, name=repl.name), body, span=x.span)
     return state
-
-
-def _subst_telescope(t: CtxTyping, state) -> CtxTyping:
-    """Substitution into a telescope: each IdxDecl entry binds its variable
-    in the later entries and in the goal; VarDecl entries are occurrences."""
-    repl, var, ns, free = state
-    entries, goal = t.entries, t.goal
-    out: list[Decl] = []
-    k = 0
-    while k < len(entries):
-        d = entries[k]
-        k += 1
-        if ns is INDEX and type(d) is IdxDecl:
-            if d.name == var:
-                out.extend(entries[k - 1 :])
-                break
-            if d.name in free:
-                rest = CtxTyping(entries[k:], goal)
-                name = fresh_name(d.name, free | {var} | free_vars(rest, INDEX))
-                rest = subst(IVar(name), d.name, rest)
-                d = replace(d, name=name)
-                entries, goal, k = rest.entries, rest.goal, 0
-            out.append(d)
-        elif ns is TERM and type(d) is VarDecl and d.name == var:
-            if type(repl) is Var:
-                out.append(replace(d, name=repl.name))
-        else:
-            out.append(rewrite(d, _subst_hook, state))
-    else:
-        goal = rewrite(goal, _subst_hook, state)
-    if goal is t.goal and len(out) == len(t.entries) and all(
-        a is b for a, b in zip(out, t.entries)
-    ):
-        return t
-    return CtxTyping(tuple(out), goal, span=t.span)
 
 
 def bind_fresh(x: Syntax, avoid: frozenset[str]) -> Syntax:
@@ -887,18 +862,6 @@ def _aeq(x, y, lmap: dict, rmap: dict, depth: int) -> bool:
         lmap, rmap = _bind(lmap, rmap, BINDERS[cls], x.var, y.var, depth)
         depth += 1
         skip = "var"
-    elif cls is CtxTyping:
-        if len(x.entries) != len(y.entries):
-            return False
-        for d, e in zip(x.entries, y.entries):
-            if type(d) is IdxDecl and type(e) is IdxDecl:
-                if d.sort != e.sort:
-                    return False
-                lmap, rmap = _bind(lmap, rmap, INDEX, d.name, e.name, depth)
-                depth += 1
-            elif type(d) is IdxDecl or not _aeq(d, e, lmap, rmap, depth):
-                return False
-        return _aeq(x.goal, y.goal, lmap, rmap, depth)
     for name in _FIELDS[cls]:
         a, b = getattr(x, name), getattr(y, name)
         if type(a) is tuple:

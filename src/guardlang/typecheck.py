@@ -80,6 +80,10 @@ from .syntax import (
     App,
     Context,
     CtxAnno,
+    CtxGoal,
+    CtxIdx,
+    CtxTyping,
+    CtxVar,
     Decl,
     Guard,
     IVar,
@@ -120,17 +124,22 @@ class IllFormedType(Exception):
     pass
 
 
-def check_type_wf(ctx: Context, ty: Type) -> None:
-    """Every atom and constructor declared, every index variable in scope."""
+def check_type_wf(ctx: Context, ty: Union[Type, CtxTyping]) -> None:
+    """Every atom and constructor declared, every index variable in scope.
+
+    A contextual typing reads as a type: each sorting `a : s,` as `Pi a : s
+    .`, each variable typing `x : A,` as `A ->`, and its goal as itself."""
     match ty:
         case TUnit():
             return
         case TAtom(name):
             if name not in ctx.sig.atoms:
                 raise IllFormedType(f"undeclared datasort '{name}'")
-        case TArrow(a, b) | TSect(a, b):
+        case TArrow(a, b) | TSect(a, b) | CtxVar(VarDecl(_, a), b):
             check_type_wf(ctx, a)
             check_type_wf(ctx, b)
+        case CtxGoal(a):
+            check_type_wf(ctx, a)
         case TCon(con, idx):
             if con not in ctx.sig.cons:
                 raise IllFormedType(f"undeclared indexed constructor '{con}'")
@@ -142,7 +151,7 @@ def check_type_wf(ctx: Context, ty: Type) -> None:
                 raise IllFormedType(
                     f"index of '{con}' has sort {got}, expected {ctx.sig.cons[con]}"
                 )
-        case TPi():
+        case TPi() | CtxIdx():
             pi = bind_fresh(ty, ctx.index_vars())
             check_type_wf(ctx.extend(IdxDecl(pi.var, pi.sort)), pi.body)
         case _:

@@ -19,6 +19,9 @@ from guardlang.syntax import (
     Anno,
     App,
     CtxAnno,
+    CtxGoal,
+    CtxIdx,
+    CtxVar,
     Eq,
     Guard,
     IAdd,
@@ -87,6 +90,15 @@ def indexed_sig() -> Signature:
 def load_program(path: str) -> Program:
     with open(path, encoding="utf-8") as fh:
         return parse_program(fh.read(), path)
+
+
+def ctx_typing(entries, goal: Type):
+    """The chain of the contextual typing `entries |- goal`: a `CtxIdx` per
+    IdxDecl entry and a `CtxVar` per VarDecl entry, ending in a `CtxGoal`."""
+    t = CtxGoal(goal)
+    for d in reversed(entries):
+        t = CtxVar(d, t) if type(d) is VarDecl else CtxIdx(d.name, d.sort, t)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from guardlang.syntax import (
     Anno,
     App,
     CtxAnno,
-    CtxTyping,
     Guard,
     INDEX,
     IAdd,
@@ -35,7 +34,7 @@ from guardlang.syntax import (
     free_vars,
     subst,
 )
-from helpers import naive_subst, rename_all_binders
+from helpers import ctx_typing, naive_subst, rename_all_binders
 
 IDX_NAMES = st.sampled_from(["a", "b", "c", "n"])
 TERM_NAMES = st.sampled_from(["x", "y", "z", "f"])
@@ -89,7 +88,7 @@ def decls():
 
 def ctx_typings():
     return st.tuples(st.lists(decls(), max_size=2), types(2)).map(
-        lambda p: CtxTyping(tuple(p[0]), p[1])
+        lambda p: ctx_typing(*p)
     )
 
 

@@ -23,7 +23,7 @@ from helpers import (
     weaken,
 )
 from guardlang.ctxanno import verify_encoding
-from guardlang.indices import entails, normalize
+from guardlang.indices import entails
 from guardlang.interp import Stepped, erase, evaluate, step, step_all
 from guardlang.parser import parse_index, parse_program, pretty
 from guardlang.subtyping import Fail, subtype
@@ -114,9 +114,7 @@ def test_criterion_2_some_binder_examples():
     )
     report = typecheck_program(prog)
     assert report.accepted
-    assert normalize(some_witness(report.derivation)) == normalize(
-        parse_index("2*a")
-    )
+    assert entails(some_witness(report.derivation), parse_index("2*a"))
 
     # Unsolvable divisibility 2b = a is rejected.
     prog = parse_program(

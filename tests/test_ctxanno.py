@@ -24,13 +24,15 @@ from guardlang.ctxanno import (
     verify_encoding,
 )
 from guardlang.interp import MergeMismatchError, erase
-from guardlang.parser import parse_program, parse_term, parse_type
+from guardlang.parser import parse_program, parse_term, parse_type, pretty_program
 from guardlang.replay import VerifyError, verify_typing
 from guardlang.subtyping import Fail
 from guardlang.syntax import (
     Anno,
     CtxAnno,
-    CtxTyping,
+    CtxGoal,
+    CtxIdx,
+    CtxVar,
     Guard,
     INT,
     IVar,
@@ -57,6 +59,15 @@ def ok(x) -> bool:
 
 
 SNOC_ANNO = "((snoc1 x) :: [x : odd |- even ; x : even |- odd])"
+
+# A sorting named {s}, whose `some` binder in the encoding wraps a subject
+# that mentions the idxfn-bound a.
+CAPTURE = (
+    "indexcon list :: int\n"
+    "val main : Pi a : int . list(a) -> list(a) =\n"
+    "  idxfn a : int => fn x =>\n"
+    "    ((x : list(a)) :: [{s} : int, x : list({s}+1) |- list({s}+1)])\n"
+)
 
 
 class TestCheckCtxAnno:
@@ -255,17 +266,16 @@ class TestEncode:
         assert alpha_eq(got, want)
 
     def test_single_empty_typing_is_bare_annotation(self):
-        term = CtxAnno(Unit(), (CtxTyping((), TUnit()),))
+        term = CtxAnno(Unit(), (CtxGoal(TUnit()),))
         assert encode(term) == Anno(Unit(), TUnit())
 
     def test_index_sortings_become_some_binders(self, isig):
         term = CtxAnno(
             Var("x"),
             (
-                CtxTyping(
-                    (IdxDecl("a", INT), VarDecl("x", parse_type("list(a)"))),
-                    parse_type("list(a)"),
-                ),
+                CtxIdx("a", INT, CtxVar(
+                    VarDecl("x", parse_type("list(a)")), CtxGoal(parse_type("list(a)"))
+                )),
             ),
         )
         got = encode(term)
@@ -275,7 +285,7 @@ class TestEncode:
 
     def test_right_nested_merges(self):
         typings = tuple(
-            CtxTyping((), TAtom(name)) for name in ("odd", "even", "bits")
+            CtxGoal(TAtom(name)) for name in ("odd", "even", "bits")
         )
         got = encode(CtxAnno(Var("x"), typings))
         assert isinstance(got, Merge)
@@ -379,6 +389,19 @@ class TestVerifyEncoding:
                 exact += 1
         assert exact >= 15 and relaxed >= 3
 
+    @pytest.mark.parametrize("s", ["a", "b"])
+    def test_a_sorting_does_not_capture_the_subject(self, s):
+        check = verify_encoding(parse_program(CAPTURE.format(s=s)))
+        assert check.original.accepted and check.encoded.accepted
+        enc = check.encoded_program
+        other = encode_program(parse_program(CAPTURE.format(s="b")))
+        assert alpha_eq(enc.main, other.main)
+        text = pretty_program(enc)
+        assert ("some a1 : int in" in text) == (s == "a")
+        again = parse_program(text)
+        assert alpha_eq(again.main, enc.main)
+        assert typecheck_program(again).verdict == check.original.verdict
+
 
 def _shared_checker_cases():
     for name in ACCEPTED_PROGRAMS + REJECTED_PROGRAMS:
@@ -457,13 +480,14 @@ def _entry_unconstrained_ivar(typing) -> bool:
     from guardlang.syntax import INDEX, free_vars
 
     constrained: set = set()
-    for d in typing.entries:
-        if isinstance(d, VarDecl):
-            constrained |= free_vars(d.ty, INDEX)
-    return any(
-        isinstance(d, IdxDecl) and d.name not in constrained
-        for d in typing.entries
-    )
+    sortings = []
+    while type(typing) is not CtxGoal:
+        if type(typing) is CtxVar:
+            constrained |= free_vars(typing.decl.ty, INDEX)
+        else:
+            sortings.append(typing.var)
+        typing = typing.body
+    return any(a not in constrained for a in sortings)
 
 
 def _rule_nodes(d, rule):

@@ -25,6 +25,7 @@ from guardlang.syntax import (
     Anno,
     App,
     CtxAnno,
+    CtxGoal,
     Guard,
     IMul,
     INT,
@@ -129,13 +130,24 @@ class TestParseTerm:
         )
         assert isinstance(got, CtxAnno)
         assert len(got.typings) == 2
-        assert got.typings[0].entries[0] == VarDecl("x", TAtom("odd"))
-        assert got.typings[1].goal == TAtom("odd")
+        assert got.typings[0].decl == VarDecl("x", TAtom("odd"))
+        assert got.typings[1].body.ty == TAtom("odd")
 
     def test_empty_context_typing(self):
         got = parse_term("(() :: [|- unit])")
         assert isinstance(got, CtxAnno)
-        assert got.typings[0].entries == ()
+        assert got.typings[0] == CtxGoal(TUnit())
+
+    def test_each_entry_spans_to_the_end_of_its_typing(self):
+        t = parse_term("(() :: [a : int, x : odd |- odd ; |- unit])").typings[0]
+        starts = []
+        while True:
+            assert (t.span.end_line, t.span.end_col) == (1, 32)
+            starts.append(t.span.start_col)
+            if type(t) is CtxGoal:
+                break
+            t = t.body
+        assert starts == [9, 18, 26]
 
     def test_application_left_assoc(self):
         got = parse_term("f x y")

@@ -34,7 +34,7 @@ from guardlang.replay import (
 from guardlang.subtyping import subtype
 from guardlang.syntax import (
     INDEX,
-    CtxTyping,
+    CtxGoal,
     IAdd,
     IdxDecl,
     ILit,
@@ -207,7 +207,7 @@ def _mutants(d):
         yield "term", replace(d, lhs=zz)
         yield "type", replace(d, rhs=zz)
     else:
-        yield "term", replace(d, inner=CtxTyping((), zz))
+        yield "term", replace(d, inner=CtxGoal(zz))
         yield "type", replace(d, goal=zz)
     ctx = d.ctx_entries
     if not ctx:
@@ -235,8 +235,7 @@ def _still_valid(d, field: str, is_root: bool):
         elif d.rule == "pi-l":
             var, body = d.lhs.var, d.lhs.body
         else:  # an ivar step of a subsumption chain
-            var = d.inner.entries[0].name
-            body = CtxTyping(d.inner.entries[1:], d.inner.goal)
+            var, body = d.inner.var, d.inner.body
         if var not in free_vars(body, INDEX):
             return "the bound variable does not occur, so any witness instantiates it"
     if field == "branch":

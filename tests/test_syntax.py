@@ -23,7 +23,10 @@ from guardlang.syntax import (
     Anno,
     App,
     CtxAnno,
+    CtxGoal,
+    CtxIdx,
     CtxTyping,
+    CtxVar,
     Decl,
     Guard,
     IAdd,
@@ -278,14 +281,12 @@ class TestInstantiate:
         )
 
     def test_telescope(self):
-        t = CtxTyping(
-            (IdxDecl("b", INT), VarDecl("x", _list(IVar("b")))),
-            _list(IAdd(IVar("a"), IVar("b"))),
-        )
-        assert self._solved(t) == CtxTyping(
-            (IdxDecl("b1", INT), VarDecl("x", _list(IVar("b1")))),
-            _list(IAdd(IVar("b"), IVar("b1"))),
-        )
+        t = CtxIdx("b", INT, CtxVar(
+            VarDecl("x", _list(IVar("b"))), CtxGoal(_list(IAdd(IVar("a"), IVar("b"))))
+        ))
+        assert self._solved(t) == CtxIdx("b1", INT, CtxVar(
+            VarDecl("x", _list(IVar("b1"))), CtxGoal(_list(IAdd(IVar("b"), IVar("b1"))))
+        ))
 
     def test_shadowing_binder_is_left_alone(self):
         body = TPi("a", INT, _list(IVar("a")))
@@ -348,44 +349,33 @@ def _list(i):
 
 class TestTelescope:
     def test_shadowing_entry_stops_substitution(self):
-        # [5/a](x : list(a), a : int, y : list(a) |- list(a)): the IdxDecl
+        # [5/a](x : list(a), a : int, y : list(a) |- list(a)): the sorting
         # rebinds a for the later entries and the goal.
-        t = CtxTyping(
-            (
-                VarDecl("x", _list(IVar("a"))),
-                IdxDecl("a", INT),
-                VarDecl("y", _list(IVar("a"))),
-            ),
-            _list(IVar("a")),
+        rest = CtxIdx(
+            "a", INT, CtxVar(VarDecl("y", _list(IVar("a"))), CtxGoal(_list(IVar("a"))))
         )
+        t = CtxVar(VarDecl("x", _list(IVar("a"))), rest)
         got = subst(ILit(5), "a", t)
-        assert got == CtxTyping(
-            (VarDecl("x", _list(ILit(5))),) + t.entries[1:], t.goal
-        )
-        assert got.entries[1:] == t.entries[1:] and got.goal is t.goal
+        assert got == CtxVar(VarDecl("x", _list(ILit(5))), rest)
+        assert got.body is rest
 
     def test_bound_from_the_start_is_untouched(self):
-        t = CtxTyping((IdxDecl("a", INT),), _list(IVar("a")))
+        t = CtxIdx("a", INT, CtxGoal(_list(IVar("a"))))
         assert subst(ILit(5), "a", t) is t
 
     def test_capture_renames_the_entry(self):
         # [a/b](a : int, x : list(a + b) |- list(a)) renames the bound a.
-        t = CtxTyping(
-            (IdxDecl("a", INT), VarDecl("x", _list(IAdd(IVar("a"), IVar("b"))))),
-            _list(IVar("a")),
-        )
-        assert subst(IVar("a"), "b", t) == CtxTyping(
-            (
-                IdxDecl("a1", INT),
-                VarDecl("x", _list(IAdd(IVar("a1"), IVar("a")))),
-            ),
-            _list(IVar("a1")),
-        )
+        t = CtxIdx("a", INT, CtxVar(
+            VarDecl("x", _list(IAdd(IVar("a"), IVar("b")))), CtxGoal(_list(IVar("a")))
+        ))
+        assert subst(IVar("a"), "b", t) == CtxIdx("a1", INT, CtxVar(
+            VarDecl("x", _list(IAdd(IVar("a1"), IVar("a")))), CtxGoal(_list(IVar("a1")))
+        ))
 
     def test_free_vars_respect_the_telescope(self):
-        t = CtxTyping(
-            (VarDecl("x", _list(IVar("c"))), IdxDecl("a", INT)),
-            _list(IAdd(IVar("a"), IVar("b"))),
+        t = CtxVar(
+            VarDecl("x", _list(IVar("c"))),
+            CtxIdx("a", INT, CtxGoal(_list(IAdd(IVar("a"), IVar("b"))))),
         )
         assert free_vars(t, INDEX) == {"b", "c"}
         assert free_vars(CtxAnno(Unit(), (t,)), TERM) == {"x"}
@@ -401,14 +391,14 @@ class TestGuardSubjects:
         assert subst(IAdd(IVar("c"), ILit(1)), "a", e) == Unit()
 
     def test_entry_renamed_by_a_variable(self):
-        e = CtxAnno(Var("x"), (CtxTyping((VarDecl("x", TUnit()),), TUnit()),))
+        e = CtxAnno(Var("x"), (CtxVar(VarDecl("x", TUnit()), CtxGoal(TUnit())),))
         assert subst(Var("y"), "x", e) == CtxAnno(
-            Var("y"), (CtxTyping((VarDecl("y", TUnit()),), TUnit()),)
+            Var("y"), (CtxVar(VarDecl("y", TUnit()), CtxGoal(TUnit())),)
         )
 
     def test_entry_discharged_by_a_value(self):
-        e = CtxAnno(Var("x"), (CtxTyping((VarDecl("x", TUnit()),), TUnit()),))
-        assert subst(Unit(), "x", e) == CtxAnno(Unit(), (CtxTyping((), TUnit()),))
+        e = CtxAnno(Var("x"), (CtxVar(VarDecl("x", TUnit()), CtxGoal(TUnit())),))
+        assert subst(Unit(), "x", e) == CtxAnno(Unit(), (CtxGoal(TUnit()),))
 
 
 def _binder(cls, var, body_var):
@@ -417,6 +407,8 @@ def _binder(cls, var, body_var):
         return cls(var, Var(body_var))
     if cls is TPi:
         return TPi(var, INT, _list(IVar(body_var)))
+    if cls is CtxIdx:
+        return CtxIdx(var, INT, CtxGoal(_list(IVar(body_var))))
     return cls(var, INT, Guard(IdxDecl(body_var, INT), Unit()))
 
 
@@ -442,15 +434,11 @@ def test_identity_shortcut_needs_the_same_binders():
 
 
 def test_alpha_eq_through_a_telescope():
-    def typing(a):
-        return CtxTyping(
-            (IdxDecl(a, INT), VarDecl("x", _list(IVar(a)))), _list(IVar(a))
-        )
+    def typing(a, goal):
+        return CtxIdx(a, INT, CtxVar(VarDecl("x", _list(IVar(a))), CtxGoal(goal)))
 
-    assert alpha_eq(typing("a"), typing("b"))
-    assert not alpha_eq(
-        typing("a"), CtxTyping(typing("b").entries, _list(IVar("a")))
-    )
+    assert alpha_eq(typing("a", _list(IVar("a"))), typing("b", _list(IVar("b"))))
+    assert not alpha_eq(typing("a", _list(IVar("a"))), typing("b", _list(IVar("a"))))
 
 
 def _chain(n, leaf):
@@ -467,6 +455,13 @@ def _type_chain(n):
     return ty
 
 
+def _typing_chain(n):
+    t = CtxGoal(_list(IVar("a")))
+    for _ in range(n):
+        t = CtxIdx("b", INT, CtxVar(VarDecl("x", _list(IVar("a"))), t))
+    return t
+
+
 DEEP = 400
 TRAVERSALS = {
     "hash-term": lambda: hash(_chain(DEEP, Var("x"))),
@@ -481,6 +476,8 @@ TRAVERSALS = {
         IVar("b"), "a", _chain(DEEP, Guard(IdxDecl("a", INT), Unit()))
     ),
     "alpha_eq": lambda: alpha_eq(_chain(DEEP, Var("x")), _chain(DEEP, Var("x"))),
+    "subst-typing": lambda: subst(IVar("c"), "a", _typing_chain(DEEP)),
+    "alpha_eq-typing": lambda: alpha_eq(_typing_chain(DEEP), _typing_chain(DEEP)),
     "erase": lambda: erase(_chain(DEEP, Var("x"))),
     "encode": lambda: encode(_chain(DEEP, Var("x"))),
 }
@@ -503,8 +500,9 @@ def _sample(hint):
         Type: TUnit(),
         Term: Var("a"),
         Decl: VarDecl("a", TUnit()),
-        tuple[Decl, ...]: (IdxDecl("a", INT), VarDecl("x", TUnit())),
-        tuple[CtxTyping, ...]: (CtxTyping((), TUnit()),),
+        VarDecl: VarDecl("a", TUnit()),
+        CtxTyping: CtxGoal(TUnit()),
+        tuple[CtxTyping, ...]: (CtxGoal(TUnit()),),
     }
     return samples[hint]
 
@@ -686,7 +684,8 @@ class TestEquality:
         b = parse_term("fn x =>\n  (f x : odd)", prims=frozenset({"f"}))
         assert a == b and a is not b and a.span != b.span
         assert a != parse_term("fn x => (f x : even)", prims=frozenset({"f"}))
-        assert CtxTyping((IdxDecl("a", INT),), TUnit()) != CtxTyping((), TUnit())
+        one = (CtxGoal(TUnit()),)
+        assert CtxAnno(Unit(), one * 2) != CtxAnno(Unit(), one)
 
     def test_other_classes_are_not_equal(self):
         assert TAtom("odd") != Var("odd") and TUnit() != Unit()
@@ -695,7 +694,8 @@ class TestEquality:
     def test_equal_hashes_are_not_enough(self):
         for x, y in (
             (TAtom("odd"), TAtom("even")),
-            (CtxTyping((IdxDecl("a", INT),), TUnit()), CtxTyping((), TUnit())),
+            (CtxAnno(Unit(), (CtxGoal(TUnit()),) * 2),
+             CtxAnno(Unit(), (CtxGoal(TUnit()),))),
         ):
             object.__setattr__(y, "_hash", x._hash)
             assert x != y

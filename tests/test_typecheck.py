@@ -34,7 +34,7 @@ from guardlang.typecheck import (
     typecheck_program,
     verify_typing,
 )
-from guardlang.indices import normalize
+from guardlang.indices import entails
 
 
 def ok(result) -> bool:
@@ -115,7 +115,7 @@ class TestCheck:
         )
         assert ok(d)
         some = _find_rule(d, "some")
-        assert normalize(some.witness) == normalize(parse_index("2*a"))
+        assert entails(some.witness, parse_index("2*a"))
 
     def test_unsolvable_divisibility(self, isig):
         _, d = check_text(
