@@ -146,44 +146,68 @@ _DROP = {
 }
 
 
-def _reduce(e: Term) -> Union[Value, Stuck, tuple[str, list[Term]]]:
+def _reduce(e: Term) -> Union[Value, Stuck, tuple[str, Term, list]]:
     """The reduction relation, in one walk of e: `Value()` for a value of
     the extended grammar (variables, lambdas, unit, annotated and guarded
     values, inert primitive application spines), the `Stuck` term, or the
-    rule and the reducts of the leftmost-innermost call-by-value redex.  A
-    merge has two reducts, its branches, and `step` takes the first; every
-    other redex has one."""
+    rule of the leftmost-innermost call-by-value redex, the redex (for
+    delta, its result, which tells an inert spine from a redex), and its
+    context: the applications from the redex up to e, each with the side of
+    its hole (0 the function, 1 the argument).  No beta redex is contracted
+    here: `_reducts` builds the reducts of the step that is taken, so an
+    annotation that only asks whether its body is a value builds none."""
     match e:
         case Var(_) | Lam(_, _) | Unit() | Prim(_):
             return _VALUE
         case Anno(body, _) | Guard(_, body):
             if _reduce(body) is _VALUE:
                 return _VALUE
-            return _DROP[type(e)], [body]
+            return _DROP[type(e)], e, []
         case Some(_, _, body) | IdxLam(_, _, body) | CtxAnno(body, _):
-            return _DROP[type(e)], [body]
+            return _DROP[type(e)], e, []
         case Merge(l, r):
-            return "merge", [l, r]
+            return "merge", e, []
         case App(f, a):
             inner = _reduce(f)
             if inner is not _VALUE:
-                if isinstance(inner, Stuck):
-                    return inner
-                return inner[0], [App(s, a, span=e.span) for s in inner[1]]
+                if type(inner) is tuple:
+                    inner[2].append((e, 0))
+                return inner
             inner = _reduce(a)
             if inner is not _VALUE:
-                if isinstance(inner, Stuck):
-                    return inner
-                return inner[0], [App(f, s, span=e.span) for s in inner[1]]
-            core = _strip(f)
-            if isinstance(core, Lam):
-                return "beta", [subst(a, core.var, core.body)]
+                if type(inner) is tuple:
+                    inner[2].append((e, 1))
+                return inner
+            if isinstance(_strip(f), Lam):
+                return "beta", e, []
             head, args = _spine(e)
             if not isinstance(head, Prim):
                 return Stuck(f"cannot apply {pretty(f)}", e)
             result = apply_prim(head.name, [_strip(x) for x in args])
-            return _VALUE if result is None else ("delta", [result])
+            return _VALUE if result is None else ("delta", result, [])
     return Stuck(f"no rule applies to {pretty(e)}", e)
+
+
+def _reducts(res: tuple[str, Term, list]) -> list[Term]:
+    """The reducts of the redex that `_reduce` found, in its context: a
+    merge has two, its branches, and `step` takes the first; every other
+    redex has one."""
+    rule, redex, path = res
+    if rule == "beta":
+        core = _strip(redex.fn)
+        out = [subst(redex.arg, core.var, core.body)]
+    elif rule == "delta":
+        out = [redex]
+    elif rule == "merge":
+        out = [redex.lhs, redex.rhs]
+    else:
+        out = [redex.body]
+    for app, side in path:
+        out = [
+            App(app.fn, s, span=app.span) if side else App(s, app.arg, span=app.span)
+            for s in out
+        ]
+    return out
 
 
 def is_value(e: Term) -> bool:
@@ -194,7 +218,7 @@ def is_value(e: Term) -> bool:
 def step(e: Term) -> StepResult:
     """One deterministic leftmost-innermost call-by-value step."""
     res = _reduce(e)
-    return Stepped(res[1][0], res[0]) if isinstance(res, tuple) else res
+    return Stepped(_reducts(res)[0], res[0]) if isinstance(res, tuple) else res
 
 
 @dataclass(frozen=True)
@@ -217,7 +241,7 @@ def evaluate(e: Term, fuel: int = 100_000) -> EvalResult:
             return EvalResult("stuck", cur, steps, res.reason)
         if steps >= fuel:
             return EvalResult("fuel", cur, steps, f"no value within {fuel} steps")
-        cur = res[1][0]
+        cur = _reducts(res)[0]
         steps += 1
 
 
@@ -242,7 +266,7 @@ def step_all(e: Term, max_states: int = 5000) -> list[Term]:
             if not any(alpha_eq(v, u) for u in values):
                 values.append(v)
             continue
-        for nxt in res[1] if isinstance(res, tuple) else ():
+        for nxt in _reducts(res) if isinstance(res, tuple) else ():
             if nxt in seen:
                 continue
             if len(seen) >= max_states:

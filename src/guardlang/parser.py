@@ -45,7 +45,7 @@ So input of any depth parses and prints within Python's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 from math import prod
 from types import GeneratorType
 from typing import Optional
@@ -403,8 +403,8 @@ class _Parser:
                 bar = self.expect("|-")
                 t = CtxGoal((yield self.expr(Type)), span=self.span_from(bar))
                 for d in reversed(entries):
-                    span = replace(t.span, start_line=d.span.start_line,
-                                   start_col=d.span.start_col)
+                    span = t.span._replace(start_line=d.span.start_line,
+                                           start_col=d.span.start_col)
                     t = (CtxVar(d, t, span=span) if type(d) is VarDecl
                          else CtxIdx(d.name, d.sort, t, span=span))
                 typings.append(t)

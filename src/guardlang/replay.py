@@ -6,7 +6,9 @@ node and one checker for all of them; it imports the syntax, the index
 domain and the printer, and nothing of the search.  A node is checked by
 one function per rule, picked by the rule's name, after its premises.  A
 derivation is a DAG (memoized results are shared), and each distinct node
-is replayed once per pass.
+is replayed once per pass.  Nodes are slotted records (`syntax.record`),
+never mutated after construction, that carry the metavariable bit of their
+fields, as syntax does: zonking stops at a ground one without walking it.
 
 - Typing (`TypingDerivation`): var, prim, unit-i, arrow-i, arrow-e, sect-i,
   sect-e1, sect-e2, sub, merge-chk, merge-syn, right-anno, guard-chk,
@@ -32,16 +34,15 @@ linear normal forms are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .indices import UnboundIndexVariable, entails, sort_of
 from .parser import pretty
 from .syntax import (
-    _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, CtxGoal, CtxIdx,
-    CtxTyping, CtxVar, Decl, Guard, IVar, IdxDecl, IdxLam, IndexExpr, Lam,
-    Merge, MetaStore, Prim, Signature, Some, TArrow, TAtom, TCon, TPi, TSect,
-    TUnit, Term, Type, Unit, Var, VarDecl, Zonker, _aeq, _bind, alpha_eq, subst,
+    _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, CtxGoal, CtxIdx, CtxTyping,
+    CtxVar, Decl, Guard, IVar, IdxDecl, IdxLam, IndexExpr, Lam, Merge, MetaStore,
+    Prim, Signature, Some, TArrow, TAtom, TCon, TPi, TSect, TUnit, Term, Type, Unit,
+    Var, VarDecl, Zonker, _aeq, _bind, alpha_eq, record, subst,
 )
 
 
@@ -50,11 +51,13 @@ class VerifyError(Exception):
 
 
 class _Node:
+    __slots__ = ("_metas",)  # the metavariable bit, set by the constructor
+
     def size(self) -> int:
         return 1 + sum(p.size() for p in self.premises)
 
 
-@dataclass(frozen=True)
+@record
 class TypingDerivation(_Node):
     """One node of a typing derivation: `ctx_entries |- term <= ty` or
     `=> ty` by `rule`, from its premises.  Nodes share their terms, types
@@ -75,7 +78,7 @@ class TypingDerivation(_Node):
         return Zonker(store).visit(self)
 
 
-@dataclass(frozen=True)
+@record
 class SubDerivation(_Node):
     rule: str
     ctx_entries: tuple[Decl, ...]
@@ -85,7 +88,7 @@ class SubDerivation(_Node):
     witness: Optional[IndexExpr] = None
 
 
-@dataclass(frozen=True)
+@record
 class CtxSubDerivation(_Node):
     """One node of a derivation that the context `ctx_entries` satisfies the
     entries of a contextual typing `Gamma0 |- A0`."""

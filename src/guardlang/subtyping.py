@@ -316,7 +316,7 @@ def subtype(
     decided subgoals (a checker passes one for its whole run); without one,
     the call starts from an empty memo.  Whether a query holds a
     metavariable is read from the bits its syntax carries (see
-    `syntax.meta_free`), and the final zonk returns ground syntax unwalked.
+    `syntax.meta_free`), and the final zonk stops at ground syntax and derivations.
     """
     if store is None:
         store = ctx.metas if ctx.metas is not None else MetaStore()
@@ -336,4 +336,4 @@ def subtype(
     if isinstance(res, Fail):
         store.undo(mark)
         return res
-    return Zonker(store).visit(res) if store.any_solved() else res
+    return Zonker(store).visit(res) if res._metas and store.any_solved() else res

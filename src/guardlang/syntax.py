@@ -1,9 +1,10 @@
 """Abstract syntax for guardlang: types, terms, declarations, contexts.
 
-Everything here is immutable (frozen dataclasses), so values can be shared
-freely and used as dict keys.  Source spans are carried on every node but
-excluded from equality and hashing: two terms are equal iff they are
-structurally equal, regardless of where they were parsed.
+Everything here is immutable (frozen dataclasses, and spans are named
+tuples), so values can be shared freely and used as dict keys.  Source spans
+are carried on every node but excluded from equality and hashing: two terms
+are equal iff they are structurally equal, regardless of where they were
+parsed.
 
 Each node class's constructor is generated from its fields (`_register`).
 It computes two facts once, from the node's atomic fields and from what its
@@ -17,7 +18,8 @@ zonking and `meta_free` return ground syntax without walking it.  Equality
 compares the stored hashes first and walks both trees with an explicit
 stack.  The price is paid once per node built.  Copies and unpickled nodes
 are rebuilt by the constructor, because string hashes differ between
-processes.
+processes.  A `record`, such as a derivation node, gets its constructor and
+its bit the same way, and is never mutated after construction.
 
 The binding structure is declared once, in `BINDERS` and `OCCURRENCES`,
 and every traversal (children, free variables, substitution, renaming,
@@ -40,16 +42,19 @@ variable, an entry in `BINDERS` or `OCCURRENCES`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, Optional, Union, get_origin, get_type_hints
+from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
+from typing import (
+    Iterator, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints,
+)
 
 
 # ---------------------------------------------------------------------------
 # Source positions
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    # A tuple, so that building, hashing and comparing one runs in C.
     file: str
     start_line: int
     start_col: int
@@ -626,38 +631,66 @@ Syntax = Union[IndexExpr, Type, Term, Decl, CtxTyping]
 _ATOMIC = (str, int, IndexSort, type(None))
 # Per dataclass, the fields that take part in equality (spans do not).
 _FIELDS: dict[type, tuple[str, ...]] = {}
-# Per syntax class, (position in _FIELDS, name) of each field that holds
-# syntax: a node, or a tuple of nodes.
+# Per registered class, (position in _FIELDS, name) of each field that holds
+# syntax or derivations: a node, one that may be absent, or a tuple of nodes.
 _KIDS: dict[type, tuple[tuple[int, str], ...]] = {}
+_bit = attrgetter("_metas")  # the metavariable bit of a node or a derivation
+
+
+def _bit_of(name: str, hint) -> Optional[str]:
+    """Source for the bit of the field `name` of type `hint`, or None."""
+    optional = get_origin(hint) is Union  # Optional[X]
+    hint = get_args(hint)[0] if optional else hint
+    if hint in _ATOMIC:
+        return None
+    if hint is tuple or get_origin(hint) is tuple:
+        return f"any(map(_bit, {name}))"
+    return f"({name} is not None and {name}._metas)" if optional else f"{name}._metas"
 
 
 def _register(cls: type) -> None:
-    hints = get_type_hints(cls)
+    """Generate the constructor of cls, a syntax class or a `record`: it
+    sets the bit `_metas`, true for an `IMeta`, else the `or` of the bits of
+    the nodes the fields hold.  A frozen syntax node also stores its hash,
+    reading a child node's stored hash, and sets its fields through
+    `object.__setattr__`; a record's are plain assignments."""
+    hints = get_type_hints(cls, localns={cls.__name__: cls})
     names = _FIELDS[cls] = tuple(f.name for f in fields(cls) if f.compare)
-    _KIDS[cls] = kids = tuple(
-        (k, n) for k, n in enumerate(names) if hints[n] not in _ATOMIC
-    )
-    # The constructor: the hash is taken of the class and the fields, a
-    # child node read as its stored hash, and the metavariable bit is the
-    # `or` of the children's.
-    nodes = {n for _, n in kids if get_origin(hints[n]) is not tuple}
-    key = ", ".join(f"{n}._hash" if n in nodes else n for n in names)
-    metas = " or ".join(
-        f"{n}._metas" if n in nodes else f"any(x._metas for x in {n})"
-        for _, n in kids
-    )
-    src = (
-        f"def __init__(self, {''.join(n + ', ' for n in names)}*, span=None):\n"
-        + "".join(f"    _set(self, {n!r}, {n})\n" for n in (*names, "span"))
-        + f"    _set_hash(self, hash((cls, {key})))\n"
-        + f"    _set_metas(self, {'True' if cls is IMeta else metas or 'False'})\n"
-    )
-    env = {"cls": cls, "_set": object.__setattr__,
-           "_set_hash": Node._hash.__set__, "_set_metas": Node._metas.__set__}
+    bits = {n: _bit_of(n, hints[n]) for n in names}
+    _KIDS[cls] = kids = tuple((k, n) for k, n in enumerate(names) if bits[n])
+    bit = "True" if cls is IMeta else " or ".join(bits[n] for _, n in kids) or "False"
+    env = {"cls": cls, "_bit": _bit}
+    if issubclass(cls, Node):
+        key = ", ".join(f"{n}._hash" if bits[n] == f"{n}._metas" else n for n in names)
+        src = (
+            f"def __init__(self, {''.join(n + ', ' for n in names)}*, span=None):\n"
+            + "".join(f"    _set(self, {n!r}, {n})\n" for n in (*names, "span"))
+            + f"    _set_hash(self, hash((cls, {key})))\n"
+            + f"    _set_metas(self, {bit})\n"
+        )
+        env.update(_set=object.__setattr__, _set_hash=Node._hash.__set__,
+                   _set_metas=Node._metas.__set__)
+    else:
+        src = (
+            f"def __init__(self, {', '.join(names)}):\n"
+            + "".join(f"    self.{n} = {n}\n" for n in names)
+            + f"    self._metas = {bit}\n"
+        )
+        defaults = [f.default for f in fields(cls) if f.default is not MISSING]
+        env["defaults"] = tuple(defaults)
     exec(src, env)
     cls.__init__ = env["__init__"]
+    cls.__init__.__defaults__ = env.get("defaults")  # a record's, by position
     for sub in cls.__subclasses__():
         _register(sub)
+
+
+def record(cls: type) -> type:
+    """cls as a slotted dataclass, compared and hashed by its fields, built
+    by `_register`.  A base of cls declares the `_metas` slot."""
+    cls = dataclass(slots=True, init=False, unsafe_hash=True)(cls)
+    _register(cls)
+    return cls
 
 
 _register(Node)
@@ -684,19 +717,30 @@ def children(x: Syntax) -> tuple[Syntax, ...]:
     return tuple(out)
 
 
+class Rename(NamedTuple):
+    """A `rewrite` hook's answer: rebuild the binder with `var`."""
+
+    var: str
+    state: object  # to walk the binder's children with
+
+
 def rewrite(x: Syntax, hook, state) -> Syntax:
     """x rebuilt through `hook`, sharing every part that does not change.
 
     `hook(y, state)` runs on each node before its children.  It returns a
-    node to put in y's place, which is not walked further, or the state to
-    walk y's children with.  A node none of whose children changed comes
-    back as the same object.
+    node to put in y's place, which is not walked further, the state to walk
+    y's children with, or, for a binder y, a `Rename` of its variable and
+    that state.  A node none of whose children changed, and that is not
+    renamed, comes back as the same object.
     """
     state = hook(x, state)
     if isinstance(state, Node):
         return state
     cls = type(x)
     values = None
+    if type(state) is Rename:
+        values = [getattr(x, n) for n in _FIELDS[cls]]
+        values[_FIELDS[cls].index("var")], state = state
     for k, name in _KIDS[cls]:
         old = getattr(x, name)
         if type(old) is tuple:
@@ -778,7 +822,7 @@ def subst(repl: Union[Term, IndexExpr], var: str, x: Syntax) -> Syntax:
         free = frozenset((repl.name,))
     else:
         free = free_vars(repl, ns)
-    return rewrite(x, _subst_hook, (repl, var, ns, free))
+    return rewrite(x, _subst_hook, ({var: (repl, free)}, ns))
 
 
 def instantiate(
@@ -796,28 +840,41 @@ def instantiate(
     here.  The metavariable records `var` and `origin`, the span of the
     instantiating syntax."""
     m = store.fresh(sort, scope, var, origin)
-    return m, rewrite(body, _subst_hook, (m, var, INDEX, scope))
+    return m, rewrite(body, _subst_hook, ({var: (m, scope)}, INDEX))
 
 
 def _subst_hook(x, state):
-    repl, var, ns, free = state
+    # The state is a simultaneous substitution, {variable: (replacement,
+    # the names it may hold free)}, and its namespace.  A binder that would
+    # capture one of those names is renamed in the same pass, as `bind_fresh`
+    # would name it, and its body gets the renaming as one more entry: one
+    # Python frame per binder, however long a run of renamed binders.
+    subs, ns = state
     cls = type(x)
     if cls is Var or cls is IVar:
-        return repl if x.name == var and OCCURRENCES[cls] is ns else x
+        return subs[x.name][0] if x.name in subs and OCCURRENCES[cls] is ns else x
     if ns is TERM and isinstance(x, (Type, IndexExpr, Decl)):
         return x  # types, indices and declarations hold no term variables
     if BINDERS.get(cls) is ns:
-        if x.var == var:
-            return x
-        if x.var in free:
-            return rewrite(bind_fresh(x, free | {var}), _subst_hook, state)
+        v = x.var
+        if v in subs:  # shadowed below
+            if len(subs) == 1:
+                return x
+            subs = {k: s for k, s in subs.items() if k != v}
+            state = subs, ns
+        frees = [free for _, free in subs.values()]
+        if any(v in free for free in frees):
+            name = fresh_name(v, free_vars(x.body, ns).union(subs, *frees))
+            new = (_VARIABLE[ns](name), frozenset((name,)))
+            return Rename(name, ({**subs, v: new}, ns))
     elif cls is Guard or cls is CtxVar:
         d = x.decl
-        if d.name == var and OCCURRENCES[type(d)] is ns:
+        hit = subs.get(d.name) if OCCURRENCES[type(d)] is ns else None
+        if hit is not None:
             body = rewrite(x.body, _subst_hook, state)
-            if type(repl) is not _VARIABLE[ns]:
+            if type(hit[0]) is not _VARIABLE[ns]:
                 return body
-            return cls(replace(d, name=repl.name), body, span=x.span)
+            return cls(replace(d, name=hit[0].name), body, span=x.span)
     return state
 
 
@@ -917,50 +974,45 @@ def _zonk_hook(x, store: MetaStore):
 
 
 class Zonker:
-    """One zonking pass over syntax and over anything built from it out of
-    frozen dataclasses and tuples, derivations included.
+    """One zonking pass over syntax, derivations and tuples of them.
 
-    Syntax that holds no metavariable is returned as it is, without a walk.
-    Each other distinct object is visited once: results are memoized on `id`
-    for the life of the pass, and the memo keeps every visited object alive
-    so that no id is reused meanwhile.  Drop the pass when done with it.
-    The uids of the metavariables left unsolved are collected in `unsolved`
-    as the pass goes.
-
-    `known`, a table from `id` to objects known to hold no metavariable
-    (derivations, which carry no bit), is only read: the pass returns each
-    of them unchanged without entering it.
+    Syntax and derivations (slotted records, see `replay`) are never mutated
+    after construction and carry the metavariable bit of their fields: one
+    whose bit is false is returned as it is, without a walk, and a tuple
+    that is empty or all ground is skipped before the call.  Each other
+    distinct object is visited once: results are memoized on `id` for the
+    life of the pass, and the memo keeps every visited object alive so that
+    no id is reused meanwhile.  Drop the pass when done with it.  The uids of
+    the metavariables left unsolved are collected in `unsolved` as it goes.
     """
 
-    def __init__(self, store: MetaStore, known: Optional[dict] = None) -> None:
+    def __init__(self, store: MetaStore) -> None:
         self.store = store
         self.unsolved: set[int] = set()
         self._memo: dict[int, tuple[object, object]] = {}
-        self._known = {} if known is None else known
 
     def visit(self, x):
-        if isinstance(x, Node) and not x._metas:
+        if not (any(map(_bit, x)) if type(x) is tuple else x._metas):
             return x
         hit = self._memo.get(id(x))
         if hit is not None:
             return hit[1]
-        if id(x) in self._known:
-            return x
-        # Atomic fields and ground syntax are skipped before the call, and
-        # plain loops are used, not comprehensions or map: each derivation
-        # level then costs two Python frames, which keeps deep chains inside
-        # the default recursion limit.
-        if isinstance(x, IMeta):
+        # Ground fields and items are skipped before the call, and plain
+        # loops are used, not comprehensions: each derivation level then
+        # costs two Python frames, which keeps deep chains inside the default
+        # recursion limit.
+        cls = type(x)
+        if cls is IMeta:
             sol = self.store.solution(x.uid) if x.uid in self.store else None
             if sol is None:
                 self.unsolved.add(x.uid)
                 out = x
             else:
                 out = self.visit(sol)
-        elif isinstance(x, tuple):
+        elif cls is tuple:
             items = None
             for k, old in enumerate(x):
-                if isinstance(old, _ATOMIC) or isinstance(old, Node) and not old._metas:
+                if not old._metas:
                     continue
                 new = self.visit(old)
                 if new is not old:
@@ -969,19 +1021,16 @@ class Zonker:
                     items[k] = new
             out = x if items is None else tuple(items)
         else:
-            cls = type(x)
-            names = _FIELDS.get(cls)
-            if names is None:
-                names = _FIELDS[cls] = tuple(f.name for f in fields(cls) if f.compare)
             values = None
-            for k, name in enumerate(names):
+            for k, name in _KIDS[cls]:
                 old = getattr(x, name)
-                if isinstance(old, _ATOMIC) or isinstance(old, Node) and not old._metas:
+                if not (any(map(_bit, old)) if type(old) is tuple
+                        else old is not None and old._metas):
                     continue
                 new = self.visit(old)
                 if new is not old:
                     if values is None:
-                        values = [getattr(x, n) for n in names]
+                        values = [getattr(x, n) for n in _FIELDS[cls]]
                     values[k] = new
             if values is None:
                 out = x

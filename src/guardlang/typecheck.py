@@ -32,13 +32,13 @@ between, when the enumeration ran to the end, moved the store's stamp,
 and its term, its context and every candidate (zonked when it was yielded)
 hold no metavariable; a hit yields the stored candidates and appends the
 stored failures.  A miss yields the candidates it stores, zonked, as a hit
-does.  Whether syntax holds a metavariable is a bit its constructor set, so
-the test reads one bit per part and the zonk of a candidate stops at ground
-syntax; the stored candidates' derivations, which carry no bit, are kept in
-one table for the run, which the zonk does not enter.
+does.  Whether syntax or a derivation holds a metavariable is a bit its
+constructor set, so the test reads one bit per part, and the zonk of a
+candidate, like every later zonk that meets it, stops at ground syntax and
+at ground derivations.
 
-The memos, the ground table and the store belong to the `Checker`, not to
-one program: `_check_program` runs one program on a given checker, and
+The memos and the store belong to the `Checker`, not to one program:
+`_check_program` runs one program on a given checker, and
 `ctxanno.verify_encoding` checks a program and then its encoding on the
 same one, so the second check re-derives only what the translation built.
 
@@ -48,8 +48,9 @@ hold the subterms, and memoized results are shared by every parent that
 uses them.  Zonking preserves identity (it rebuilds only the path down to a
 solved metavariable), and the finalize pass visits each distinct object once
 while it collects the unsolved metavariables, so finalize is linear in the
-size of the shared structure.  A run that has created no metavariable skips
-finalize: its derivation has nothing to zonk and nothing left unsolved.
+size of the shared structure.  A ground derivation, which is every
+derivation of a run that has created no metavariable, skips finalize: it
+has nothing to zonk and nothing left unsolved.
 
 The derivation types and their replay (`verify_typing`) live in `replay`,
 which shares no code with this search.
@@ -180,10 +181,6 @@ class Checker:
         self._synth_memo: dict[tuple, tuple] = {}
         # One subtyping memo for the run; None gives each query its own.
         self._sub_memo: Optional[dict] = {} if memoize else None
-        # id -> derivation, for the stored candidates' derivations, known to
-        # hold no metavariable: the Zonker does not enter them.  Syntax needs
-        # no table, it carries its own bit.  It keeps them alive for the run.
-        self._ground: Optional[dict[int, object]] = {} if memoize else None
         self._budget = max_depth
 
     def fresh_ctx(self) -> Context:
@@ -240,27 +237,21 @@ class Checker:
         self, d: TypingDerivation
     ) -> tuple[TypingDerivation, set[int]]:
         """Finalize d: zonk it in one pass over its distinct objects, and
-        collect the uids of the metavariables it leaves unsolved.  A run that
-        has created no metavariable has nothing to zonk: d comes back as it
-        is."""
-        if not self.metas.any_created():
+        collect the uids of the metavariables it leaves unsolved.  A ground
+        d, and any d of a run that has created no metavariable, comes back as
+        it is."""
+        if not d._metas:
             return d, set()
-        zonk = Zonker(self.metas, self._ground)
+        zonk = Zonker(self.metas)
         return zonk.visit(d), zonk.unsolved
 
-    def _grounded(
-        self, ty: Type, d: TypingDerivation
-    ) -> Optional[tuple[Type, TypingDerivation]]:
-        """The candidate (ty, d) zonked, with d recorded as known ground; None
-        when it keeps an unsolved metavariable."""
-        if not self.metas.any_created():
-            return ty, d
-        zonk = Zonker(self.metas, self._ground)
-        zty, zd = zonk.visit(ty), zonk.visit(d)
-        if zonk.unsolved:
-            return None
-        self._ground[id(zd)] = zd
-        return zty, zd
+    def _grounded(self, d: TypingDerivation) -> Optional[TypingDerivation]:
+        """d zonked, or None when it keeps an unsolved metavariable."""
+        if not d._metas:
+            return d
+        zonk = Zonker(self.metas)
+        zd = zonk.visit(d)
+        return None if zonk.unsolved else zd
 
     # -- search plumbing ------------------------------------------------------
 
@@ -641,14 +632,15 @@ class Checker:
                         )
                         if events is not None:
                             events.extend(fails[start:])
-                            cand = self._grounded(rty, d)
-                            if cand is None:
+                            zd = self._grounded(d)
+                            if zd is None:
                                 events = None
                             else:
                                 # Yield what a hit yields: the enclosing
-                                # level's zonk then stops at this candidate.
-                                events.append(cand)
-                                rty, d = cand
+                                # level's zonk then stops at this ground
+                                # candidate.
+                                rty, d = zd.ty, zd
+                                events.append((rty, d))
                         yield rty, d
                         start = len(fails)
                         self.metas.undo(mark)

@@ -351,6 +351,19 @@ class TestCaptureSafeInstantiation:
         assert "[<~ pvar] (y : list(b), b1 : int, x : list(b1) |- list(b + b1))" in out
         assert "list(b + b)" not in out
 
+    def test_a_long_run_of_renamed_sortings_gets_a_verdict(self, capsys, tmp_path):
+        # The witness of `a` may name c, so each of the 900 sortings named c
+        # that follow it is renamed, in one frame each: the check ends in a
+        # verdict (no index is determined for a), not in exit 4.
+        source = (
+            "val main : Pi c : int . unit = idxfn c : int => (() :: [a : int"
+            + ", c : int" * 900 + " |- unit])\n"
+        )
+        code, out, err = self._check(capsys, tmp_path, source)
+        assert code == 1, err
+        assert out == "rejected\n"
+        assert "typing 1: index instantiation undetermined" in err
+
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CORPUS = sorted(n for n in os.listdir(PROGRAMS_DIR) if n.endswith(".gl"))

@@ -190,6 +190,31 @@ class TestEvaluationGrowth:
         assert large <= 4.5 * small
 
 
+class TestReductsOfTheStepTaken:
+    """An annotation asks only whether its body is a value: the redex below
+    is contracted once, by the step that takes it."""
+
+    def _substs(self, monkeypatch, run) -> int:
+        calls = []
+        subst = interp.subst
+        monkeypatch.setattr(interp, "subst", lambda *a: calls.append(a) or subst(*a))
+        run()
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_nested_annotations_contract_the_redex_once(self, monkeypatch):
+        e = parse_term("(((fn x => x) () : unit) : unit)")
+        res = []
+        assert self._substs(monkeypatch, lambda: res.append(evaluate(e))) == 1
+        assert (res[0].outcome, res[0].steps, res[0].term) == ("value", 3, Unit())
+
+    def test_asking_for_a_value_contracts_nothing(self, monkeypatch):
+        e = parse_term("((fn x => x) () : unit)")
+        assert self._substs(monkeypatch, lambda: is_value(e)) == 0
+        assert self._substs(monkeypatch, lambda: step(e)) == 0
+        assert step(e) == Stepped(e.body, "anno-drop")
+
+
 class TestStepAll:
     def test_guarded_merge_single_value(self):
         prog = load_program(program_path("parity_apply.gl"))

@@ -4,16 +4,18 @@ Pi instances as `subst` plus `alpha_eq` would, and imports nothing of the
 search."""
 
 import ast
+import copy
 import functools
 import os
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 
 import strategies
-from conftest import ACCEPTED_PROGRAMS, program_path
+from conftest import ACCEPTED_PROGRAMS, REJECTED_PROGRAMS, program_path
 from helpers import (
     KWAY_VARIANTS,
     gen_ctxanno_program,
@@ -25,6 +27,7 @@ from guardlang import replay
 from guardlang.ctxanno import encode_program
 from guardlang.parser import parse_program, parse_type
 from guardlang.replay import (
+    CtxSubDerivation,
     SubDerivation,
     TypingDerivation,
     VerifyError,
@@ -34,20 +37,26 @@ from guardlang.replay import (
 from guardlang.subtyping import subtype
 from guardlang.syntax import (
     INDEX,
+    INT,
     CtxGoal,
     IAdd,
+    IMeta,
     IdxDecl,
     ILit,
+    MetaStore,
+    Node,
     TAtom,
+    TCon,
     TUnit,
     Unit,
     Var,
     VarDecl,
     alpha_eq,
+    children,
     free_vars,
     subst,
 )
-from guardlang.typecheck import Checker, typecheck_program
+from guardlang.typecheck import Checker, _check_program, typecheck_program
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "guardlang")
 
@@ -307,6 +316,103 @@ def test_matcher_does_not_capture_the_witness():
     body = parse_type("Pi a : int . list(a)")
     assert inst_eq(body, body, "a", w)
     assert not inst_eq(body, parse_type("Pi a : int . list(b)"), "a", w)
+
+
+# ---------------------------------------------------------------------------
+# Derivation records and their metavariable bit
+
+
+def _reaches_meta(x, memo: dict) -> bool:
+    """The reference: whether an IMeta is reachable from x, by a walk of
+    every field of every derivation and every syntax node below it."""
+    if id(x) not in memo:
+        if type(x) is tuple:
+            out = any(_reaches_meta(y, memo) for y in x)
+        elif isinstance(x, Node):
+            out = type(x) is IMeta or any(_reaches_meta(c, memo) for c in children(x))
+        elif isinstance(x, DERIVATIONS):
+            out = any(_reaches_meta(getattr(x, f.name), memo) for f in fields(x))
+        else:
+            out = False  # names, sorts, numbers, absent fields
+        memo[id(x)] = (x, out)  # x is kept alive while its id is a key
+    return memo[id(x)][1]
+
+
+DERIVATIONS = (TypingDerivation, SubDerivation, CtxSubDerivation)
+
+
+class _Recording(Checker):
+    """A checker that keeps every derivation its search returns: checked
+    results, and synthesized candidates as they are yielded."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.returned = []
+
+    def _check(self, ctx, e, ty):
+        res = super()._check(ctx, e, ty)
+        if isinstance(res, DERIVATIONS):
+            self.returned.append(res)
+        return res
+
+    def _synth(self, ctx, e, fails):
+        for ty, d in super()._synth(ctx, e, fails):
+            self.returned.append(d)
+            yield ty, d
+
+
+def _bit_programs():
+    progs = [load_program(program_path(n)) for n in ACCEPTED_PROGRAMS + REJECTED_PROGRAMS]
+    progs += [kway_program(k, v) for k in (2, 5) for v in KWAY_VARIANTS]
+    progs += [idx_chain_program(n) for n in range(1, 7)]
+    return progs + [parse_program(text) for text in EXTRA_PROGRAMS]
+
+
+def test_the_bit_of_every_derivation_is_an_occurrence_below():
+    stored, bits = 0, {True: 0, False: 0}
+    for prog in _bit_programs():
+        checker = _Recording(prog.sig, max_depth=10**5)
+        report = _check_program(checker, prog)
+        roots = checker.returned + [report.derivation] * report.accepted
+        for events in checker._synth_memo.values():
+            cands = [ev[1] for ev in events if type(ev) is tuple]
+            assert not any(d._metas for d in cands)  # stored only when ground
+            roots += cands
+            stored += len(cands)
+        memo: dict = {}
+        for root in roots:
+            for d in _nodes(root):
+                assert d._metas == _reaches_meta(d, memo), (d.rule, prog.path)
+                bits[d._metas] += 1
+        if report.accepted:
+            assert not report.derivation._metas
+    # The candidate memo was used, and both values of the bit occur.
+    assert stored and bits[True] and bits[False]
+
+
+def test_replace_recomputes_the_bit():
+    store = MetaStore()
+    m = store.fresh(INT, frozenset())
+    ground = TypingDerivation("unit-i", "check", (), Unit(), TUnit())
+    some = TypingDerivation("some", "check", (), Unit(), TUnit(), (ground,), witness=m)
+    assert not ground._metas and some._metas
+    assert not replace(some, witness=ILit(1))._metas
+    assert replace(ground, ty=TCon("list", m))._metas
+    assert replace(ground, ctx_entries=(VarDecl("x", TCon("list", m)),))._metas
+    assert replace(ground, premises=(some,))._metas
+    sub = SubDerivation("ilr", (), TCon("list", m), TCon("list", ILit(1)))
+    assert sub._metas and not replace(sub, lhs=TCon("list", ILit(1)))._metas
+    ctx = CtxSubDerivation("empty", CtxGoal(TUnit()), (), TUnit())
+    assert not ctx._metas and replace(ctx, goal=TCon("list", m))._metas
+
+
+def test_records_are_slotted_and_compare_by_their_fields():
+    d = TypingDerivation("unit-i", "check", (), Unit(), TUnit())
+    assert not hasattr(d, "__dict__")
+    assert d == TypingDerivation("unit-i", "check", (), Unit(), TUnit())
+    assert d != replace(d, mode="synth") and hash(d) == hash(replace(d))
+    for y in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert y == d and y._metas == d._metas
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from helpers import oracle_subst_type
 from guardlang.ctxanno import encode
 from guardlang.interp import erase
 from guardlang.parser import parse_term, parse_type, pretty
+from guardlang.replay import SubDerivation, TypingDerivation
 from guardlang.syntax import (
     BINDERS,
     INDEX,
@@ -224,13 +225,48 @@ class TestZonk:
         assert out[1] == TCon("list", IAdd(other, ILit(1)))
         assert zonk.unsolved == {other.uid}
 
-    def test_known_objects_are_not_entered(self):
+    def test_ground_derivation_is_returned_unentered(self):
         store, m, _ = _two_metas()
         store.assign(m.uid, ILit(3))
+        entries = (VarDecl("x", TUnit()),)
+        var = TypingDerivation("var", "synth", entries, Var("x"), TUnit())
+        refl = SubDerivation("refl", entries, TUnit(), TUnit())
+        ground = TypingDerivation(
+            "sub", "check", entries, Var("x"), TUnit(), (var, refl)
+        )
+        assert not ground._metas
+        zonk = Zonker(store)
+        assert zonk.visit(ground) is ground and zonk.visit((ground,))[0] is ground
+        assert zonk._memo == {}  # nothing was entered
+        # The pass reads the bit and nothing below it.
         t = TCon("list", m)
-        # A table entry is trusted: the pass returns it as it is.
-        assert Zonker(store, {id(t): t}).visit((t,))[0] is t
-        assert Zonker(store).visit((t,))[0] == TCon("list", ILit(3))
+        d = TypingDerivation("var", "synth", (VarDecl("x", t),), Var("x"), t)
+        assert d._metas and Zonker(store).visit(d).ty == TCon("list", ILit(3))
+        d._metas = False
+        assert Zonker(store).visit(d) is d
+
+
+class TestSpan:
+    """A span is a named tuple, so building, hashing and comparing one run
+    in C; nodes leave it out of their equality and hash."""
+
+    def test_equality_hash_pickle_and_replace(self):
+        a, b = Span("f.gl", 1, 2, 3, 4), Span("f.gl", 1, 2, 3, 4)
+        assert a == b and hash(a) == hash(b) and a != Span("f.gl", 1, 2, 3, 5)
+        assert Span.__hash__ is tuple.__hash__ and Span.__eq__ is tuple.__eq__
+        for y in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(y) is Span and y == a
+        c = a._replace(start_line=7, start_col=8)
+        assert c == Span("f.gl", 7, 8, 3, 4) and a == Span("f.gl", 1, 2, 3, 4)
+        assert str(c) == "f.gl:7:8" and (c.end_line, c.end_col) == (3, 4)
+        assert repr(a) == (
+            "Span(file='f.gl', start_line=1, start_col=2, end_line=3, end_col=4)"
+        )
+
+    def test_a_typing_entry_spans_to_the_end_of_the_typing(self):
+        (typing,) = parse_term("(x :: [a : int, x : list(a) |- list(a)])").typings
+        assert typing.span == Span("<string>", 1, 8, 1, 39)
+        assert typing.body.span == typing.span._replace(start_col=17)
 
 
 class TestMetaFree:
@@ -293,6 +329,20 @@ class TestInstantiate:
         store = MetaStore()
         _, out = instantiate(store, frozenset({"b"}), "a", INT, body)
         assert out is body
+
+    def test_a_long_run_of_renamed_binders(self):
+        # Each binder is renamed in the same pass, in one Python frame: 900
+        # nested binders named in the scope fit in the default recursion
+        # limit.  Each shadows the one above it, so each becomes c1.
+        assert sys.getrecursionlimit() == 1000
+        body = _list(IVar("a"))
+        for _ in range(900):
+            body = TPi("c", INT, body)
+        m, out = instantiate(MetaStore(), frozenset({"c"}), "a", INT, body)
+        for _ in range(900):
+            assert type(out) is TPi and out.var == "c1"
+            out = out.body
+        assert out == _list(m)
 
 
 class TestFreeIndexVars:
