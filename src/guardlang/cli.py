@@ -37,9 +37,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def budget(text: str) -> int:
+        """The value of --max-depth or --fuel: an int, at least 0."""
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+        return int(text)
+
     def common(p: argparse.ArgumentParser, ctx_anno_flag: bool = True) -> None:
         p.add_argument("path", help="a .gl source file")
-        p.add_argument("--max-depth", type=int, default=512, metavar="N",
+        p.add_argument("--max-depth", type=budget, default=512, metavar="N",
                        help="budget of typing rules for one program check, and a "
                        "separate one of N subtyping rules for each subtype query; "
                        "not a bound on total work (default 512)")
@@ -60,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="typecheck, then evaluate main")
     common(p_eval)
-    p_eval.add_argument("--fuel", type=int, default=100_000, metavar="N",
+    p_eval.add_argument("--fuel", type=budget, default=100_000, metavar="N",
                         help="step budget (default 100000)")
     p_eval.add_argument("--mode", choices=("erase", "annotated"),
                         default="erase",

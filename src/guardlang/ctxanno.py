@@ -57,7 +57,7 @@ from .syntax import (
     instantiate,
     rewrite,
     subterms,
-    zonk_type,
+    zonk,
 )
 from .typecheck import (
     Checker,
@@ -149,7 +149,7 @@ def check_ctx_anno(
             store.undo(mark)
             checker.stats.backtracks += 1
             continue
-        goal = zonk_type(store, node.goal)
+        goal = zonk(store, node.goal)
         d = checker._check(ctx, e.body, goal)
         if isinstance(d, Fail):
             fails.append(
@@ -261,17 +261,15 @@ def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
     """Typecheck with contextual annotations, translate, re-check without.
 
     Both checks run on one `Checker`, so the second reuses what the first
-    decided: the checking, candidate and subtyping memos, the table of
-    ground derivations and the metavariable store.  `encode` returns every
-    subterm outside a `CtxAnno` as the same object, so for the encoded
-    program only what the translation built is derived again.  This is
-    sound because the checker reads its contextual-annotation switch only at
-    a `CtxAnno` node, and the encoded program holds none: no memo entry that
-    a query of the second check can match depends on the switch.  The store
-    carries over with its stamp, so an entry kept for one store state is
-    reused only in that very state.  An encoded program that still holds a
-    `CtxAnno` (a bug of the translation) is checked on a fresh checker
-    instead, which rejects the annotation.
+    decided: the checking, candidate and subtyping memos and the
+    metavariable store.  `encode` returns every subterm outside a `CtxAnno`
+    as the same object, so for the encoded program only what the
+    translation built is derived again.  This is sound because the checker
+    reads its contextual-annotation switch only at a `CtxAnno` node, and the
+    encoded program holds none: no memo entry that a query of the second
+    check can match depends on the switch.  An encoded program that still
+    holds a `CtxAnno` (a bug of the translation) is checked on a fresh
+    checker instead, which rejects the annotation.
 
     Raises EncodingGapError when the original is accepted but the encoded
     program is not (or, for goal-free programs, synthesizes a different type);

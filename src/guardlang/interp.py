@@ -146,10 +146,10 @@ _DROP = {
 }
 
 
-def _reduce(e: Term) -> Union[Value, Stuck, tuple[str, Term, list]]:
+def _reduce(e: Term) -> Union[Value, Term, tuple[str, Term, list]]:
     """The reduction relation, in one walk of e: `Value()` for a value of
     the extended grammar (variables, lambdas, unit, annotated and guarded
-    values, inert primitive application spines), the `Stuck` term, or the
+    values, inert primitive application spines), the stuck term, or the
     rule of the leftmost-innermost call-by-value redex, the redex (for
     delta, its result, which tells an inert spine from a redex), and its
     context: the applications from the redex up to e, each with the side of
@@ -182,9 +182,17 @@ def _reduce(e: Term) -> Union[Value, Stuck, tuple[str, Term, list]]:
                 return "beta", e, []
             head, args = _spine(e)
             if not isinstance(head, Prim):
-                return Stuck(f"cannot apply {pretty(f)}", e)
+                return e
             result = apply_prim(head.name, [_strip(x) for x in args])
             return _VALUE if result is None else ("delta", result, [])
+    return e
+
+
+def _stuck(e: Term) -> Stuck:
+    """Why e, a stuck term that `_reduce` returned, is stuck: rendered only
+    for a result that `step` or `evaluate` returns."""
+    if type(e) is App:
+        return Stuck(f"cannot apply {pretty(e.fn)}", e)
     return Stuck(f"no rule applies to {pretty(e)}", e)
 
 
@@ -218,7 +226,9 @@ def is_value(e: Term) -> bool:
 def step(e: Term) -> StepResult:
     """One deterministic leftmost-innermost call-by-value step."""
     res = _reduce(e)
-    return Stepped(_reducts(res)[0], res[0]) if isinstance(res, tuple) else res
+    if type(res) is tuple:
+        return Stepped(_reducts(res)[0], res[0])
+    return res if res is _VALUE else _stuck(res)
 
 
 @dataclass(frozen=True)
@@ -237,8 +247,8 @@ def evaluate(e: Term, fuel: int = 100_000) -> EvalResult:
         res = _reduce(cur)
         if res is _VALUE:
             return EvalResult("value", cur, steps)
-        if isinstance(res, Stuck):
-            return EvalResult("stuck", cur, steps, res.reason)
+        if type(res) is not tuple:
+            return EvalResult("stuck", cur, steps, _stuck(res).reason)
         if steps >= fuel:
             return EvalResult("fuel", cur, steps, f"no value within {fuel} steps")
         cur = _reducts(res)[0]

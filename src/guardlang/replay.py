@@ -42,7 +42,7 @@ from .syntax import (
     _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, CtxGoal, CtxIdx, CtxTyping,
     CtxVar, Decl, Guard, IVar, IdxDecl, IdxLam, IndexExpr, Lam, Merge, MetaStore,
     Prim, Signature, Some, TArrow, TAtom, TCon, TPi, TSect, TUnit, Term, Type, Unit,
-    Var, VarDecl, Zonker, _aeq, _bind, alpha_eq, record, subst,
+    Var, VarDecl, _aeq, _bind, alpha_eq, record, subst, zonk,
 )
 
 
@@ -75,7 +75,7 @@ class TypingDerivation(_Node):
 
     def zonked(self, store: MetaStore) -> "TypingDerivation":
         """This derivation with the solved metavariables replaced."""
-        return Zonker(store).visit(self)
+        return zonk(store, self)
 
 
 @record

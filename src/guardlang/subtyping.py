@@ -8,13 +8,13 @@ indexed-constructor equality solve it; a derivation that completes with the
 witness unsolved fails.
 
 Subgoals are memoized on `(a, b, context entries)`, zonked, under the entry
-rule of the typechecker's checking memo: a result decided without moving
-the store's stamp holds at that stamp, and at every stamp when the query
-holds no metavariable; so does a failure of such a query, whatever the
-stamp did.  The typechecker passes one memo to all the subtype
-queries of its run, so a query asked again under another conjunct, merge
-branch or metavariable state is answered from the memo.  Failure messages
-are rendered only when read (see `Fail`).
+rule of the typechecker's checking memo: a query that holds no metavariable
+has its result kept when it is a failure or when deciding it did not touch
+the store, so every entry holds in every store state.  The typechecker
+passes one memo to all the subtype queries of its run, so a query asked
+again under another conjunct, merge branch or metavariable state is
+answered from the memo.  Failure messages are rendered only when read (see
+`Fail`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Union
 from . import indices
 # `entails` and `solve_meta` are imported for the benchmark's tracer, which
 # wraps them here.
-from .indices import NoSolution, UnboundIndexVariable, entails, solve_meta
+from .indices import NoSolution, entails, solve_meta
 from .parser import pretty
 from .replay import SubDerivation
 from .syntax import (
@@ -39,13 +39,11 @@ from .syntax import (
     TPi,
     TSect,
     Type,
-    Zonker,
     alpha_eq,
     bind_fresh,
     instantiate,
     meta_free,
-    zonk_index,
-    zonk_type,
+    zonk,
 )
 
 
@@ -161,24 +159,22 @@ class _Search:
 
     def sub(self, ctx: Context, a: Type, b: Type) -> Union[SubDerivation, Fail]:
         # A store that has created no metavariable has nothing to zonk.
-        stamp0 = self.store.stamp
         if self.store.any_created():
-            a = zonk_type(self.store, a)
-            b = zonk_type(self.store, b)
+            a = zonk(self.store, a)
+            b = zonk(self.store, b)
         key = (a, b, ctx.entries)
         hit = self.memo.get(key)
-        if hit is not None and (hit[0] is None or hit[0] == stamp0):
+        if hit is not None:
             self.stats.sub_memo_hits += 1
-            return hit[1]
+            return hit
         self.stats.sub_memo_misses += 1
+        stamp0 = self.store.stamp
         res = self._sub_dispatch(ctx, a, b)
         # The checking memo's entry rule (see `Checker._check`).
-        moved = self.store.stamp != stamp0
-        if not moved or isinstance(res, Fail):
-            if not self.store.any_created() or meta_free(key):
-                self.memo[key] = (None, res)
-            elif not moved:
-                self.memo[key] = (stamp0, res)
+        if (isinstance(res, Fail) or self.store.stamp == stamp0) and (
+            not self.store.any_created() or meta_free(key)
+        ):
+            self.memo[key] = res
         return res
 
     def _sub_dispatch(
@@ -273,7 +269,7 @@ class _Search:
             return Fail(str(ex))
         return Fail(
             "index equality {} = {} is not entailed",
-            args=(zonk_index(self.store, a.index), zonk_index(self.store, b.index)),
+            args=(zonk(self.store, a.index), zonk(self.store, b.index)),
         )
 
     def _pi_r(self, ctx, a, b: TPi):
@@ -320,8 +316,6 @@ def subtype(
     """
     if store is None:
         store = ctx.metas if ctx.metas is not None else MetaStore()
-    if ctx.metas is not store:
-        ctx = Context(ctx.sig, ctx.entries, store)
     if stats is None:
         stats = Stats()
     stats.subtype_queries += 1
@@ -331,9 +325,7 @@ def subtype(
         res = search.sub(ctx, a, b)
     except DepthExceeded:
         res = Exhausted(f"subtyping search exceeded {max_depth} rule applications")
-    except UnboundIndexVariable as ex:
-        res = Fail(str(ex))
     if isinstance(res, Fail):
         store.undo(mark)
         return res
-    return Zonker(store).visit(res) if res._metas and store.any_solved() else res
+    return zonk(store, res)

@@ -382,7 +382,6 @@ class Signature:
         self.atoms: dict[str, frozenset[str]] = dict(atoms or {})
         self.cons: dict[str, IndexSort] = dict(cons or {})
         self.prims: dict[str, Type] = dict(prims or {})
-        self._closure: Optional[dict[str, frozenset[str]]] = None
 
     def declare_atom(self, name: str, supersort: Optional[str] = None) -> None:
         ups = set(self.atoms.get(name, frozenset()))
@@ -391,49 +390,44 @@ class Signature:
                 self.atoms.setdefault(supersort, frozenset())
             ups.add(supersort)
         self.atoms[name] = frozenset(ups)
-        self._closure = None
 
     def declare_con(self, name: str, sort: IndexSort) -> None:
         self.cons[name] = sort
-        self._closure = None
 
     def declare_prim(self, name: str, ty: Type) -> None:
         self.prims[name] = ty
 
-    def _closed(self) -> dict[str, frozenset[str]]:
-        # Reflexive-transitive closure of the declared edges; rejects cycles
-        # so the declared relation is a partial order.
-        if self._closure is not None:
-            return self._closure
-        closure: dict[str, frozenset[str]] = {}
-        visiting: set[str] = set()
-
-        def walk(name: str) -> frozenset[str]:
-            if name in closure:
-                return closure[name]
-            if name in visiting:
-                raise SignatureError(f"datasort cycle through '{name}'")
-            visiting.add(name)
-            ups: set[str] = set()
-            for parent in self.atoms.get(name, frozenset()):
-                ups.add(parent)
-                ups |= walk(parent)
-            visiting.discard(name)
-            closure[name] = frozenset(ups)
-            return closure[name]
-
-        for name in self.atoms:
-            walk(name)
-        self._closure = closure
-        return closure
-
     def validate(self) -> None:
-        self._closed()
+        """Reject a cycle of declared supersort edges, so that the subsort
+        order is a partial order: a depth-first walk, on an explicit stack."""
+        done: set[str] = set()
+        for root in self.atoms:
+            stack, path = [(root, iter(self.atoms[root]))], {root}
+            while stack:
+                name, ups = stack[-1]
+                parent = next(ups, None)
+                if parent is None:
+                    stack.pop()
+                    path.discard(name)
+                    done.add(name)
+                elif parent in path:
+                    raise SignatureError(f"datasort cycle through '{parent}'")
+                elif parent not in done:
+                    path.add(parent)
+                    stack.append((parent, iter(self.atoms.get(parent, ()))))
 
     def atom_le(self, sub: str, sup: str) -> bool:
-        if sub == sup:
-            return True
-        return sup in self._closed().get(sub, frozenset())
+        """Whether the declared supersort edges lead from sub to sup, or sub
+        is sup: a walk on an explicit stack, which stores no closure."""
+        seen, stack = {sub}, [sub]
+        while stack:
+            name = stack.pop()
+            if name == sup:
+                return True
+            ups = self.atoms.get(name, frozenset()) - seen
+            seen |= ups
+            stack.extend(ups)
+        return False
 
 
 @dataclass
@@ -462,7 +456,8 @@ class MetaStore:
 
     Solutions are recorded on a trail so that backtracking search can undo
     them; `mark`/`undo` bracket every choice point.  The `stamp` increases on
-    every assignment and every undo, so equal stamps imply identical states.
+    every assignment and every undo, so it tells whether a call touched the
+    store, which decides what the search's memos keep.
     """
 
     def __init__(self) -> None:
@@ -954,23 +949,11 @@ def _bind(lmap, rmap, ns, a, b, depth):
 # sides are the same object.
 
 
-# Syntax that holds no metavariable, and any syntax while nothing is solved
-# in the store, is already zonked: it is returned without a walk.
-def zonk_index(store: MetaStore, i: IndexExpr) -> IndexExpr:
-    return rewrite(i, _zonk_hook, store) if i._metas and store.any_solved() else i
-
-
-def zonk_type(store: MetaStore, ty: Type) -> Type:
-    return rewrite(ty, _zonk_hook, store) if ty._metas and store.any_solved() else ty
-
-
-def _zonk_hook(x, store: MetaStore):
-    if not x._metas:
-        return x
-    if type(x) is IMeta:
-        sol = store.solution(x.uid) if x.uid in store else None
-        return x if sol is None else rewrite(sol, _zonk_hook, store)
-    return store
+def zonk(store: MetaStore, x):
+    """x, syntax or a derivation, with the solved metavariables of `store`
+    replaced, in one `Zonker` pass.  When x holds no metavariable, or nothing
+    in the store is solved, x is already zonked and comes back without a walk."""
+    return Zonker(store).visit(x) if x._metas and store.any_solved() else x
 
 
 class Zonker:

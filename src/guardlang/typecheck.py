@@ -17,11 +17,10 @@ A `some` binder instantiates its variable with a fresh metavariable
 (`syntax.instantiate`) and requires it solved by the end of that subterm's
 derivation.  Checking-mode results are memoized per occurrence, which is
 where repeated checking under intersection introduction would otherwise
-blow up.  A result is reused while the metavariable store is unchanged
-since it was computed.  A query whose term, type and context hold no
-metavariables has its failure reused always, even when the call solved and
-undid metavariables of its own, and so is a success whose call left the
-store unchanged.
+blow up.  The memo keeps only results that hold in every store state: those
+of queries whose term, type and context hold no metavariable, when the
+result is a failure (even one whose call solved and undid metavariables of
+its own) or its call did not touch the store.
 
 A third memo holds the synthesis candidates of applications.  Eliminating
 an intersection checks the argument once per conjunct, and a check against
@@ -115,7 +114,7 @@ from .syntax import (
     instantiate,
     meta_free,
     subst,
-    zonk_type,
+    zonk,
 )
 
 CandidateStream = Iterator[tuple[Type, "TypingDerivation"]]
@@ -176,7 +175,7 @@ class Checker:
         self.memoize = memoize
         self.metas = MetaStore()
         self.stats = Stats()
-        self._memo: dict[tuple, tuple] = {}
+        self._memo: dict[tuple, Union[TypingDerivation, Fail]] = {}
         # Candidates of metavariable-free applications, see `_synth`.
         self._synth_memo: dict[tuple, tuple] = {}
         # One subtyping memo for the run; None gives each query its own.
@@ -242,16 +241,13 @@ class Checker:
         it is."""
         if not d._metas:
             return d, set()
-        zonk = Zonker(self.metas)
-        return zonk.visit(d), zonk.unsolved
+        zonker = Zonker(self.metas)
+        return zonker.visit(d), zonker.unsolved
 
     def _grounded(self, d: TypingDerivation) -> Optional[TypingDerivation]:
         """d zonked, or None when it keeps an unsolved metavariable."""
-        if not d._metas:
-            return d
-        zonk = Zonker(self.metas)
-        zd = zonk.visit(d)
-        return None if zonk.unsolved else zd
+        zd = zonk(self.metas, d)
+        return None if zd._metas else zd
 
     # -- search plumbing ------------------------------------------------------
 
@@ -287,28 +283,25 @@ class Checker:
         if not self.memoize:
             return self._check_dispatch(ctx, e, ty)
         # Spans are left out of term equality, so the key carries the
-        # occurrence's span as well.  An entry is (stamp, result), valid
-        # while the store is at that stamp, or at any stamp when it is None.
+        # occurrence's span as well.
         key = (e, e.span, ty, ctx.entries)
-        stamp0 = self.metas.stamp
         hit = self._memo.get(key)
-        if hit is not None and (hit[0] is None or hit[0] == stamp0):
+        if hit is not None:
             self.stats.memo_hits += 1
-            return hit[1]
+            return hit
         self.stats.memo_misses += 1
+        stamp0 = self.metas.stamp
         res = self._check_dispatch(ctx, e, ty)
-        # A result of a query with no metavariable (none has one while the
-        # store has created none) holds at every stamp if it is a failure,
-        # which read no solution and undid every alternative, or if deciding
-        # it did not move the stamp; another result holds at its stamp when
-        # deciding it did not move it.  `_Search.sub` writes the same rule
-        # out: a shared function would cost a call on every miss.
-        moved = self.metas.stamp != stamp0
-        if not moved or isinstance(res, Fail):
-            if not self.metas.any_created() or meta_free((e, ty, ctx.entries)):
-                self._memo[key] = (None, res)
-            elif not moved:
-                self._memo[key] = (stamp0, res)
+        # Only a result that holds in every store state is kept: that of a
+        # query with no metavariable (none has one while the store has
+        # created none) that is a failure, which read no solution and undid
+        # every alternative, or whose deciding did not touch the store.
+        # `_Search.sub` writes the same rule out: a shared function would
+        # cost a call on every miss.
+        if (isinstance(res, Fail) or self.metas.stamp == stamp0) and (
+            not self.metas.any_created() or meta_free((e, ty, ctx.entries))
+        ):
+            self._memo[key] = res
         return res
 
     def _check_dispatch(self, ctx, e, ty) -> Union[TypingDerivation, Fail]:
@@ -467,7 +460,7 @@ class Checker:
                     "synthesized {} is not a subtype of {}",
                     e.span,
                     (sub,),
-                    args=(zonk_type(self.metas, sty), ty),
+                    args=(zonk(self.metas, sty), ty),
                 )
             )
             self.metas.undo(mark)
@@ -622,7 +615,7 @@ class Checker:
                                     "argument does not check against {}",
                                     arg.span,
                                     (ad,),
-                                    args=(zonk_type(self.metas, aty),),
+                                    args=(zonk(self.metas, aty),),
                                 )
                             )
                             self.metas.undo(mark)
@@ -675,7 +668,7 @@ class Checker:
     def _elim_arrow(self, ctx, ty: Type, d: TypingDerivation, fails):
         """Arrow views of a synthesized type, via intersection projections
         and Pi instantiation."""
-        ty = zonk_type(self.metas, ty)
+        ty = zonk(self.metas, ty)
         if isinstance(ty, TArrow):
             yield ty.arg, ty.res, d
             return

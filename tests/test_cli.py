@@ -148,6 +148,22 @@ class TestCheck:
         assert "disabled" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "--max-depth", "-1"), ("eval", "--fuel", "-1"), ("eval", "--fuel", "x")],
+    ids=["max-depth-negative", "fuel-negative", "fuel-not-an-int"],
+)
+def test_a_budget_that_is_not_a_count_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, program_path("parity_apply.gl"))
+    assert code == 2 and out == ""
+    assert f"argument {argv[1]}: " in err
+
+
+def test_a_budget_of_zero_is_a_budget(capsys):
+    code, _, err = run_cli(capsys, "eval", "--fuel", "0", program_path("parity_apply.gl"))
+    assert code == 1 and "no value within 0 steps" in err
+
+
 class TestEval:
     def test_prints_value_and_steps(self, capsys):
         code, out, _ = run_cli(capsys, "eval", program_path("parity_apply.gl"))

@@ -214,6 +214,15 @@ class TestReductsOfTheStepTaken:
         assert self._substs(monkeypatch, lambda: step(e)) == 0
         assert step(e) == Stepped(e.body, "anno-drop")
 
+    def test_only_the_returned_stuck_reason_is_rendered(self, monkeypatch):
+        # Each annotation asks whether its stuck body is a value; the reason
+        # is rendered once, for the result that `evaluate` returns.
+        calls = []
+        monkeypatch.setattr(interp, "pretty", lambda e: calls.append(e) or pretty(e))
+        res = evaluate(parse_term("(((() ()) : unit) : unit)"))
+        assert (res.outcome, res.steps, res.reason) == ("stuck", 2, "cannot apply ()")
+        assert len(calls) == 1
+
 
 class TestStepAll:
     def test_guarded_merge_single_value(self):

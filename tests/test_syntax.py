@@ -66,8 +66,7 @@ from guardlang.syntax import (
     rewrite,
     subst,
     subterms,
-    zonk_index,
-    zonk_type,
+    zonk,
 )
 
 
@@ -194,9 +193,9 @@ class TestZonk:
         i = IAdd(m, IVar("a"))
         ty = TArrow(TCon("list", i), TUnit())
         e = Anno(Lam("x", Var("x")), ty)
-        assert zonk_index(store, i) is i
-        assert zonk_type(store, ty) is ty
-        assert Zonker(store).visit(e) is e
+        assert zonk(store, i) is i
+        assert zonk(store, ty) is ty
+        assert zonk(store, e) is e
 
     def test_solved_rebuilds_the_path(self):
         store, m, _ = _two_metas()
@@ -204,13 +203,13 @@ class TestZonk:
         ty = TArrow(TCon("list", i), TUnit())
         e = Anno(Lam("x", Var("x")), ty)
         store.assign(m.uid, ILit(3))
-        zi = zonk_index(store, i)
+        zi = zonk(store, i)
         assert zi == IAdd(ILit(3), IVar("a")) and zi is not i
         assert zi.rhs is i.rhs
-        zty = zonk_type(store, ty)
+        zty = zonk(store, ty)
         assert zty == TArrow(TCon("list", zi), TUnit()) and zty is not ty
         assert zty.res is ty.res
-        ze = Zonker(store).visit(e)
+        ze = zonk(store, e)
         assert ze == Anno(Lam("x", Var("x")), zty) and ze is not e
         assert ze.body is e.body
 
@@ -678,9 +677,7 @@ def _made_with_metas(x, a, b, solve):
     if solve:
         store.assign(m.uid, IAdd(IVar("n"), k))
         store.assign(k.uid, ILit(2))
-    made = [x, y, r1, r2, Zonker(store).visit(r1)]
-    if isinstance(y, Type):
-        made.append(zonk_type(store, r1))
+    made = [x, y, r1, r2, zonk(store, r1)]
     made += [copy.copy(r1), copy.deepcopy(r1), pickle.loads(pickle.dumps(r1))]
     return made
 

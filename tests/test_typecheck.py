@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 from conftest import ACCEPTED_PROGRAMS, REJECTED_PROGRAMS, program_path
 from helpers import (
@@ -18,19 +19,25 @@ from guardlang.subtyping import Fail
 from guardlang.syntax import (
     INT,
     Anno,
+    ILit,
     IVar,
     MetaStore,
+    Signature,
     TAtom,
+    TCon,
     Unit,
     Var,
     VarDecl,
     Zonker,
     alpha_eq,
+    meta_free,
     subst,
 )
+from guardlang.replay import SubDerivation
 from guardlang.typecheck import (
     Checker,
     TypingDerivation,
+    _check_program,
     typecheck_program,
     verify_typing,
 )
@@ -254,6 +261,29 @@ class TestPrograms:
         report = typecheck_program(parse_program(text))
         assert not report.accepted
         assert any("cycle" in d.message for d in report.diagnostics)
+
+    @staticmethod
+    def _subsort_chain(n, child_first):
+        order = reversed(range(n)) if child_first else range(n)
+        decls = "".join(f"datasort d{i + 1} <: d{i}\n" for i in order)
+        return parse_program(decls + f"prim b : d{n}\nval main : d0 = b\n")
+
+    def test_subsort_chain_of_any_length(self):
+        # The order is walked with an explicit stack: declared child-first,
+        # the chain does not meet the recursion limit.
+        report = typecheck_program(self._subsort_chain(1500, child_first=True))
+        assert report.accepted, report.diagnostics
+
+    def test_subsort_chain_stores_no_closure(self):
+        prog = self._subsort_chain(2000, child_first=False)
+        tracemalloc.start()
+        try:
+            report = typecheck_program(prog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.accepted
+        assert peak < 10 * 2**20
 
 
 class TestModeSoundness:
@@ -552,6 +582,38 @@ TWIN_FAILURES = (
     "  (b1 : even)\n"
 )
 TWIN_REASON = "cannot check (b1 : even) against even"
+
+
+class TestMemoEntries:
+    """Every memo entry holds in every store state: the memos keep plain
+    results of metavariable-free queries, and only ground candidates."""
+
+    def test_keys_hold_no_metavariable(self):
+        # some_bad.gl solves and undoes metavariables of `some b` and of the
+        # instantiated Pi of idcast, under queries that hold them.
+        prog = load_program(program_path("some_bad.gl"))
+        checker = Checker(prog.sig)
+        assert not _check_program(checker, prog).accepted
+        assert checker.metas.any_created() and checker._memo
+        for (e, _span, ty, entries), res in checker._memo.items():
+            assert meta_free((e, ty, entries))
+            assert isinstance(res, (TypingDerivation, Fail))
+        for key, res in checker._sub_memo.items():
+            assert meta_free(key) and isinstance(res, (SubDerivation, Fail))
+
+    def test_grounded_keeps_only_ground_derivations(self):
+        checker = Checker(Signature())
+        m = checker.metas.fresh(INT, frozenset())
+
+        def var_node(t):
+            return TypingDerivation("var", "synth", (VarDecl("x", t),), Var("x"), t)
+
+        d = var_node(TCon("list", m))
+        assert checker._grounded(d) is None
+        checker.metas.assign(m.uid, ILit(3))
+        zd = checker._grounded(d)
+        assert zd == var_node(TCon("list", ILit(3))) and not zd._metas
+        assert checker._grounded(zd) is zd
 
 
 class TestFailureLocations:
