@@ -208,7 +208,7 @@ def cmd_desugar(args) -> int:
         except (ctxanno.EncodingGapError, ctxanno.EncodingBudgetError) as ex:
             print(f"error: {ex}", file=sys.stderr)
             return EXIT_TYPE_ERROR
-        if check.encoded is not None:
+        if check.original.accepted:
             a, b = check.sizes
             print(
                 f"-- verified: derivation sizes {a} (contextual) / {b} (encoded)",

@@ -6,56 +6,47 @@ one node per entry (`syntax.CtxIdx`, `syntax.CtxVar`) ending in the goal
 (`syntax.CtxGoal`).  Whether the ambient context satisfies `Gamma0` is
 decided in one place, inside the synthesis rule `check_ctx_anno`:
 program-variable typings by subtyping of the looked-up type, index-variable
-sortings by instantiating a well-sorted index expression (found with the
-same metavariable machinery as Pi-left).  The first typing that applies,
-with every index instantiation solved, gives the type the term synthesizes.
-Each instantiation renames the later sortings that its witness could be
-captured by (`syntax.instantiate`), so every step of the subsumption
-derivation carries the rest of the chain as it is, and `replay` checks each
-step on its own.
+sortings by instantiating them with metavariables, which the variable
+typings must solve (as Pi-left does).  Each typing that applies, and whose
+goal the subject checks against, gives a type the term synthesizes; no
+typing is committed to, so a later one is tried when an earlier one fails.
 
 `encode` removes every contextual annotation: each typing becomes a branch
-of a right-nested merge, its variable typings become guards, its index
-sortings become `some` binders (the sorting behaves existentially, exactly
-like the instantiation rule), around a right-hand annotation of the subject.
-A `some` binder wraps the subject, so a sorting named like an index variable
-free in the subject is renamed (`syntax.bind_fresh`) rather than capture it.
-`verify_encoding` checks the translation end to end: whatever the
-annotation-enabled checker accepts, the encoded program must pass with the
-contextual rule disabled, on the same checker (see its docstring).
+of a right-nested merge (`syntax.encode_typing`), its variable typings
+become guards, its index sortings become `some` binders, around a
+right-hand annotation of the subject.  A `some` binder wraps the subject,
+so a sorting named like an index variable free in the subject is renamed
+rather than capture it.  The derivation of a contextual annotation is that
+of the chosen typing's branch, under a `ctx-anno` node: `replay` checks that
+the branch is the encoding of that typing and knows no other judgment for
+it.  `verify_encoding` checks the translation end to end, in both
+directions, on one checker (see its docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 # `entails`, `solve_meta` and `subtype` are imported for the benchmark's
 # tracer, which wraps them here.
 from .indices import entails, solve_meta
-from .replay import CtxSubDerivation
 from .subtyping import Fail, subtype
 from .syntax import (
-    INDEX,
-    Anno,
     Context,
     CtxAnno,
     CtxGoal,
     CtxIdx,
-    CtxTyping,
-    CtxVar,
-    Guard,
     IMeta,
     Merge,
     Program,
-    Some,
     Term,
     Type,
     alpha_eq,
-    bind_fresh,
-    free_vars,
+    encode_typing,
     instantiate,
     rewrite,
+    subst_meta,
     subterms,
     zonk,
 )
@@ -67,49 +58,8 @@ from .typecheck import (
     _check_program,
     check_type_wf,
     typecheck_program,
+    var_evidence,
 )
-
-
-def _match_entries(
-    checker: Checker, ctx: Context, typing: CtxTyping
-) -> Union[tuple[CtxSubDerivation, list[IMeta]], Fail]:
-    """Match the entries of `typing` against ctx left to right: a variable
-    typing by subtyping its looked-up type, an index sorting by instantiating
-    it with a fresh metavariable.  Returns the subsumption derivation, whose
-    goal may still mention the metavariables, and those metavariables."""
-    steps = []  # (rule, telescope, premises before the rest's, witness)
-    tel = typing
-    while type(tel) is not CtxGoal:
-        rest = tel.body
-        if type(tel) is CtxVar:
-            d0 = tel.decl
-            got = ctx.lookup_var(d0.name)
-            if got is None:
-                return Fail(
-                    f"contextual typing requires '{d0.name}', which is not in scope",
-                    d0.span,
-                )
-            sd = checker._subtype(ctx, got, d0.ty)
-            if isinstance(sd, Fail):
-                return Fail(
-                    "context does not entail {} : {}",
-                    d0.span,
-                    (sd,),
-                    args=(d0.name, d0.ty),
-                )
-            steps.append(("pvar", tel, (sd,), None))
-        else:
-            m, rest = instantiate(
-                checker.metas, ctx.index_vars(), tel.var, tel.sort, rest, tel.span
-            )
-            steps.append(("ivar", tel, (), m))
-        tel = rest
-    node = CtxSubDerivation("empty", tel, ctx.entries, tel.ty)
-    for rule, inner, ps, w in reversed(steps):
-        node = CtxSubDerivation(
-            rule, inner, ctx.entries, tel.ty, ps + (node,), witness=w
-        )
-    return node, [w for *_, w in steps if w is not None]
 
 
 def check_ctx_anno(
@@ -117,60 +67,92 @@ def check_ctx_anno(
 ) -> Iterator[tuple[Type, TypingDerivation]]:
     """Synthesis rule for contextual annotations.
 
-    Typings are tried in order; the first whose subsumption holds (with all
-    index instantiations solved) is committed, and the subject must then
-    check against the substituted goal.
+    Typings are tried in order, as the branches of a merge are.  A typing
+    applies when its variable typings hold and determine every index
+    instantiation; each that applies, and whose goal the subject checks
+    against, yields that goal.
     """
     store = checker.metas
     reasons: list[Fail] = []
+    applied = False
     for k, typing in enumerate(e.typings, 1):
         try:
             check_type_wf(ctx, typing)
         except IllFormedType as ex:
-            reasons.append(
-                Fail(f"typing {k} is ill-formed: {ex}", typing.span)
-            )
+            reasons.append(Fail(f"typing {k} is ill-formed: {ex}", typing.span))
             continue
         mark = store.mark()
-        res = _match_entries(checker, ctx, typing)
-        if isinstance(res, Fail):
-            reasons.append(Fail(f"typing {k} does not apply", typing.span, (res,)))
-            store.undo(mark)
-            checker.stats.backtracks += 1
-            continue
-        node, witnesses = res
-        if any(store.solution(w.uid) is None for w in witnesses):
+        # Per entry: the evidence of a variable typing, or the metavariable
+        # that instantiates a sorting in the rest of the typing.
+        steps: list = []
+        tel, unmet = typing, None
+        while type(tel) is not CtxGoal and unmet is None:
+            if type(tel) is CtxIdx:
+                m, tel = instantiate(
+                    store, ctx.index_vars(), tel.var, tel.sort, tel.body, tel.span
+                )
+                steps.append(m)
+                continue
+            d0, tel = tel.decl, tel.body
+            got = ctx.lookup_var(d0.name)
+            if got is None:
+                unmet = Fail(
+                    f"contextual typing requires '{d0.name}', which is not in scope",
+                    d0.span,
+                )
+            elif isinstance(sd := checker._subtype(ctx, got, d0.ty), Fail):
+                unmet = Fail(
+                    "context does not entail {} : {}", d0.span, (sd,), args=(d0.name, d0.ty)
+                )
+            else:
+                steps.append(var_evidence(ctx, d0, got, sd))
+        if unmet is not None:
+            reasons.append(Fail(f"typing {k} does not apply", typing.span, (unmet,)))
+        elif any(type(s) is IMeta and store.solution(s.uid) is None for s in steps):
             reasons.append(
-                Fail(
-                    f"typing {k}: index instantiation undetermined",
-                    typing.span,
-                )
+                Fail(f"typing {k}: index instantiation undetermined", typing.span)
             )
-            store.undo(mark)
-            checker.stats.backtracks += 1
-            continue
-        goal = zonk(store, node.goal)
-        d = checker._check(ctx, e.body, goal)
-        if isinstance(d, Fail):
-            fails.append(
-                Fail(
-                    "contextual typing {} applies, but the term does not "
-                    "check against {}",
-                    e.span,
-                    tuple(reasons) + (d,),
-                    args=(k, goal),
+        else:
+            applied = True
+            goal = zonk(store, tel.ty)
+            d = checker._check(ctx, e.body, goal)
+            if isinstance(d, Fail):
+                fails.append(
+                    Fail(
+                        "contextual typing {} applies, but the term does not "
+                        "check against {}",
+                        e.span,
+                        tuple(reasons) + (d,),
+                        args=(k, goal),
+                    )
                 )
-            )
-            store.undo(mark)
-            return
-        yield goal, TypingDerivation(
-            "ctx-anno", "synth", ctx.entries, e, goal, (node, d), branch=k
-        )
+            else:
+                branch = _branch_derivation(store, ctx, e, typing, steps, goal, d)
+                yield goal, TypingDerivation(
+                    "ctx-anno", "synth", ctx.entries, e, goal, (branch,), branch=k
+                )
         store.undo(mark)
-        return
-    fails.append(
-        Fail("no contextual typing applies", e.span, tuple(reasons))
-    )
+        checker.stats.backtracks += 1
+    if not applied:
+        fails.append(Fail("no contextual typing applies", e.span, tuple(reasons)))
+
+
+def _branch_derivation(store, ctx, e, typing, steps, goal, d) -> TypingDerivation:
+    """The derivation that typing's branch of the encoding synthesizes goal:
+    a `some` node per sorting, whose witness is its metavariable, a
+    `guard-syn` node per variable typing, holding its evidence, and
+    `right-anno` over d, the subject's check."""
+    terms = [encode_typing(typing, e.body)]
+    for s in steps:
+        t = terms[-1]
+        terms.append(subst_meta(store, s, t.var, t.body) if type(s) is IMeta else t.body)
+    out = TypingDerivation("right-anno", "synth", ctx.entries, terms[-1], goal, (d,))
+    for t, s in zip(reversed(terms[:-1]), reversed(steps)):
+        if type(s) is IMeta:
+            out = TypingDerivation("some", "synth", ctx.entries, t, goal, (out,), witness=s)
+        else:
+            out = TypingDerivation("guard-syn", "synth", ctx.entries, t, goal, (s, out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +167,12 @@ def encode(e: Term) -> Term:
 def _encode_hook(e, state):
     if type(e) is CtxAnno:
         subject = rewrite(e.body, _encode_hook, state)
-        branches = [_encode_typing(t, subject) for t in e.typings]
+        branches = [encode_typing(t, subject) for t in e.typings]
         out = branches[-1]
         for b in reversed(branches[:-1]):
             out = Merge(b, out)
         return out
     return state if isinstance(e, Term) else e
-
-
-def _encode_typing(t: CtxTyping, subject: Term) -> Term:
-    avoid = free_vars(subject, INDEX)
-    entries = []
-    while type(t) is not CtxGoal:
-        t = bind_fresh(t, avoid) if type(t) is CtxIdx else t
-        entries.append(t)
-        t = t.body
-    out: Term = Anno(subject, t.ty)
-    for d in reversed(entries):
-        out = Guard(d.decl, out) if type(d) is CtxVar else Some(d.var, d.sort, out)
-    return out
 
 
 def encode_program(prog: Program) -> Program:
@@ -218,11 +187,7 @@ class EncodingCheck:
 
     @property
     def gap(self) -> bool:
-        return (
-            self.original.accepted
-            and self.encoded is not None
-            and not self.encoded.accepted
-        )
+        return self.encoded is not None and self.original.accepted != self.encoded.accepted
 
     @property
     def sizes(self) -> tuple[int, int]:
@@ -236,13 +201,23 @@ class EncodingCheck:
 
 
 class EncodingGapError(Exception):
-    """The encoded program failed where the contextual-annotation rule
-    succeeded; this contradicts the translation's typing preservation and is
-    always a bug."""
+    """The original program and its encoding got different verdicts, or
+    synthesize different types.  An encoded `some` binder may be determined
+    by the subject, where the contextual rule needs its sorting determined by
+    the typing's own variable typings: a program that only its encoding
+    accepts for that reason shows the one known difference of the two.
+    Any other gap is a bug."""
 
     def __init__(self, check: EncodingCheck) -> None:
-        diags = check.encoded.diagnostics if check.encoded else []
-        detail = "; ".join(d.message for d in diags[:4])
+        original, encoded = check.original, check.encoded
+        if original.accepted == encoded.accepted:
+            detail = "the encoded program synthesizes another type"
+        else:
+            rejected = encoded if original.accepted else original
+            detail = (
+                f"only the {'original' if original.accepted else 'encoded'} program "
+                "is accepted: " + "; ".join(d.message for d in rejected.diagnostics[:4])
+            )
         super().__init__(f"encoding gap: {detail}")
         self.check = check
 
@@ -258,7 +233,8 @@ class EncodingBudgetError(Exception):
 
 
 def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
-    """Typecheck with contextual annotations, translate, re-check without.
+    """Typecheck with contextual annotations, translate, re-check without,
+    and compare the verdicts.
 
     Both checks run on one `Checker`, so the second reuses what the first
     decided: the checking, candidate and subtyping memos and the
@@ -271,16 +247,15 @@ def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
     holds a `CtxAnno` (a bug of the translation) is checked on a fresh
     checker instead, which rejects the annotation.
 
-    Raises EncodingGapError when the original is accepted but the encoded
-    program is not (or, for goal-free programs, synthesizes a different type);
-    EncodingBudgetError instead when either check ran out of budget.
+    Raises EncodingGapError when one of the two programs is accepted and the
+    other rejected for a type error, or when goal-free programs synthesize
+    different types; EncodingBudgetError instead when either check ran out
+    of budget.
     """
     checker = Checker(prog.sig, max_depth=max_depth, ctx_anno=True)
     original = _check_program(checker, prog)
-    if not original.accepted:
-        if original.exhausted:
-            raise EncodingBudgetError(EncodingCheck(original, None, None), max_depth)
-        return EncodingCheck(original, None, None)
+    if original.exhausted:
+        raise EncodingBudgetError(EncodingCheck(original, None, None), max_depth)
     enc = encode_program(prog)
     if any(type(e) is CtxAnno for e in subterms(enc.main)):
         encoded = typecheck_program(enc, max_depth=max_depth, ctx_anno=False)
@@ -288,11 +263,9 @@ def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
         checker.ctx_anno_enabled = False
         encoded = _check_program(checker, enc)
     check = EncodingCheck(original, enc, encoded)
-    if not encoded.accepted:
-        if encoded.exhausted:
-            raise EncodingBudgetError(check, max_depth)
-        raise EncodingGapError(check)
-    if prog.goal is None and not alpha_eq(
+    if encoded.exhausted:
+        raise EncodingBudgetError(check, max_depth)
+    if check.gap or original.accepted and prog.goal is None and not alpha_eq(
         original.checked_type, encoded.checked_type
     ):
         raise EncodingGapError(check)

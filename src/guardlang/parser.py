@@ -637,8 +637,9 @@ def pretty_program(prog: Program) -> str:
 
 
 def format_derivation(d) -> str:
-    """Indented rule tree for typing, subtyping and contextual-subsumption
-    derivations, in preorder."""
+    """Indented rule tree for typing and subtyping derivations, in
+    preorder.  A contextual annotation shows as its `ctx-anno` node over the
+    derivation of the chosen typing's encoded branch."""
     lines: list[str] = []
     todo = [(d, 0)]
     while todo:
@@ -648,8 +649,6 @@ def format_derivation(d) -> str:
             arrow = "<=" if d.mode == "check" else "=>"
             ty = pretty(d.ty) if d.ty is not None else "-"
             head = f"[{d.rule}] {ctx} |- {pretty(d.term)} {arrow} {ty}"
-        elif hasattr(d, "inner"):  # contextual subsumption node
-            head = f"[<~ {d.rule}] ({pretty(d.inner)}) <~ ({ctx} |- {pretty(d.goal)})"
         else:  # subtyping node
             head = f"[{d.rule}] {ctx} |- {pretty(d.lhs)} <= {pretty(d.rhs)}"
         if getattr(d, "witness", None) is not None:

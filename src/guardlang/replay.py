@@ -1,24 +1,23 @@
 """Independent replay of derivations: the trusted base of `check --certify`.
 
 A program is accepted when the checker returns a derivation that
-`verify_typing` replays.  This module holds the three kinds of derivation
-node and one checker for all of them; it imports the syntax, the index
-domain and the printer, and nothing of the search.  A node is checked by
-one function per rule, picked by the rule's name, after its premises.  A
-derivation is a DAG (memoized results are shared), and each distinct node
-is replayed once per pass.  Nodes are slotted records (`syntax.record`),
-never mutated after construction, that carry the metavariable bit of their
-fields, as syntax does: zonking stops at a ground one without walking it.
+`verify_typing` replays.  This module holds the two kinds of derivation
+node and one checker for both; it imports the syntax, the index domain and
+the printer, and nothing of the search.  A node is checked by one function
+per rule, picked by the rule's name, after its premises.  A derivation is a
+DAG (memoized results are shared), and each distinct node is replayed once
+per pass.  Nodes are slotted records (`syntax.record`), never mutated after
+construction, that carry the metavariable bit of their fields, as syntax
+does: zonking stops at a ground one without walking it.
 
 - Typing (`TypingDerivation`): var, prim, unit-i, arrow-i, arrow-e, sect-i,
   sect-e1, sect-e2, sub, merge-chk, merge-syn, right-anno, guard-chk,
   guard-syn, ivar (the evidence of an index guard), pi-i, pi-i-explicit,
-  pi-e, some and ctx-anno.
+  pi-e, some and ctx-anno.  A contextual annotation is derived through its
+  encoding: the one premise of ctx-anno synthesizes the node's type for the
+  branch that `syntax.encode_typing` builds from the chosen typing.
 - Subtyping (`SubDerivation`): refl, atom, arrow, sect-r, sect-l1, sect-l2,
   ilr, pi-r and pi-l.
-- Contextual subsumption (`CtxSubDerivation`): empty, pvar and ivar.  A
-  step meets the first entry of its telescope and hands the rest, with its
-  witness substituted, to its last premise; empty carries the goal alone.
 
 The context invariant: a premise is derived in its conclusion's context,
 except that of a binding rule (arrow-i, pi-i, pi-i-explicit, pi-r), whose
@@ -26,8 +25,7 @@ context adds exactly the declaration the rule binds, under a new name.
 
 The instance of a Pi body (pi-e, pi-i, pi-i-explicit, pi-r, pi-l) is
 matched by `inst_eq` without being built; term-level premises (arrow-i,
-pi-i-explicit, some) and telescopes (ivar) build the substitution and use
-`alpha_eq`.
+pi-i-explicit, some) build the substitution and use `alpha_eq`.
 An `ilr` equation holds at once when its sides are equal, else when their
 linear normal forms are.
 """
@@ -39,10 +37,10 @@ from typing import Optional
 from .indices import UnboundIndexVariable, entails, sort_of
 from .parser import pretty
 from .syntax import (
-    _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, CtxGoal, CtxIdx, CtxTyping,
-    CtxVar, Decl, Guard, IVar, IdxDecl, IdxLam, IndexExpr, Lam, Merge, MetaStore,
-    Prim, Signature, Some, TArrow, TAtom, TCon, TPi, TSect, TUnit, Term, Type, Unit,
-    Var, VarDecl, _aeq, _bind, alpha_eq, record, subst, zonk,
+    _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, Decl, Guard, IVar, IdxDecl,
+    IdxLam, IndexExpr, Lam, Merge, MetaStore, Prim, Signature, Some, TArrow, TAtom,
+    TCon, TPi, TSect, TUnit, Term, Type, Unit, Var, VarDecl, _aeq, _bind, alpha_eq,
+    encode_typing, record, subst, zonk,
 )
 
 
@@ -88,22 +86,9 @@ class SubDerivation(_Node):
     witness: Optional[IndexExpr] = None
 
 
-@record
-class CtxSubDerivation(_Node):
-    """One node of a derivation that the context `ctx_entries` satisfies the
-    entries of a contextual typing `Gamma0 |- A0`."""
-
-    rule: str  # "empty" | "ivar" | "pvar"
-    inner: CtxTyping
-    ctx_entries: tuple[Decl, ...]
-    goal: Type  # A0 with the witnesses substituted
-    premises: tuple = ()
-    witness: Optional[IndexExpr] = None
-
-
 def verify_typing(sig: Signature, d) -> None:
-    """Replay d, a ground derivation node of any of the three kinds, and its
-    premises; raises VerifyError at the first node that does not replay."""
+    """Replay d, a ground derivation node of either kind, and its premises;
+    raises VerifyError at the first node that does not replay."""
     if not isinstance(d, _Node):
         raise VerifyError(f"not a derivation: {d!r}")
     _replay(sig, d, set())
@@ -342,38 +327,12 @@ def _arrow_e(sig, d):
 
 
 def _ctx_anno(sig, d):
-    e, (node, chk) = d.term, d.premises
+    e, (p,) = d.term, d.premises
     if type(e) is not CtxAnno or d.branch not in range(1, len(e.typings) + 1):
         return "malformed node"
-    typing = e.typings[d.branch - 1]
-    if node.inner is not typing and not alpha_eq(node.inner, typing):
-        return "subsumption is not of the chosen typing"
-    if not alpha_eq(node.goal, d.ty):
-        return "substituted goal differs from conclusion"
-    if chk.mode != "check" or not _is(chk, e.body, d.ty):
-        return "checking premise mismatch"
-
-
-def _ctx_empty(sig, d):
-    if type(d.inner) is not CtxGoal or not alpha_eq(d.inner.ty, d.goal):
-        return "the telescope is not exactly the goal"
-
-
-def _ctx_step(sig, d):
-    # pvar and ivar: the first entry of the telescope is met, and the last
-    # premise carries the rest, instantiated by the witness, and this goal.
-    tel, nxt = d.inner, d.premises[-1]
-    if d.rule == "pvar":
-        got = type(tel) is CtxVar and _lookup(d.ctx_entries, VarDecl, tel.decl.name)
-        if not got or not _is(d.premises[0], got.ty, tel.decl.ty):
-            return "the variable typing is not met"
-        rest = tel.body
-    elif type(tel) is not CtxIdx or _bad_witness(sig, d, tel.sort):
-        return "the index sorting is not met"
-    else:
-        rest = subst(d.witness, tel.var, tel.body)
-    if not (alpha_eq(nxt.inner, rest) and alpha_eq(nxt.goal, d.goal)):
-        return "the premise does not carry the rest of the telescope"
+    branch = encode_typing(e.typings[d.branch - 1], e.body)
+    if p.mode != "synth" or not _is(p, branch, d.ty):
+        return "premise does not synthesize the chosen typing's encoding"
 
 
 def _refl(sig, d):
@@ -423,7 +382,7 @@ def _pi_l(sig, d):
 
 # (kind of node, rule) -> (check, the kinds of the premises, whether the
 # premise's context adds a declaration).
-_T, _S, _C = TypingDerivation, SubDerivation, CtxSubDerivation
+_T, _S = TypingDerivation, SubDerivation
 _RULES: dict[tuple[type, str], tuple] = {
     (_T, "var"): (_var, (), False),
     (_T, "prim"): (_prim, (), False),
@@ -444,7 +403,7 @@ _RULES: dict[tuple[type, str], tuple] = {
     (_T, "pi-i-explicit"): (_pi_i_explicit, (_T,), True),
     (_T, "pi-e"): (_pi_e, (_T,), False),
     (_T, "some"): (_some, (_T,), False),
-    (_T, "ctx-anno"): (_ctx_anno, (_C, _T), False),
+    (_T, "ctx-anno"): (_ctx_anno, (_T,), False),
     (_S, "refl"): (_refl, (), False),
     (_S, "atom"): (_atom, (), False),
     (_S, "arrow"): (_sub_arrow, (_S, _S), False),
@@ -454,7 +413,4 @@ _RULES: dict[tuple[type, str], tuple] = {
     (_S, "ilr"): (_ilr, (), False),
     (_S, "pi-r"): (_pi_right, (_S,), True),
     (_S, "pi-l"): (_pi_l, (_S,), False),
-    (_C, "empty"): (_ctx_empty, (), False),
-    (_C, "pvar"): (_ctx_step, (_S, _C), False),
-    (_C, "ivar"): (_ctx_step, (_C,), False),
 }

@@ -835,7 +835,13 @@ def instantiate(
     here.  The metavariable records `var` and `origin`, the span of the
     instantiating syntax."""
     m = store.fresh(sort, scope, var, origin)
-    return m, rewrite(body, _subst_hook, ({var: (m, scope)}, INDEX))
+    return m, subst_meta(store, m, var, body)
+
+
+def subst_meta(store: MetaStore, m: IMeta, var: str, body: Syntax) -> Syntax:
+    """body with the metavariable m for `var`, renaming, as `instantiate`
+    does, every binder of body named in m's scope."""
+    return rewrite(body, _subst_hook, ({var: (m, store.scope_of(m.uid))}, INDEX))
 
 
 def _subst_hook(x, state):
@@ -882,6 +888,25 @@ def bind_fresh(x: Syntax, avoid: frozenset[str]) -> Syntax:
     ns = BINDERS[type(x)]
     name = fresh_name(x.var, avoid | free_vars(x.body, ns))
     return replace(x, var=name, body=subst(_VARIABLE[ns](name), x.var, x.body))
+
+
+def encode_typing(t: CtxTyping, subject: Term) -> Term:
+    """The branch that encodes the contextual typing t of `subject`: a
+    `some` binder per sorting and a guard per variable typing, in t's order,
+    around `(subject : goal)`.  A sorting named like an index variable free
+    in the subject is renamed rather than capture it."""
+    avoid = None
+    entries = []
+    while type(t) is not CtxGoal:
+        if type(t) is CtxIdx:
+            avoid = free_vars(subject, INDEX) if avoid is None else avoid
+            t = bind_fresh(t, avoid)
+        entries.append(t)
+        t = t.body
+    out: Term = Anno(subject, t.ty)
+    for d in reversed(entries):
+        out = Guard(d.decl, out) if type(d) is CtxVar else Some(d.var, d.sort, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,7 @@ from .syntax import (
     VarDecl,
     Zonker,
     bind_fresh,
+    children,
     free_vars,
     instantiate,
     meta_free,
@@ -124,38 +125,66 @@ class IllFormedType(Exception):
     pass
 
 
+class _Scope(dict):
+    """The sorts of the index variables in scope, read by `sort_of` as it
+    reads a context's."""
+
+    __slots__ = ("metas",)
+    lookup_index = dict.get
+
+
+# The forms `check_type_wf` walks into without a check of their own.
+_WF_INNER = (TArrow, TSect, CtxVar, VarDecl, CtxGoal)
+
+
 def check_type_wf(ctx: Context, ty: Union[Type, CtxTyping]) -> None:
     """Every atom and constructor declared, every index variable in scope.
 
     A contextual typing reads as a type: each sorting `a : s,` as `Pi a : s
-    .`, each variable typing `x : A,` as `A ->`, and its goal as itself."""
-    match ty:
-        case TUnit():
-            return
-        case TAtom(name):
-            if name not in ctx.sig.atoms:
-                raise IllFormedType(f"undeclared datasort '{name}'")
-        case TArrow(a, b) | TSect(a, b) | CtxVar(VarDecl(_, a), b):
-            check_type_wf(ctx, a)
-            check_type_wf(ctx, b)
-        case CtxGoal(a):
-            check_type_wf(ctx, a)
-        case TCon(con, idx):
+    .`, each variable typing `x : A,` as `A ->`, and its goal as itself.
+    One walk, left to right, keeps the sorts of the index variables in
+    scope, where a binder's variable hides an outer one of the same name."""
+    todo: list = [ty]
+    scope = ctx  # what `sort_of` reads the index variables in scope from
+    while todo:
+        ty = todo.pop()
+        cls = type(ty)
+        if cls is TAtom:
+            if ty.name not in ctx.sig.atoms:
+                raise IllFormedType(f"undeclared datasort '{ty.name}'")
+        elif cls in _WF_INNER:
+            todo += reversed(children(ty))
+        elif cls is TCon:
+            con = ty.con
             if con not in ctx.sig.cons:
                 raise IllFormedType(f"undeclared indexed constructor '{con}'")
             try:
-                got = sort_of(ctx, idx)
+                got = sort_of(scope, ty.index)
             except UnboundIndexVariable as ex:
                 raise IllFormedType(str(ex)) from None
             if got != ctx.sig.cons[con]:
                 raise IllFormedType(
                     f"index of '{con}' has sort {got}, expected {ctx.sig.cons[con]}"
                 )
-        case TPi() | CtxIdx():
-            pi = bind_fresh(ty, ctx.index_vars())
-            check_type_wf(ctx.extend(IdxDecl(pi.var, pi.sort)), pi.body)
-        case _:
+        elif cls is TPi or cls is CtxIdx:
+            inner = _Scope(scope if scope is not ctx else (
+                (d.name, d.sort) for d in ctx.entries if type(d) is IdxDecl
+            ))
+            inner[ty.var], inner.metas = ty.sort, ctx.metas
+            todo += (scope, ty.body)  # the scope comes back after the body
+            scope = inner
+        elif cls is _Scope or cls is Context:
+            scope = ty
+        elif cls is not TUnit:
             raise IllFormedType(f"unexpected type {ty!r}")
+
+
+def var_evidence(ctx: Context, d: VarDecl, got: Type, sd) -> TypingDerivation:
+    """The evidence that the context, which declares d's variable `got`,
+    gives it d's type: `sub` over `var`, with sd the subtyping `got <= d.ty`."""
+    var = Var(d.name)
+    node = TypingDerivation("var", "synth", ctx.entries, var, got)
+    return TypingDerivation("sub", "check", ctx.entries, var, d.ty, (node, sd))
 
 
 class Checker:
@@ -487,12 +516,7 @@ class Checker:
                     (sd,),
                     args=(d.name, got, d.ty),
                 )
-            var_node = TypingDerivation(
-                "var", "synth", ctx.entries, Var(d.name), got
-            )
-            return TypingDerivation(
-                "sub", "check", ctx.entries, Var(d.name), d.ty, (var_node, sd)
-            )
+            return var_evidence(ctx, d, got, sd)
         got = ctx.lookup_index(d.name)
         if got != d.sort:
             return Fail(

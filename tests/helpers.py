@@ -589,7 +589,9 @@ def _walk(
     elif rule == "some":
         yield from _walk(d.premises[0], path + (0,), bound)
     elif rule == "ctx-anno":
-        yield from _walk(d.premises[1], path + (0,), bound)
+        while d.rule != "right-anno":  # down the encoded branch
+            d = d.premises[-1]
+        yield from _walk(d.premises[0], path + (0,), bound)
     elif rule == "arrow-e":
         yield from _walk(d.premises[0], path + (0,), bound)
         yield from _walk(d.premises[1], path + (1,), bound)

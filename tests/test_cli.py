@@ -244,6 +244,19 @@ class TestDesugar:
             "exceeded its budget of 15 rule applications (--max-depth)\n"
         )
 
+    def test_verify_finds_a_program_only_the_encoding_accepts(self, capsys, tmp_path):
+        # The sorting a is determined by the subject, not by a variable
+        # typing: the contextual rule rejects, the encoding accepts.
+        path = tmp_path / "subject.gl"
+        path.write_text(
+            "indexcon list :: int\nprim p : list(3)\n"
+            "val main : list(3) = (p :: [a : int |- list(a)])\n"
+        )
+        code, _, err = run_cli(capsys, "desugar", "--verify", str(path))
+        assert code == 1
+        assert err.startswith("error: encoding gap: only the encoded program is accepted: ")
+        assert "typing 1: index instantiation undetermined" in err
+
     def test_verify_out_of_budget_is_no_gap(self, capsys, tmp_path):
         # The original fits 9 rule applications, its encoding does not.
         path = tmp_path / "idcast.gl"
@@ -364,7 +377,10 @@ class TestCaptureSafeInstantiation:
         code, out, err = self._check(capsys, tmp_path, source, "--trace")
         assert code == 0, err
         assert err.strip().endswith("certified")
-        assert "[<~ pvar] (y : list(b), b1 : int, x : list(b1) |- list(b + b1))" in out
+        assert (
+            "|- some b1 : int in where x : list(b1) do (f y x : list(b + b1)) "
+            "=> list(b + e)   with e"
+        ) in out
         assert "list(b + b)" not in out
 
     def test_a_long_run_of_renamed_sortings_gets_a_verdict(self, capsys, tmp_path):

@@ -16,7 +16,6 @@ from helpers import (
 )
 from guardlang import ctxanno
 from guardlang.ctxanno import (
-    CtxSubDerivation,
     EncodingBudgetError,
     EncodingGapError,
     encode,
@@ -100,14 +99,14 @@ class TestCheckCtxAnno:
         assert ok(res)
         ty, d = res[0]
         assert ty == TAtom("even")
-        assert _chain(d.premises[0]) == [("empty", None)]
+        assert _chain(d.premises[0]) == [("right-anno", None)]
 
     def test_pvar_reflexive(self, psig):
         res = self._synth(psig, "odd", "((snoc1 x) :: [x : odd |- even])")
         assert ok(res)
         ty, d = res[0]
         assert ty == TAtom("even")
-        assert _chain(d.premises[0]) == [("pvar", None), ("empty", None)]
+        assert _chain(d.premises[0]) == [("guard-syn", None), ("right-anno", None)]
 
     def test_ivar_witness_from_later_pvar(self, isig):
         # Instantiating a := b satisfies x's typing and turns the goal
@@ -127,7 +126,7 @@ class TestCheckCtxAnno:
         ty, d = res[0]
         assert alpha_eq(ty, parse_type("list(b*2)"))
         chain = _chain(d.premises[0])
-        assert [rule for rule, _ in chain] == ["ivar", "pvar", "empty"]
+        assert [rule for rule, _ in chain] == ["some", "guard-syn", "right-anno"]
         assert alpha_eq(chain[0][1], IVar("b"))
         assert chain[1][1] is None and chain[2][1] is None
 
@@ -138,17 +137,16 @@ class TestCheckCtxAnno:
         assert "typing 1 does not apply" in messages
         assert "context does not entail x : odd" in messages
 
-    def test_applied_typing_commits(self, psig):
-        # Typing 1 applies under x : odd, but snoc1 x is not odd; typing 2
-        # would check, yet the first typing that applies is committed.
+    def test_a_later_typing_is_tried(self, psig):
+        # Typing 1 applies under x : odd, but snoc1 x is not odd: typing 2,
+        # which checks, is used, as the second branch of the encoding is.
         res = self._synth(
             psig, "odd", "((snoc1 x) :: [x : odd |- odd ; x : odd |- even])"
         )
-        assert isinstance(res, Fail)
-        assert (
-            "contextual typing 1 applies, but the term does not check "
-            "against odd"
-        ) in res.messages()
+        assert ok(res)
+        ty, d = res[0]
+        assert ty == TAtom("even") and d.branch == 2
+        verify_typing(psig, d)
 
     def test_disabled(self, psig):
         checker = Checker(psig, ctx_anno=False)
@@ -159,14 +157,13 @@ class TestCheckCtxAnno:
         assert any("disabled" in m for m in res.messages())
 
 
-def _chain(node: CtxSubDerivation) -> list:
-    """The (rule, witness) pairs of a subsumption derivation, outermost
-    first."""
+def _chain(node: TypingDerivation) -> list:
+    """The (rule, witness) pairs of the derivation of an encoded branch,
+    outermost first, down to its right-hand annotation."""
     out = []
     while True:
-        assert isinstance(node, CtxSubDerivation)
         out.append((node.rule, node.witness))
-        if node.rule == "empty":
+        if node.rule == "right-anno":
             return out
         node = node.premises[-1]
 
@@ -236,18 +233,38 @@ class TestVerifyCtxAnno:
         sig, node = self._node()
         verify_typing(sig, node)
 
-    def test_changed_conclusion_type(self):
+    def test_premise_of_another_typing(self, psig):
+        # Under x : odd both typings apply; each candidate's premise derives
+        # its own typing's branch, not the other's.
+        checker = Checker(psig)
+        ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom("odd")))
+        term = parse_term(
+            "((snoc1 x) :: [x : odd |- even ; x : odd |- bits])",
+            prims=frozenset(psig.prims),
+        )
+        first, second = (d for ty, d in checker.synth(ctx, term) if d.rule == "ctx-anno")
+        verify_typing(psig, first)
+        verify_typing(psig, second)
+        for bad in (
+            replace(first, premises=second.premises),
+            replace(first, premises=second.premises, ty=second.ty),
+        ):
+            with pytest.raises(VerifyError, match="chosen typing's encoding"):
+                verify_typing(psig, bad)
+
+    def test_witness_of_the_wrong_sort(self):
         sig, node = self._node()
-        bad = replace(node, ty=parse_type("list(a)"))
-        with pytest.raises(VerifyError, match="substituted goal differs"):
+        (some,) = node.premises
+        assert some.rule == "some"
+        bad = replace(node, premises=(replace(some, witness=IVar("nosuch")),))
+        with pytest.raises(VerifyError, match="not an index of sort int"):
             verify_typing(sig, bad)
 
-    def test_swapped_checking_premise(self):
+    def test_premise_in_check_mode(self):
         sig, node = self._node()
-        sub, chk = node.premises
-        # The checking premise's own premise synthesizes the same term.
-        bad = replace(node, premises=(sub, chk.premises[0]))
-        with pytest.raises(VerifyError, match="checking premise mismatch"):
+        (some,) = node.premises
+        bad = replace(node, premises=(replace(some, mode="check"),))
+        with pytest.raises(VerifyError, match="chosen typing's encoding"):
             verify_typing(sig, bad)
 
 
@@ -403,6 +420,54 @@ class TestVerifyEncoding:
         assert typecheck_program(again).verdict == check.original.verdict
 
 
+PARITY = (
+    "datasort odd <: bits\n"
+    "datasort even <: bits\n"
+    "prim snoc1 : (odd -> even) /\\ (even -> odd)\n"
+)
+# Typing 1 applies in both, but does not give the program its type: the
+# goal bits is not even, or the subject does not check against odd.
+LATER_TYPING = [
+    "val main : odd -> even = fn x => ((snoc1 x) :: [x : bits |- bits ; x : odd |- even])",
+    "val main : odd -> bits = fn x => ((snoc1 x) :: [x : bits |- odd ; x : odd |- even])",
+]
+# The sorting a is determined by the subject only: the encoding's `some`
+# binder is, the contextual rule's instantiation is not.
+SUBJECT_ONLY = (
+    "indexcon list :: int\nprim p : list(3)\n"
+    "val main : list(3) = (p :: [a : int |- list(a)])\n"
+)
+
+
+class TestTypingsAreNotCommitted:
+    @pytest.mark.parametrize("main", LATER_TYPING)
+    def test_a_later_typing_gives_the_type(self, main):
+        prog = parse_program(PARITY + main)
+        check = verify_encoding(prog)
+        assert check.original.accepted and check.encoded.accepted
+        verify_typing(prog.sig, check.original.derivation)
+        (node,) = _rule_nodes(check.original.derivation, "ctx-anno")
+        assert node.branch == 2
+
+    def test_a_program_only_the_encoding_accepts_is_a_gap(self):
+        with pytest.raises(EncodingGapError, match="only the encoded program") as info:
+            verify_encoding(parse_program(SUBJECT_ONLY))
+        check = info.value.check
+        assert not check.original.accepted and not check.original.exhausted
+        assert check.encoded.accepted
+        assert [d.message for d in check.original.diagnostics][-1] == (
+            "typing 1: index instantiation undetermined"
+        )
+
+    def test_a_program_both_reject_is_no_gap(self):
+        # Under x : even, typing 1 gives bits, which is not even, and
+        # typing 2 does not apply; the encoded merge's branches fail alike.
+        main = LATER_TYPING[0].replace("odd -> even", "even -> even")
+        check = verify_encoding(parse_program(PARITY + main))
+        assert not check.original.accepted and not check.encoded.accepted
+        assert not check.gap
+
+
 def _shared_checker_cases():
     for name in ACCEPTED_PROGRAMS + REJECTED_PROGRAMS:
         yield name, load_program(program_path(name))
@@ -434,13 +499,12 @@ class TestSharedChecker:
         for name, prog in _shared_checker_cases():
             check = verify_encoding(prog)
             assert _same_report(check.original, typecheck_program(prog)), name
-            if check.encoded is None:
-                assert not check.original.accepted, name
-                continue
+            assert check.encoded.verdict == check.original.verdict, name
             fresh = typecheck_program(encode_program(prog), ctx_anno=False)
             assert _same_report(check.encoded, fresh), name
-            verify_typing(prog.sig, check.encoded.derivation)
-            encoded_runs += 1
+            if check.encoded.accepted:
+                verify_typing(prog.sig, check.encoded.derivation)
+                encoded_runs += 1
         assert encoded_runs >= 100
 
     def test_reports_keep_their_own_stats(self):

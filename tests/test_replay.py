@@ -27,7 +27,6 @@ from guardlang import replay
 from guardlang.ctxanno import encode_program
 from guardlang.parser import parse_program, parse_type
 from guardlang.replay import (
-    CtxSubDerivation,
     SubDerivation,
     TypingDerivation,
     VerifyError,
@@ -38,7 +37,6 @@ from guardlang.subtyping import subtype
 from guardlang.syntax import (
     INDEX,
     INT,
-    CtxGoal,
     IAdd,
     IMeta,
     IdxDecl,
@@ -206,18 +204,14 @@ def _swap(d, target, new, memo):
 def _mutants(d):
     """(field, node) for each one-field change of node d: its term, its
     type, one context entry, its witness and its branch.  The term and the
-    type of a subtyping node are its two sides; those of a subsumption step
-    are the telescope it carries and its goal."""
+    type of a subtyping node are its two sides."""
     zz = TAtom("zz")
     if type(d) is TypingDerivation:
         yield "term", replace(d, term=Var("zz") if type(d.term) is Unit else Unit())
         yield "type", replace(d, ty=zz if d.ty is not None else TUnit())
-    elif type(d) is SubDerivation:
+    else:
         yield "term", replace(d, lhs=zz)
         yield "type", replace(d, rhs=zz)
-    else:
-        yield "term", replace(d, inner=CtxGoal(zz))
-        yield "type", replace(d, goal=zz)
     ctx = d.ctx_entries
     if not ctx:
         entries = (VarDecl("zz", TUnit()),)
@@ -241,10 +235,8 @@ def _still_valid(d, field: str, is_root: bool):
             var, body = d.premises[0].ty.var, d.premises[0].ty.body
         elif d.rule == "some":
             var, body = d.term.var, d.term.body
-        elif d.rule == "pi-l":
+        else:  # pi-l
             var, body = d.lhs.var, d.lhs.body
-        else:  # an ivar step of a subsumption chain
-            var, body = d.inner.var, d.inner.body
         if var not in free_vars(body, INDEX):
             return "the bound variable does not occur, so any witness instantiates it"
     if field == "branch":
@@ -338,7 +330,7 @@ def _reaches_meta(x, memo: dict) -> bool:
     return memo[id(x)][1]
 
 
-DERIVATIONS = (TypingDerivation, SubDerivation, CtxSubDerivation)
+DERIVATIONS = (TypingDerivation, SubDerivation)
 
 
 class _Recording(Checker):
@@ -402,8 +394,6 @@ def test_replace_recomputes_the_bit():
     assert replace(ground, premises=(some,))._metas
     sub = SubDerivation("ilr", (), TCon("list", m), TCon("list", ILit(1)))
     assert sub._metas and not replace(sub, lhs=TCon("list", ILit(1)))._metas
-    ctx = CtxSubDerivation("empty", CtxGoal(TUnit()), (), TUnit())
-    assert not ctx._metas and replace(ctx, goal=TCon("list", m))._metas
 
 
 def test_records_are_slotted_and_compare_by_their_fields():

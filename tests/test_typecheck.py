@@ -19,6 +19,8 @@ from guardlang.subtyping import Fail
 from guardlang.syntax import (
     INT,
     Anno,
+    Context,
+    IdxDecl,
     ILit,
     IVar,
     MetaStore,
@@ -36,8 +38,10 @@ from guardlang.syntax import (
 from guardlang.replay import SubDerivation
 from guardlang.typecheck import (
     Checker,
+    IllFormedType,
     TypingDerivation,
     _check_program,
+    check_type_wf,
     typecheck_program,
     verify_typing,
 )
@@ -410,6 +414,43 @@ class TestBindersAndShadowing:
             "unit -> unit",
         )
         assert isinstance(d, Fail)
+
+
+class TestWellFormedness:
+    """`check_type_wf` walks a type or a contextual typing once, left to
+    right, keeping the sorts of the index variables in scope."""
+
+    def _error(self, sig, ty, *decls):
+        try:
+            check_type_wf(Context(sig, decls), ty)
+        except IllFormedType as ex:
+            return str(ex)
+        return None
+
+    def test_a_binder_may_shadow(self, isig):
+        ty = parse_type("Pi a : int . list(a) -> Pi a : int . list(a)")
+        assert self._error(isig, ty, IdxDecl("a", INT)) is None
+
+    def test_the_first_error_from_the_left(self, isig):
+        for text, want in [
+            ("list(b) -> nope", "unbound index variable 'b'"),
+            ("nope -> list(b)", "undeclared datasort 'nope'"),
+            ("(Pi b : int . list(b)) -> list(b)", "unbound index variable 'b'"),
+            ("list(1) /\\ odd(1)", "undeclared indexed constructor 'odd'"),
+        ]:
+            assert self._error(isig, parse_type(text)) == want, text
+
+    def test_a_sorting_binds_in_the_later_entries_only(self, isig):
+        def typing(text):
+            return parse_term(f"(() :: [{text}])").typings[0]
+
+        assert self._error(isig, typing("a : int, x : list(a) |- list(a + 1)")) is None
+        assert self._error(isig, typing("x : list(a), a : int |- unit")) == (
+            "unbound index variable 'a'"
+        )
+        assert self._error(isig, typing("a : int |- list(a + b)")) == (
+            "unbound index variable 'b'"
+        )
 
 
 class TestSynthDirections:
