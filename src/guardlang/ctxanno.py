@@ -3,24 +3,18 @@ right-hand annotations and `some` binders.
 
 A contextual annotation carries typings `Gamma0 |- A0`, each a chain of
 one node per entry (`syntax.CtxIdx`, `syntax.CtxVar`) ending in the goal
-(`syntax.CtxGoal`).  Whether the ambient context satisfies `Gamma0` is
-decided in one place, inside the synthesis rule `check_ctx_anno`:
-program-variable typings by subtyping of the looked-up type, index-variable
-sortings by instantiating them with metavariables, which the variable
-typings must solve (as Pi-left does).  Each typing that applies, and whose
-goal the subject checks against, gives a type the term synthesizes; no
-typing is committed to, so a later one is tried when an earlier one fails.
+(`syntax.CtxGoal`).  Each typing is a branch of the annotation's encoding,
+a right-nested merge (`syntax.encode_typing`): its variable typings become
+guards and its sortings `some` binders, around a right-hand annotation of
+the subject, and a sorting named like an index variable free in the
+subject is renamed rather than capture it.
 
-`encode` removes every contextual annotation: each typing becomes a branch
-of a right-nested merge (`syntax.encode_typing`), its variable typings
-become guards, its index sortings become `some` binders, around a
-right-hand annotation of the subject.  A `some` binder wraps the subject,
-so a sorting named like an index variable free in the subject is renamed
-rather than capture it.  The derivation of a contextual annotation is that
-of the chosen typing's branch, under a `ctx-anno` node: `replay` checks that
-the branch is the encoding of that typing and knows no other judgment for
-it.  `verify_encoding` checks the translation end to end, in both
-directions, on one checker (see its docstring).
+`check_ctx_anno`, the synthesis rule, synthesizes the typings' branches in
+order, as merge-syn does, so no typing is committed to; its derivation is
+its branch's under a `ctx-anno` node, which `replay` checks against
+`encode_typing`.  `encode` removes every contextual annotation, and
+`verify_encoding` checks the translation end to end, in both directions, on
+one checker (see its docstring).
 """
 
 from __future__ import annotations
@@ -35,30 +29,21 @@ from .subtyping import Fail, subtype
 from .syntax import (
     Context,
     CtxAnno,
-    CtxGoal,
-    CtxIdx,
-    IMeta,
     Merge,
     Program,
     Term,
     Type,
     alpha_eq,
     encode_typing,
-    instantiate,
     rewrite,
-    subst_meta,
     subterms,
-    zonk,
 )
 from .typecheck import (
     Checker,
-    IllFormedType,
     Report,
     TypingDerivation,
     _check_program,
-    check_type_wf,
     typecheck_program,
-    var_evidence,
 )
 
 
@@ -67,92 +52,24 @@ def check_ctx_anno(
 ) -> Iterator[tuple[Type, TypingDerivation]]:
     """Synthesis rule for contextual annotations.
 
-    Typings are tried in order, as the branches of a merge are.  A typing
-    applies when its variable typings hold and determine every index
-    instantiation; each that applies, and whose goal the subject checks
-    against, yields that goal.
-    """
-    store = checker.metas
+    Each typing in order synthesizes its branch of the encoding, and each
+    type the branch gives, the annotation gives.  A typing whose branch
+    gives none leaves one failure at the typing, over the branch's."""
     reasons: list[Fail] = []
-    applied = False
     for k, typing in enumerate(e.typings, 1):
-        try:
-            check_type_wf(ctx, typing)
-        except IllFormedType as ex:
-            reasons.append(Fail(f"typing {k} is ill-formed: {ex}", typing.span))
-            continue
-        mark = store.mark()
-        # Per entry: the evidence of a variable typing, or the metavariable
-        # that instantiates a sorting in the rest of the typing.
-        steps: list = []
-        tel, unmet = typing, None
-        while type(tel) is not CtxGoal and unmet is None:
-            if type(tel) is CtxIdx:
-                m, tel = instantiate(
-                    store, ctx.index_vars(), tel.var, tel.sort, tel.body, tel.span
-                )
-                steps.append(m)
-                continue
-            d0, tel = tel.decl, tel.body
-            got = ctx.lookup_var(d0.name)
-            if got is None:
-                unmet = Fail(
-                    f"contextual typing requires '{d0.name}', which is not in scope",
-                    d0.span,
-                )
-            elif isinstance(sd := checker._subtype(ctx, got, d0.ty), Fail):
-                unmet = Fail(
-                    "context does not entail {} : {}", d0.span, (sd,), args=(d0.name, d0.ty)
-                )
-            else:
-                steps.append(var_evidence(ctx, d0, got, sd))
-        if unmet is not None:
-            reasons.append(Fail(f"typing {k} does not apply", typing.span, (unmet,)))
-        elif any(type(s) is IMeta and store.solution(s.uid) is None for s in steps):
-            reasons.append(
-                Fail(f"typing {k}: index instantiation undetermined", typing.span)
+        branch_fails: list[Fail] = []
+        d = None
+        for ty, d in checker._synth(ctx, encode_typing(typing, e.body), branch_fails):
+            yield ty, TypingDerivation(
+                "ctx-anno", "synth", ctx.entries, e, ty, (d,), branch=k
             )
-        else:
-            applied = True
-            goal = zonk(store, tel.ty)
-            d = checker._check(ctx, e.body, goal)
-            if isinstance(d, Fail):
-                fails.append(
-                    Fail(
-                        "contextual typing {} applies, but the term does not "
-                        "check against {}",
-                        e.span,
-                        tuple(reasons) + (d,),
-                        args=(k, goal),
-                    )
-                )
-            else:
-                branch = _branch_derivation(store, ctx, e, typing, steps, goal, d)
-                yield goal, TypingDerivation(
-                    "ctx-anno", "synth", ctx.entries, e, goal, (branch,), branch=k
-                )
-        store.undo(mark)
+        if d is None:
+            reasons.append(Fail(f"typing {k} fails", typing.span, tuple(branch_fails)))
         checker.stats.backtracks += 1
-    if not applied:
+    if len(reasons) == len(e.typings):
         fails.append(Fail("no contextual typing applies", e.span, tuple(reasons)))
-
-
-def _branch_derivation(store, ctx, e, typing, steps, goal, d) -> TypingDerivation:
-    """The derivation that typing's branch of the encoding synthesizes goal:
-    a `some` node per sorting, whose witness is its metavariable, a
-    `guard-syn` node per variable typing, holding its evidence, and
-    `right-anno` over d, the subject's check."""
-    terms = [encode_typing(typing, e.body)]
-    for s in steps:
-        t = terms[-1]
-        terms.append(subst_meta(store, s, t.var, t.body) if type(s) is IMeta else t.body)
-    out = TypingDerivation("right-anno", "synth", ctx.entries, terms[-1], goal, (d,))
-    for t, s in zip(reversed(terms[:-1]), reversed(steps)):
-        if type(s) is IMeta:
-            out = TypingDerivation("some", "synth", ctx.entries, t, goal, (out,), witness=s)
-        else:
-            out = TypingDerivation("guard-syn", "synth", ctx.entries, t, goal, (s, out))
-    return out
+    else:
+        fails.extend(reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +119,11 @@ class EncodingCheck:
 
 class EncodingGapError(Exception):
     """The original program and its encoding got different verdicts, or
-    synthesize different types.  An encoded `some` binder may be determined
-    by the subject, where the contextual rule needs its sorting determined by
-    the typing's own variable typings: a program that only its encoding
-    accepts for that reason shows the one known difference of the two.
-    Any other gap is a bug."""
+    synthesize different types.  Where the encoding is checked, the goal
+    may determine an encoded `some` binder, while the contextual rule, a
+    synthesis rule, has no goal: a program that only its encoding accepts
+    for that reason shows the one known difference of the two.  Any other
+    gap is a bug."""
 
     def __init__(self, check: EncodingCheck) -> None:
         original, encoded = check.original, check.encoded

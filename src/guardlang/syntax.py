@@ -835,13 +835,7 @@ def instantiate(
     here.  The metavariable records `var` and `origin`, the span of the
     instantiating syntax."""
     m = store.fresh(sort, scope, var, origin)
-    return m, subst_meta(store, m, var, body)
-
-
-def subst_meta(store: MetaStore, m: IMeta, var: str, body: Syntax) -> Syntax:
-    """body with the metavariable m for `var`, renaming, as `instantiate`
-    does, every binder of body named in m's scope."""
-    return rewrite(body, _subst_hook, ({var: (m, store.scope_of(m.uid))}, INDEX))
+    return m, rewrite(body, _subst_hook, ({var: (m, scope)}, INDEX))
 
 
 def _subst_hook(x, state):
@@ -894,7 +888,8 @@ def encode_typing(t: CtxTyping, subject: Term) -> Term:
     """The branch that encodes the contextual typing t of `subject`: a
     `some` binder per sorting and a guard per variable typing, in t's order,
     around `(subject : goal)`.  A sorting named like an index variable free
-    in the subject is renamed rather than capture it."""
+    in the subject is renamed rather than capture it.  Each node built has
+    the span of the entry, or the goal, it encodes."""
     avoid = None
     entries = []
     while type(t) is not CtxGoal:
@@ -903,9 +898,12 @@ def encode_typing(t: CtxTyping, subject: Term) -> Term:
             t = bind_fresh(t, avoid)
         entries.append(t)
         t = t.body
-    out: Term = Anno(subject, t.ty)
+    out: Term = Anno(subject, t.ty, span=t.span)
     for d in reversed(entries):
-        out = Guard(d.decl, out) if type(d) is CtxVar else Some(d.var, d.sort, out)
+        if type(d) is CtxVar:
+            out = Guard(d.decl, out, span=d.span)
+        else:
+            out = Some(d.var, d.sort, out, span=d.span)
     return out
 
 

@@ -5,7 +5,10 @@ in checking mode the invertible rules come first (intersection introduction,
 Pi introduction, arrow introduction, unit, `some`, guards), then merge
 branches, and finally subsumption (synthesize, then subtype).  Elimination
 positions instantiate synthesized Pi types with metavariables; the indexed
-subtyping equalities solve them.
+subtyping equalities solve them.  Each rule tried takes one unit of the
+typing budget, except the rules of annotation forms (right-hand and
+contextual annotations, guards, merges, `some`): they only narrow the
+search, and each leads to the rules of a smaller term.
 
 A guard `where x : A do e` against an intersection or a Pi is tried after
 their introduction rules and decides `x : A` in its turn.  Against another
@@ -80,10 +83,6 @@ from .syntax import (
     App,
     Context,
     CtxAnno,
-    CtxGoal,
-    CtxIdx,
-    CtxTyping,
-    CtxVar,
     Decl,
     Guard,
     IVar,
@@ -133,17 +132,11 @@ class _Scope(dict):
     lookup_index = dict.get
 
 
-# The forms `check_type_wf` walks into without a check of their own.
-_WF_INNER = (TArrow, TSect, CtxVar, VarDecl, CtxGoal)
-
-
-def check_type_wf(ctx: Context, ty: Union[Type, CtxTyping]) -> None:
+def check_type_wf(ctx: Context, ty: Type) -> None:
     """Every atom and constructor declared, every index variable in scope.
 
-    A contextual typing reads as a type: each sorting `a : s,` as `Pi a : s
-    .`, each variable typing `x : A,` as `A ->`, and its goal as itself.
     One walk, left to right, keeps the sorts of the index variables in
-    scope, where a binder's variable hides an outer one of the same name."""
+    scope, where a Pi's variable hides an outer one of the same name."""
     todo: list = [ty]
     scope = ctx  # what `sort_of` reads the index variables in scope from
     while todo:
@@ -152,7 +145,7 @@ def check_type_wf(ctx: Context, ty: Union[Type, CtxTyping]) -> None:
         if cls is TAtom:
             if ty.name not in ctx.sig.atoms:
                 raise IllFormedType(f"undeclared datasort '{ty.name}'")
-        elif cls in _WF_INNER:
+        elif cls is TArrow or cls is TSect:
             todo += reversed(children(ty))
         elif cls is TCon:
             con = ty.con
@@ -166,7 +159,7 @@ def check_type_wf(ctx: Context, ty: Union[Type, CtxTyping]) -> None:
                 raise IllFormedType(
                     f"index of '{con}' has sort {got}, expected {ctx.sig.cons[con]}"
                 )
-        elif cls is TPi or cls is CtxIdx:
+        elif cls is TPi:
             inner = _Scope(scope if scope is not ctx else (
                 (d.name, d.sort) for d in ctx.entries if type(d) is IdxDecl
             ))
@@ -177,14 +170,6 @@ def check_type_wf(ctx: Context, ty: Union[Type, CtxTyping]) -> None:
             scope = ty
         elif cls is not TUnit:
             raise IllFormedType(f"unexpected type {ty!r}")
-
-
-def var_evidence(ctx: Context, d: VarDecl, got: Type, sd) -> TypingDerivation:
-    """The evidence that the context, which declares d's variable `got`,
-    gives it d's type: `sub` over `var`, with sd the subtyping `got <= d.ty`."""
-    var = Var(d.name)
-    node = TypingDerivation("var", "synth", ctx.entries, var, got)
-    return TypingDerivation("sub", "check", ctx.entries, var, d.ty, (node, sd))
 
 
 class Checker:
@@ -288,6 +273,10 @@ class Checker:
                 Exhausted(f"typing search exceeded {self.max_depth} rule applications")
             )
 
+    def _count(self) -> None:
+        """A rule of an annotation form: counted, but it takes no budget."""
+        self.stats.rule_applications += 1
+
     def _wf(self, ctx: Context, ty: Type) -> Optional[Fail]:
         try:
             check_type_wf(ctx, ty)
@@ -334,23 +323,25 @@ class Checker:
         return res
 
     def _check_dispatch(self, ctx, e, ty) -> Union[TypingDerivation, Fail]:
+        # (what applying the rule costs, the rule)
+        tick, count = self._tick, self._count
         alts = []
         if isinstance(ty, TSect):
-            alts.append(self._chk_sect_i)
+            alts.append((tick, self._chk_sect_i))
         if isinstance(ty, TPi):
-            alts.append(
+            alts.append((tick, (
                 self._chk_pi_explicit if isinstance(e, IdxLam) else self._chk_pi_i
-            )
+            )))
         if isinstance(e, Lam) and isinstance(ty, TArrow):
-            alts.append(self._chk_arrow_i)
+            alts.append((tick, self._chk_arrow_i))
         if isinstance(e, Unit) and isinstance(ty, TUnit):
-            alts.append(self._chk_unit_i)
+            alts.append((tick, self._chk_unit_i))
         if isinstance(e, Some):
-            alts.append(self._chk_some)
+            alts.append((count, self._chk_some))
         mark = None
         if isinstance(e, Guard):
             if isinstance(ty, (TSect, TPi)):  # after sect-i or pi-i
-                alts.append(self._chk_guard)
+                alts.append((count, self._chk_guard))
             else:
                 # guard-chk and subsumption both begin by deciding the guard
                 # in this store state: decide it once, before either.
@@ -365,14 +356,14 @@ class Checker:
                     return Fail(
                         "{} does not check against {}", e.span, (unmet, cannot), args=(e, ty)
                     )
-                alts.append(lambda ctx, e, ty: self._chk_guard(ctx, e, ty, ev))
+                alts.append((count, lambda ctx, e, ty: self._chk_guard(ctx, e, ty, ev)))
         if isinstance(e, Merge):
-            alts.append(self._chk_merge)
-        alts.append(self._chk_sub)
+            alts.append((count, self._chk_merge))
+        alts.append((tick, self._chk_sub))
 
         fails: list[Fail] = []
-        for i, rule in enumerate(alts):
-            self._tick()
+        for i, (cost, rule) in enumerate(alts):
+            cost()
             if i or mark is None:  # else guard-chk undoes the guard's decision too
                 mark = self.metas.mark()
             res = rule(ctx, e, ty)
@@ -516,7 +507,9 @@ class Checker:
                     (sd,),
                     args=(d.name, got, d.ty),
                 )
-            return var_evidence(ctx, d, got, sd)
+            var = Var(d.name)
+            node = TypingDerivation("var", "synth", ctx.entries, var, got)
+            return TypingDerivation("sub", "check", ctx.entries, var, d.ty, (node, sd))
         got = ctx.lookup_index(d.name)
         if got != d.sort:
             return Fail(
@@ -528,7 +521,10 @@ class Checker:
     # -- synthesis ---------------------------------------------------------------
 
     def _synth(self, ctx: Context, e: Term, fails: list[Fail]) -> CandidateStream:
-        self._tick()
+        if type(e) in _ANNOTATION_FORMS:
+            self._count()
+        else:
+            self._tick()
         match e:
             case Var(name):
                 ty = ctx.lookup_var(name)
@@ -547,6 +543,8 @@ class Checker:
                 if bad is not None:
                     fails.append(bad)
                     return
+                # Zonked: the body's check is memoizable once `some` is solved.
+                ty = zonk(self.metas, ty)
                 mark = self.metas.mark()
                 d = self._check(ctx, body, ty)
                 if isinstance(d, Fail):
@@ -713,6 +711,10 @@ class Checker:
             yield from self._elim_arrow(ctx, inst, node, fails)
             return
         fails.append(Fail("{} is not a function type", d.term.span, args=(ty,)))
+
+
+# The terms whose synthesis rule takes no budget (see `Checker._count`).
+_ANNOTATION_FORMS = frozenset((Anno, Guard, Merge, Some, CtxAnno))
 
 
 def _unsatisfied(e: Guard, ev: Fail) -> Fail:

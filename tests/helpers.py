@@ -92,6 +92,25 @@ def load_program(path: str) -> Program:
         return parse_program(fh.read(), path)
 
 
+# Accepted from --max-depth 18, where its encoding is out of budget: typing
+# 1's sorting is determined by the subject only, and its branch fails.
+ENCODED_COSTS_MORE = (
+    "indexcon list :: int\n"
+    "prim idcast : Pi c : int . list(c) -> list(c)\n"
+    "val main : list(3) -> list(3) =\n"
+    "  (fn x => idcast x :: [a : int |- (list(a) -> list(a)) /\\ unit ;"
+    " |- list(3) -> list(3)])\n"
+)
+
+
+# The sorting a is determined by the goal only: the encoding is accepted,
+# the contextual rule, a synthesis rule, rejects.
+GOAL_ONLY = (
+    "indexcon list :: int\n"
+    "val main : list(3) -> list(3) = ((fn x => x) :: [a : int |- list(a) -> list(a)])\n"
+)
+
+
 def ctx_typing(entries, goal: Type):
     """The chain of the contextual typing `entries |- goal`: a `CtxIdx` per
     IdxDecl entry and a `CtxVar` per VarDecl entry, ending in a `CtxGoal`."""

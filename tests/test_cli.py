@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import ACCEPTED_PROGRAMS, PROGRAMS_DIR, program_path
-from helpers import kway_source
+from helpers import ENCODED_COSTS_MORE, GOAL_ONLY, kway_source
 from guardlang.cli import main
 from guardlang.parser import parse_program
 from guardlang.typecheck import typecheck_program
@@ -244,34 +244,53 @@ class TestDesugar:
             "exceeded its budget of 15 rule applications (--max-depth)\n"
         )
 
-    def test_verify_finds_a_program_only_the_encoding_accepts(self, capsys, tmp_path):
+    def test_a_sorting_only_the_subject_determines_verifies(self, capsys, tmp_path):
         # The sorting a is determined by the subject, not by a variable
-        # typing: the contextual rule rejects, the encoding accepts.
+        # typing: the contextual rule and the encoding both accept.
         path = tmp_path / "subject.gl"
         path.write_text(
             "indexcon list :: int\nprim p : list(3)\n"
             "val main : list(3) = (p :: [a : int |- list(a)])\n"
         )
+        code, _, err = run_cli(capsys, "check", "--certify", str(path))
+        assert (code, err) == (0, "certified\n")
+        code, _, err = run_cli(capsys, "desugar", "--verify", str(path))
+        assert code == 0
+        assert err.startswith("-- verified: derivation sizes")
+
+    def test_verify_finds_a_program_only_the_encoding_accepts(self, capsys, tmp_path):
+        # The sorting a is determined by the goal only: the encoding's `some`
+        # binder, checked against it, is; the contextual rule, which
+        # synthesizes, is not.
+        path = tmp_path / "goal.gl"
+        path.write_text(GOAL_ONLY)
         code, _, err = run_cli(capsys, "desugar", "--verify", str(path))
         assert code == 1
         assert err.startswith("error: encoding gap: only the encoded program is accepted: ")
-        assert "typing 1: index instantiation undetermined" in err
+        assert "no index expression determined for `some a`" in err
 
     def test_verify_out_of_budget_is_no_gap(self, capsys, tmp_path):
-        # The original fits 9 rule applications, its encoding does not.
+        # The original fits 18 rule applications, its encoding does not:
+        # typing 1's branch fails in checking mode, so the encoded merge
+        # checks it again through subsumption, and the metavariable of `a`
+        # in the context of x keeps the memo from answering.
         path = tmp_path / "idcast.gl"
-        path.write_text(
-            "indexcon list :: int\n"
-            "prim idcast : Pi c : int . list(c) -> list(c)\n"
-            "val main : Pi a : int . list(a) -> list(a) =\n"
-            "  fn x => (idcast x :: [b : int, x : list(b) |- list(b)])\n"
-        )
-        code, _, err = run_cli(capsys, "desugar", "--verify", "--max-depth", "9", str(path))
+        path.write_text(ENCODED_COSTS_MORE)
+        code, _, err = run_cli(capsys, "desugar", "--verify", "--max-depth", "18", str(path))
         assert code == 1
         assert err == (
             "error: encoding not verified: checking the encoded program "
-            "exceeded its budget of 9 rule applications (--max-depth)\n"
+            "exceeded its budget of 18 rule applications (--max-depth)\n"
         )
+        code, _, _ = run_cli(capsys, "check", "--max-depth", "18", str(path))
+        assert code == 0
+
+    def test_verify_both_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "desugar", "--verify", program_path("parity_badguard.gl")
+        )
+        assert code == 0
+        assert err == "-- verified: the original and the encoded program are both rejected\n"
 
 
 def test_console_entry_point():
@@ -386,7 +405,7 @@ class TestCaptureSafeInstantiation:
     def test_a_long_run_of_renamed_sortings_gets_a_verdict(self, capsys, tmp_path):
         # The witness of `a` may name c, so each of the 900 sortings named c
         # that follow it is renamed, in one frame each: the check ends in a
-        # verdict (no index is determined for a), not in exit 4.
+        # verdict (no index is determined for the last sorting), not in exit 4.
         source = (
             "val main : Pi c : int . unit = idxfn c : int => (() :: [a : int"
             + ", c : int" * 900 + " |- unit])\n"
@@ -394,7 +413,7 @@ class TestCaptureSafeInstantiation:
         code, out, err = self._check(capsys, tmp_path, source)
         assert code == 1, err
         assert out == "rejected\n"
-        assert "typing 1: index instantiation undetermined" in err
+        assert "no index expression determined for `some c1`" in err
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 import strategies
 from conftest import ACCEPTED_PROGRAMS, REJECTED_PROGRAMS, program_path
 from helpers import (
+    ENCODED_COSTS_MORE,
+    GOAL_ONLY,
     gen_ctxanno_program,
     idx_chain_program,
     kway_program,
@@ -33,6 +35,7 @@ from guardlang.syntax import (
     CtxIdx,
     CtxVar,
     Guard,
+    ILit,
     INT,
     IVar,
     IdxDecl,
@@ -131,11 +134,15 @@ class TestCheckCtxAnno:
         assert chain[1][1] is None and chain[2][1] is None
 
     def test_unsatisfied_pvar(self, psig):
-        res = self._synth(psig, "even", "((snoc1 x) :: [x : odd |- odd])")
+        term = "((snoc1 x) :: [x : odd |- odd])"
+        res = self._synth(psig, "even", term)
         assert isinstance(res, Fail)
-        messages = res.messages()
-        assert "typing 1 does not apply" in messages
-        assert "context does not entail x : odd" in messages
+        assert "typing 1 fails" in res.messages()
+        entry = parse_term(term, prims=frozenset(psig.prims)).typings[0]
+        (unmet,) = [
+            f for f in res.walk() if f.reason == "'x' has type even, which does not entail odd"
+        ]
+        assert unmet.span == entry.decl.span
 
     def test_a_later_typing_is_tried(self, psig):
         # Typing 1 applies under x : odd, but snoc1 x is not odd: typing 2,
@@ -181,37 +188,38 @@ def _idcast_program(var: str, typing: str) -> str:
     )
 
 
-class TestIllFormedTyping:
-    """Each typing is checked for well-formedness before it is tried; the
-    sortings are in scope for the later entries and the goal."""
+def _diagnostics(typing: str):
+    prog = parse_program(_idcast_program("a", typing), "m.gl")
+    report = typecheck_program(prog)
+    assert not report.accepted
+    return [
+        (d.message, d.span.start_line, d.span.start_col,
+         d.span.end_line, d.span.end_col)
+        for d in report.diagnostics
+    ]
 
-    def _diagnostics(self, typing: str):
-        prog = parse_program(_idcast_program("a", typing), "m.gl")
-        report = typecheck_program(prog)
-        assert not report.accepted
-        return [
-            (d.message, d.span.start_line, d.span.start_col,
-             d.span.end_line, d.span.end_col)
-            for d in report.diagnostics
-        ]
+
+class TestIllFormedTyping:
+    """An ill-formed entry or goal fails its typing, at the type's span."""
 
     def test_undeclared_datasort_in_entry(self):
-        diags = self._diagnostics("b : int, x : nope |- list(b*2)")
-        assert (
-            "typing 1 is ill-formed: undeclared datasort 'nope'", 5, 27, 5, 57
-        ) in diags
+        diags = _diagnostics("b : int, x : nope |- list(b*2)")
         assert ("no contextual typing applies", 5, 11, 5, 59) in diags
+        assert ("typing 1 fails", 5, 27, 5, 57) in diags
+        assert (
+            "ill-formed annotation: undeclared datasort 'nope'", 5, 40, 5, 44
+        ) in diags
 
     def test_undeclared_datasort_in_goal(self):
         assert (
-            "typing 1 is ill-formed: undeclared datasort 'nope'", 5, 27, 5, 57
-        ) in self._diagnostics("b : int, x : list(b*2) |- nope")
+            "ill-formed annotation: undeclared datasort 'nope'", 5, 53, 5, 57
+        ) in _diagnostics("b : int, x : list(b*2) |- nope")
 
     def test_datasort_used_as_indexed_constructor(self):
         assert (
-            "typing 1 is ill-formed: undeclared indexed constructor 'odd'",
-            5, 27, 5, 59,
-        ) in self._diagnostics("b : int, x : odd(3) |- list(b*2)")
+            "ill-formed annotation: undeclared indexed constructor 'odd'",
+            5, 40, 5, 46,
+        ) in _diagnostics("b : int, x : odd(3) |- list(b*2)")
 
     def test_sorting_may_reuse_an_ambient_index_variable(self):
         src = _idcast_program("b", "b : int, x : list(b*2) |- list(b*2)")
@@ -219,6 +227,40 @@ class TestIllFormedTyping:
         report = typecheck_program(prog)
         assert report.accepted
         verify_typing(prog.sig, report.derivation)
+
+
+class TestTypingDiagnostics:
+    """A typing fails as its branch of the encoding does, at the entry or
+    sorting that fails; each failing typing leaves one failure at its span,
+    and the annotation one over all of them when none applies."""
+
+    def test_an_unmet_entry_at_its_span(self):
+        diags = _diagnostics("b : int, x : odd |- list(b*2)")
+        assert ("'x' has type list(2*a), which does not entail odd", 5, 36, 5, 43) in diags
+
+    def test_an_unresolved_sorting_at_its_span(self):
+        diags = _diagnostics("c : int, b : int, x : list(b*2) |- list(b*2)")
+        assert ("no index expression determined for `some c`", 5, 27, 5, 71) in diags
+
+    def test_one_failure_per_typing(self):
+        prog = parse_program(
+            _idcast_program("a", "x : odd |- list(a*2) ; b : int, x : nope |- list(b*2)")
+        )
+        checker = Checker(prog.sig)
+        fails: list = []
+        anno = prog.main.body
+        ctx = (
+            checker.fresh_ctx()
+            .extend(IdxDecl("a", INT))
+            .extend(VarDecl("x", parse_type("list(a*2)")))
+        )
+        assert list(ctxanno.check_ctx_anno(checker, ctx, anno, fails)) == []
+        (top,) = fails
+        assert top.reason == "no contextual typing applies" and top.span == anno.span
+        assert [(f.reason, f.span) for f in top.parts] == [
+            ("typing 1 fails", anno.typings[0].span),
+            ("typing 2 fails", anno.typings[1].span),
+        ]
 
 
 class TestVerifyCtxAnno:
@@ -377,13 +419,9 @@ class TestVerifyEncoding:
 
     def test_branch_correspondence_on_generated_corpus(self):
         # The typing the annotation selected is the branch the encoded
-        # right-nested merge settles on - exactly, unless an earlier typing
-        # has an index sorting that its own entries leave undetermined.  The
-        # annotation rule rejects such a typing (its goal never becomes
-        # ground), but the encoded some-binder may determine the index from
-        # the subject instead and legitimately take that earlier branch.
+        # right-nested merge settles on.
         rng = random.Random(505)
-        exact = relaxed = 0
+        exact = 0
         for _ in range(120):
             prog = gen_ctxanno_program(rng)
             check = verify_encoding(prog)
@@ -397,14 +435,9 @@ class TestVerifyEncoding:
             if n_typings < 2:
                 continue
             selected = _merge_leaf_index(check.encoded.derivation, n_typings)
-            earlier = node.term.typings[: node.branch - 1]
-            if any(_entry_unconstrained_ivar(t) for t in earlier):
-                assert selected <= node.branch, (node.branch, selected)
-                relaxed += 1
-            else:
-                assert selected == node.branch, (node.branch, selected)
-                exact += 1
-        assert exact >= 15 and relaxed >= 3
+            assert selected == node.branch, (node.branch, selected)
+            exact += 1
+        assert exact >= 15
 
     @pytest.mark.parametrize("s", ["a", "b"])
     def test_a_sorting_does_not_capture_the_subject(self, s):
@@ -431,8 +464,7 @@ LATER_TYPING = [
     "val main : odd -> even = fn x => ((snoc1 x) :: [x : bits |- bits ; x : odd |- even])",
     "val main : odd -> bits = fn x => ((snoc1 x) :: [x : bits |- odd ; x : odd |- even])",
 ]
-# The sorting a is determined by the subject only: the encoding's `some`
-# binder is, the contextual rule's instantiation is not.
+# The sorting a is determined by the subject only, as a `some` binder's may be.
 SUBJECT_ONLY = (
     "indexcon list :: int\nprim p : list(3)\n"
     "val main : list(3) = (p :: [a : int |- list(a)])\n"
@@ -449,15 +481,23 @@ class TestTypingsAreNotCommitted:
         (node,) = _rule_nodes(check.original.derivation, "ctx-anno")
         assert node.branch == 2
 
+    def test_a_sorting_only_the_subject_determines(self):
+        prog = parse_program(SUBJECT_ONLY)
+        check = verify_encoding(prog)
+        assert check.original.accepted and check.encoded.accepted
+        verify_typing(prog.sig, check.original.derivation)
+        (node,) = _rule_nodes(check.original.derivation, "ctx-anno")
+        assert node.premises[0].witness == ILit(3)
+
     def test_a_program_only_the_encoding_accepts_is_a_gap(self):
         with pytest.raises(EncodingGapError, match="only the encoded program") as info:
-            verify_encoding(parse_program(SUBJECT_ONLY))
+            verify_encoding(parse_program(GOAL_ONLY))
         check = info.value.check
         assert not check.original.accepted and not check.original.exhausted
         assert check.encoded.accepted
-        assert [d.message for d in check.original.diagnostics][-1] == (
-            "typing 1: index instantiation undetermined"
-        )
+        assert [d.message for d in check.original.diagnostics][-2:] == [
+            "typing 1 fails", "no index expression determined for `some a`",
+        ]
 
     def test_a_program_both_reject_is_no_gap(self):
         # Under x : even, typing 1 gives bits, which is not even, and
@@ -540,20 +580,6 @@ class TestSharedChecker:
         assert made and all(ref() is None for ref in made)
 
 
-def _entry_unconstrained_ivar(typing) -> bool:
-    from guardlang.syntax import INDEX, free_vars
-
-    constrained: set = set()
-    sortings = []
-    while type(typing) is not CtxGoal:
-        if type(typing) is CtxVar:
-            constrained |= free_vars(typing.decl.ty, INDEX)
-        else:
-            sortings.append(typing.var)
-        typing = typing.body
-    return any(a not in constrained for a in sortings)
-
-
 def _rule_nodes(d, rule):
     out = []
     if isinstance(d, TypingDerivation):
@@ -596,9 +622,9 @@ class TestEncodingBudget:
                     pass
 
     def test_exhausted_encoded_check_names_the_budget(self):
-        prog = gen_ctxanno_program(random.Random(20260808))
-        with pytest.raises(EncodingBudgetError, match="budget of 9 rule") as info:
-            verify_encoding(prog, max_depth=9)
+        prog = parse_program(ENCODED_COSTS_MORE)
+        with pytest.raises(EncodingBudgetError, match="budget of 18 rule") as info:
+            verify_encoding(prog, max_depth=18)
         assert not isinstance(info.value, EncodingGapError)
         check = info.value.check
         assert check.original.accepted and not check.original.exhausted
