@@ -2,19 +2,17 @@
 
 The checker is a backtracking search over the rules, with a fixed order:
 in checking mode the invertible rules come first (intersection introduction,
-Pi introduction, arrow introduction, unit, `some`, guards), then merge
-branches, and finally subsumption (synthesize, then subtype).  Elimination
-positions instantiate synthesized Pi types with metavariables; the indexed
-subtyping equalities solve them.  Each rule tried takes one unit of the
-typing budget, except the rules of annotation forms (right-hand and
-contextual annotations, guards, merges, `some`): they only narrow the
-search, and each leads to the rules of a smaller term.
-
-A guard `where x : A do e` against an intersection or a Pi is tried after
-their introduction rules and decides `x : A` in its turn.  Against another
-goal only guard-chk and subsumption apply, both needing `x : A` in the same
-store state, so it is decided once, before either: a failed guard costs no
-typing rule, and guard-chk uses the evidence of one that holds.
+Pi introduction, arrow introduction, unit, `some`), then guard-chk or
+merge-chk, and finally subsumption (synthesize, then subtype).  A guard or a
+merge gets no subsumption after its own rule: its body or branches end in
+subsumption, which tries every type the guard or merge would synthesize.
+`some` keeps it, because its checking rule commits to the body's first
+derivation, while its synthesis rule skips the candidates that leave its
+variable unsolved.  Elimination positions instantiate synthesized Pi types
+with metavariables; the indexed subtyping equalities solve them.  Each rule
+tried takes one unit of the typing budget, except the rules of annotation
+forms (right-hand and contextual annotations, guards, merges, `some`): they
+only narrow the search, and each leads to the rules of a smaller term.
 
 A `some` binder instantiates its variable with a fresh metavariable
 (`syntax.instantiate`) and requires it solved by the end of that subterm's
@@ -338,34 +336,19 @@ class Checker:
             alts.append((tick, self._chk_unit_i))
         if isinstance(e, Some):
             alts.append((count, self._chk_some))
-        mark = None
+        # Subsumption comes last, except after guard-chk and merge-chk: the
+        # body or branch they check ends in subsumption of its own.
         if isinstance(e, Guard):
-            if isinstance(ty, (TSect, TPi)):  # after sect-i or pi-i
-                alts.append((count, self._chk_guard))
-            else:
-                # guard-chk and subsumption both begin by deciding the guard
-                # in this store state: decide it once, before either.
-                mark = self.metas.mark()
-                ev = self.check_guard(ctx, e.decl)
-                if isinstance(ev, Fail):
-                    self.metas.undo(mark)
-                    unmet = _unsatisfied(e, ev)
-                    cannot = Fail(
-                        "cannot check {} against {}", e.span, (unmet,), args=(e, ty)
-                    )
-                    return Fail(
-                        "{} does not check against {}", e.span, (unmet, cannot), args=(e, ty)
-                    )
-                alts.append((count, lambda ctx, e, ty: self._chk_guard(ctx, e, ty, ev)))
-        if isinstance(e, Merge):
+            alts.append((count, self._chk_guard))
+        elif isinstance(e, Merge):
             alts.append((count, self._chk_merge))
-        alts.append((tick, self._chk_sub))
+        else:
+            alts.append((tick, self._chk_sub))
 
         fails: list[Fail] = []
         for i, (cost, rule) in enumerate(alts):
             cost()
-            if i or mark is None:  # else guard-chk undoes the guard's decision too
-                mark = self.metas.mark()
+            mark = self.metas.mark()
             res = rule(ctx, e, ty)
             if not isinstance(res, Fail):
                 return res
@@ -439,12 +422,10 @@ class Checker:
             "some", "check", ctx.entries, e, ty, (d,), witness=m
         )
 
-    def _chk_guard(self, ctx, e: Guard, ty, ev=None):
-        """guard-chk; ev is the guard's evidence when it is decided already."""
-        if ev is None:
-            ev = self.check_guard(ctx, e.decl)
-            if isinstance(ev, Fail):
-                return _unsatisfied(e, ev)
+    def _chk_guard(self, ctx, e: Guard, ty):
+        ev = self.check_guard(ctx, e.decl)
+        if isinstance(ev, Fail):
+            return _unsatisfied(e, ev)
         d = self._check(ctx, e.body, ty)
         if isinstance(d, Fail):
             return Fail(f"guarded body fails", e.span, (d,))

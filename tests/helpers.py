@@ -409,6 +409,41 @@ def gen_type(
     return TPi(var, INT, gen_type(rng, depth - 1, idx_vars + (var,), allow_pi))
 
 
+def gen_index_free_term(
+    rng: random.Random, depth: int, bound: frozenset[str]
+) -> Term:
+    """A random term of the index-free fragment over `snoc1` and `b1`: its
+    variables are drawn from `bound` and the binders it adds."""
+    if depth <= 0 or rng.random() < 0.35:
+        opts = [Unit(), Prim("snoc1"), Prim("b1")]
+        opts += [Var(x) for x in sorted(bound)]
+        return rng.choice(opts)
+    roll = rng.random()
+    if roll < 0.25:
+        x = rng.choice(["x", "y"])
+        return Lam(x, gen_index_free_term(rng, depth - 1, bound | {x}))
+    if roll < 0.45:
+        return App(
+            gen_index_free_term(rng, depth - 1, bound),
+            gen_index_free_term(rng, depth - 1, bound),
+        )
+    if roll < 0.6:
+        return Anno(
+            gen_index_free_term(rng, depth - 1, bound),
+            gen_type(rng, 2, (), allow_pi=False),
+        )
+    if roll < 0.75 and bound:
+        x = rng.choice(sorted(bound))
+        return Guard(
+            VarDecl(x, gen_type(rng, 1, (), allow_pi=False)),
+            gen_index_free_term(rng, depth - 1, bound),
+        )
+    return Merge(
+        gen_index_free_term(rng, depth - 1, bound),
+        gen_index_free_term(rng, depth - 1, bound),
+    )
+
+
 def gen_eq(rng: random.Random, names: tuple[str, ...]) -> Eq:
     """A random equation; in about 2 of 5 the right side is the left side
     rearranged, so that it holds identically."""

@@ -919,9 +919,8 @@ def failure_trees(memoize: bool = True) -> str:
     arrow, intersection and Pi goals.  `tests/golden/guard_failure_trees.txt`
     was written by
     `PYTHONPATH=src:tests python -c 'import test_typecheck as t;
-    print(t.failure_trees(), end="")'` on the checker that still decided a
-    failed guard once for guard-chk and again for subsumption; deciding it
-    once must leave every tree as it was."""
+    print(t.failure_trees(), end="")'` once guards and merges were checked
+    by their own rules only, with no subsumption after them."""
     sources = [(f"kway{k}_swapped", kway_source(k, "swapped")) for k in range(1, 9)]
     for name in ("parity_badguard", "some_bad"):
         with open(program_path(f"{name}.gl"), encoding="utf-8") as fh:
@@ -938,8 +937,7 @@ def failure_trees(memoize: bool = True) -> str:
 
 class TestGuardDecidedOnce:
     """A guard checked against a goal that is neither an intersection nor a
-    Pi is decided once, before guard-chk and subsumption, which both need
-    it."""
+    Pi has guard-chk as its only rule, so it is decided once."""
 
     def test_failure_trees_match_golden(self):
         path = os.path.join(os.path.dirname(__file__), "golden", "guard_failure_trees.txt")
@@ -948,9 +946,9 @@ class TestGuardDecidedOnce:
         assert failure_trees(memoize=True) == golden
         assert failure_trees(memoize=False) == golden
 
-    def test_failed_guard_adds_no_rule(self, psig):
-        # The check costs what deciding the guard alone costs: its one
-        # subtype query and that query's rule, and no typing rule.
+    def test_failed_guard_is_decided_by_guard_chk_alone(self, psig):
+        # The check costs guard-chk's rule and what deciding the guard
+        # costs: its one subtype query and that query's rule.
         term = parse_term("where x : odd do snoc1 x", prims=frozenset(psig.prims))
 
         def run(judge):
@@ -962,20 +960,17 @@ class TestGuardDecidedOnce:
         res, counts = run(lambda c, ctx: c.check(ctx, term, TAtom("even")))
         ev, guard_counts = run(lambda c, ctx: c.check_guard(ctx, term.decl))
         assert isinstance(ev, Fail)
-        assert counts == guard_counts == (1, 0, 1)
-        unmet = [
+        assert guard_counts == (1, 0, 1)
+        assert counts == (2, 0, 1)
+        assert [f.reason for f in res.walk()] == [
             "guard not satisfied: x : odd",
             "'x' has type even, which does not entail odd",
             "datasort even is not a subsort of odd",
         ]
-        assert [f.reason for f in res.walk()] == [
-            "where x : odd do snoc1 x does not check against even", *unmet,
-            "cannot check where x : odd do snoc1 x against even", *unmet,
-        ]
 
     def test_failed_check_undoes_what_the_guard_solved(self, isig):
-        # The guard holds by solving ?m, then the body fails under both
-        # rules: the store must be left as the check found it.
+        # The guard holds by solving ?m, then the body fails: the store
+        # must be left as the check found it.
         checker = Checker(isig)
         m = checker.metas.fresh(INT, scope=frozenset())
         term = subst(m, "b", parse_term("where x : list(b) do ()"))
@@ -986,6 +981,43 @@ class TestGuardDecidedOnce:
     def test_guarded_kway_fits_the_default_budget(self):
         for k in (9, 11, 13, 15):
             assert typecheck_program(kway_program(k, "guarded")).accepted, k
+
+
+# Accepted only through `some`'s subsumption: checking commits to merge
+# branch 1, which leaves `a` unsolved, while synthesis skips that candidate
+# for branch 2, which solves it.
+SOME_NEEDS_SUBSUMPTION = (
+    "indexcon list :: int\n"
+    "prim p : list(3)\n"
+    "val main : list(3) = some a : int in ((p : list(3)) ,, (p : list(a)))\n"
+)
+
+
+class TestSomeKeepsSubsumption:
+    def test_accepted_by_subsumption_over_a_synthesized_some(self):
+        prog = parse_program(SOME_NEEDS_SUBSUMPTION)
+        report = typecheck_program(prog)
+        assert report.accepted
+        root = report.derivation
+        assert (root.rule, root.mode) == ("sub", "check")
+        some = root.premises[0]
+        assert (some.rule, some.mode, some.witness) == ("some", "synth", ILit(3))
+        assert some.premises[0].branch == 2
+        verify_typing(prog.sig, root)
+
+
+class TestFailureTreesGrowLinearly:
+    """A failing guard or merge nests the failure of its own rule only, so
+    the failure tree of a k-way merge of failing guards grows with k."""
+
+    def test_swapped_kway_tree_sizes(self):
+        for k, nodes in ((4, 44), (8, 84), (16, 164)):
+            prog = kway_program(k, "swapped")
+            for memoize in (True, False):
+                checker = Checker(prog.sig, memoize=memoize)
+                res = checker.check(checker.fresh_ctx(), prog.main, prog.goal)
+                assert isinstance(res, Fail)
+                assert len(res.walk()) == nodes, (k, memoize)
 
 
 def _min_depth(prog) -> int:
@@ -1071,10 +1103,10 @@ class TestSearchCounts:
         assert got == {
             "idx-chain(8)": (53, 8, 17),
             "snoc-chain(128)": (773, 128, 257),
-            "kway-guarded(16)": (686, 240, 304),
+            "kway-guarded(16)": (806, 240, 304),
             "kway-plain(16)": (503, 120, 152),
             "kway-ctxanno(16)": (687, 240, 304),
-            "kway-swapped(16)": (364, 304, 169),
+            "kway-swapped(16)": (91, 48, 33),
         }
 
 
@@ -1138,51 +1170,17 @@ class TestDifferentialOracle:
     """The checker against the exhaustive search oracle on small closed
     terms of the index-free fragment."""
 
-    def _gen_term(self, rng, depth, bound):
-        from guardlang.syntax import Anno, App, Guard, Lam, Merge, Prim
-
-        from helpers import gen_type
-
-        if depth <= 0 or rng.random() < 0.35:
-            opts = [Unit(), Prim("snoc1"), Prim("b1")]
-            opts += [Var(x) for x in bound]
-            return rng.choice(opts)
-        roll = rng.random()
-        if roll < 0.25:
-            x = rng.choice(["x", "y"])
-            return Lam(x, self._gen_term(rng, depth - 1, bound | {x}))
-        if roll < 0.45:
-            return App(
-                self._gen_term(rng, depth - 1, bound),
-                self._gen_term(rng, depth - 1, bound),
-            )
-        if roll < 0.6:
-            return Anno(
-                self._gen_term(rng, depth - 1, bound),
-                gen_type(rng, 2, (), allow_pi=False),
-            )
-        if roll < 0.75 and bound:
-            x = rng.choice(sorted(bound))
-            return Guard(
-                VarDecl(x, gen_type(rng, 1, (), allow_pi=False)),
-                self._gen_term(rng, depth - 1, bound),
-            )
-        return Merge(
-            self._gen_term(rng, depth - 1, bound),
-            self._gen_term(rng, depth - 1, bound),
-        )
-
     def test_agreement_on_random_terms(self, psig):
         import random
 
-        from helpers import brute_check, gen_type
+        from helpers import brute_check, gen_index_free_term, gen_type
         from guardlang.syntax import TERM, free_vars
 
         psig.declare_prim("b1", TAtom("odd"))
         rng = random.Random(999)
         accepted = 0
         for _ in range(800):
-            e = self._gen_term(rng, 3, frozenset())
+            e = gen_index_free_term(rng, 3, frozenset())
             if free_vars(e, TERM):
                 continue
             ty = gen_type(rng, 2, (), allow_pi=False)
@@ -1192,6 +1190,47 @@ class TestDifferentialOracle:
             assert got == want, (e, ty)
             accepted += got
         assert accepted > 20
+
+
+class TestNoSubsumptionAfterGuardOrMerge:
+    """A guard or a merge is checked by its own rule, with no subsumption
+    after it.  That loses nothing: a type it synthesizes its body or branch
+    synthesizes too, and checking that body or branch ends in subsumption."""
+
+    def test_a_synthesized_subtype_of_the_goal_checks(self, isig):
+        import random
+
+        from helpers import gen_index_free_term, gen_type, weaken
+        from guardlang.subtyping import subtype
+        from guardlang.syntax import Guard, Merge
+
+        rng = random.Random(7)
+        premises = {Merge: 0, Guard: 0}
+        for _ in range(3000):
+            x_ty = gen_type(rng, 2, (), allow_pi=False)
+            body = gen_index_free_term(rng, 3, frozenset({"x"}))
+            if rng.random() < 0.5:
+                e = Merge(body, gen_index_free_term(rng, 3, frozenset({"x"})))
+            else:
+                guard = (
+                    weaken(rng, isig, x_ty) if rng.random() < 0.7
+                    else gen_type(rng, 1, (), allow_pi=False)
+                )
+                e = Guard(VarDecl("x", guard), body)
+            checker = Checker(isig, max_depth=10**4)
+            ctx = checker.fresh_ctx().extend(VarDecl("x", x_ty))
+            cands = checker.synth(ctx, e)
+            if isinstance(cands, Fail):
+                continue
+            goal = (
+                weaken(rng, isig, rng.choice(cands)[0]) if rng.random() < 0.7
+                else gen_type(rng, 2, (), allow_pi=False)
+            )
+            if any(ok(subtype(ctx, a, goal)) for a, _ in cands):
+                premises[type(e)] += 1
+                checker = Checker(isig, max_depth=10**4)
+                assert ok(checker.check(ctx, e, goal)), (e, goal)
+        assert premises[Merge] > 600 and premises[Guard] > 250
 
 
 class TestIndexedDifferentialOracle:
