@@ -29,6 +29,7 @@ from .subtyping import Fail, subtype
 from .syntax import (
     Context,
     CtxAnno,
+    CtxVar,
     Merge,
     Program,
     Term,
@@ -54,18 +55,22 @@ def check_ctx_anno(
 
     Each typing in order synthesizes its branch of the encoding, and each
     type the branch gives, the annotation gives.  A typing whose branch
-    gives none leaves one failure at the typing, over the branch's."""
+    gives none leaves one failure at the typing, over the branch's.  A
+    typing whose first guard `Checker._refute` decides leaves that guard's
+    failure, and its branch is neither built nor tried."""
     reasons: list[Fail] = []
     for k, typing in enumerate(e.typings, 1):
-        branch_fails: list[Fail] = []
+        ev = checker._refuted_guard(ctx, typing) if type(typing) is CtxVar else None
+        branch_fails: list[Fail] = [] if ev is None else [ev]
         d = None
-        for ty, d in checker._synth(ctx, encode_typing(typing, e.body), branch_fails):
-            yield ty, TypingDerivation(
-                "ctx-anno", "synth", ctx.entries, e, ty, (d,), branch=k
-            )
+        if ev is None:
+            for ty, d in checker._synth(ctx, encode_typing(typing, e.body), branch_fails):
+                yield ty, TypingDerivation(
+                    "ctx-anno", "synth", ctx.entries, e, ty, (d,), branch=k
+                )
+            checker.stats.backtracks += 1
         if d is None:
             reasons.append(Fail(f"typing {k} fails", typing.span, tuple(branch_fails)))
-        checker.stats.backtracks += 1
     if len(reasons) == len(e.typings):
         fails.append(Fail("no contextual typing applies", e.span, tuple(reasons)))
     else:

@@ -132,10 +132,17 @@ class Stats:
     # Lookups in the subtyping memo, one per `_Search.sub` call.
     sub_memo_hits: int = 0
     sub_memo_misses: int = 0
+    # Alternatives skipped untried (`Checker._refute`): not backtracks.
+    refuted: int = 0
     wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
         return asdict(self) | {"wall_ms": round(self.wall_ms, 3)}
+
+
+def not_subsort(a: TAtom, b: TAtom) -> Fail:
+    """The failure of the atom rule on `a <= b`."""
+    return Fail(f"datasort {a.name} is not a subsort of {b.name}")
 
 
 class _Search:
@@ -227,7 +234,7 @@ class _Search:
     def _atom(self, ctx, a: TAtom, b: TAtom):
         if ctx.sig.atom_le(a.name, b.name):
             return SubDerivation("atom", ctx.entries, a, b)
-        return Fail(f"datasort {a.name} is not a subsort of {b.name}")
+        return not_subsort(a, b)
 
     def _arrow(self, ctx, a: TArrow, b: TArrow):
         p1 = self.sub(ctx, b.arg, a.arg)

@@ -382,6 +382,8 @@ class Signature:
         self.atoms: dict[str, frozenset[str]] = dict(atoms or {})
         self.cons: dict[str, IndexSort] = dict(cons or {})
         self.prims: dict[str, Type] = dict(prims or {})
+        # The up-closures `atom_le` has found, until the next declaration.
+        self._ups: dict[str, set[str]] = {}
 
     def declare_atom(self, name: str, supersort: Optional[str] = None) -> None:
         ups = set(self.atoms.get(name, frozenset()))
@@ -390,6 +392,7 @@ class Signature:
                 self.atoms.setdefault(supersort, frozenset())
             ups.add(supersort)
         self.atoms[name] = frozenset(ups)
+        self._ups.clear()
 
     def declare_con(self, name: str, sort: IndexSort) -> None:
         self.cons[name] = sort
@@ -418,16 +421,17 @@ class Signature:
 
     def atom_le(self, sub: str, sup: str) -> bool:
         """Whether the declared supersort edges lead from sub to sup, or sub
-        is sup: a walk on an explicit stack, which stores no closure."""
-        seen, stack = {sub}, [sub]
-        while stack:
-            name = stack.pop()
-            if name == sup:
-                return True
-            ups = self.atoms.get(name, frozenset()) - seen
-            seen |= ups
-            stack.extend(ups)
-        return False
+        is sup.  sub's up-closure is found by a walk on an explicit stack,
+        and kept: only the atoms asked about have one stored."""
+        seen = self._ups.get(sub)
+        if seen is None:
+            seen, stack = {sub}, [sub]
+            while stack:
+                ups = self.atoms.get(stack.pop(), frozenset()) - seen
+                seen |= ups
+                stack.extend(ups)
+            self._ups[sub] = seen
+        return sup in seen
 
 
 @dataclass

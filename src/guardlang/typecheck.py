@@ -14,6 +14,12 @@ tried takes one unit of the typing budget, except the rules of annotation
 forms (right-hand and contextual annotations, guards, merges, `some`): they
 only narrow the search, and each leads to the rules of a smaller term.
 
+The subsort order refutes a variable of declared datasort c against a
+declared datasort d that c is not below (`_refute`).  Refuted conjuncts of a
+function applied to the variable, guarded merge branches and contextual
+typings are skipped: each keeps its rule's failure, but takes no rule,
+budget or backtrack.
+
 A `some` binder instantiates its variable with a fresh metavariable
 (`syntax.instantiate`) and requires it solved by the end of that subterm's
 derivation.  Checking-mode results are memoized per occurrence, which is
@@ -73,7 +79,7 @@ from typing import Iterator, Optional, Union
 from .indices import UnboundIndexVariable, sort_of
 from .parser import pretty as pretty_term  # the benchmark's tracer wraps this name
 from .replay import TypingDerivation, verify_typing  # the replay, for its callers
-from .subtyping import DepthExceeded, Exhausted, Fail, Stats, subtype
+from .subtyping import DepthExceeded, Exhausted, Fail, Stats, not_subsort, subtype
 from .syntax import (
     INDEX,
     TERM,
@@ -81,6 +87,7 @@ from .syntax import (
     App,
     Context,
     CtxAnno,
+    CtxVar,
     Decl,
     Guard,
     IVar,
@@ -425,7 +432,7 @@ class Checker:
     def _chk_guard(self, ctx, e: Guard, ty):
         ev = self.check_guard(ctx, e.decl)
         if isinstance(ev, Fail):
-            return _unsatisfied(e, ev)
+            return _unsatisfied(e.decl, e.span, ev)
         d = self._check(ctx, e.body, ty)
         if isinstance(d, Fail):
             return Fail(f"guarded body fails", e.span, (d,))
@@ -433,15 +440,20 @@ class Checker:
 
     def _chk_merge(self, ctx, e: Merge, ty):
         fails = []
+        # Unless ty is an intersection or a Pi, a guard has guard-chk only.
+        decide = type(ty) is not TSect and type(ty) is not TPi
         for k, branch in ((1, e.lhs), (2, e.rhs)):
-            mark = self.metas.mark()
-            d = self._check(ctx, branch, ty)
-            if not isinstance(d, Fail):
-                return TypingDerivation(
-                    "merge-chk", "check", ctx.entries, e, ty, (d,), branch=k
-                )
-            self.metas.undo(mark)
-            self.stats.backtracks += 1
+            guarded = decide and type(branch) is Guard
+            d = self._refuted_guard(ctx, branch) if guarded else None
+            if d is None:
+                mark = self.metas.mark()
+                d = self._check(ctx, branch, ty)
+                if not isinstance(d, Fail):
+                    return TypingDerivation(
+                        "merge-chk", "check", ctx.entries, e, ty, (d,), branch=k
+                    )
+                self.metas.undo(mark)
+                self.stats.backtracks += 1
             fails.append(Fail(f"merge branch {k} fails", branch.span, (d,)))
         return Fail(
             "no merge branch checks against {}", e.span, tuple(fails), args=(ty,)
@@ -456,19 +468,10 @@ class Checker:
                 return TypingDerivation(
                     "sub", "check", ctx.entries, e, ty, (sd, sub)
                 )
-            fails.append(
-                Fail(
-                    "synthesized {} is not a subtype of {}",
-                    e.span,
-                    (sub,),
-                    args=(zonk(self.metas, sty), ty),
-                )
-            )
+            fails.append(_not_subtype(e, zonk(self.metas, sty), ty, sub))
             self.metas.undo(mark)
             self.stats.backtracks += 1
-        return Fail(
-            "cannot check {} against {}", e.span, tuple(fails), args=(e, ty)
-        )
+        return _cannot_check(e, ty, tuple(fails))
 
     # -- guards ----------------------------------------------------------------
 
@@ -482,12 +485,7 @@ class Checker:
                 return Fail(f"guard subject '{d.name}' is not in scope", d.span)
             sd = self._subtype(ctx, got, d.ty)
             if isinstance(sd, Fail):
-                return Fail(
-                    "'{}' has type {}, which does not entail {}",
-                    d.span,
-                    (sd,),
-                    args=(d.name, got, d.ty),
-                )
+                return _not_entailed(d, got, sd)
             var = Var(d.name)
             node = TypingDerivation("var", "synth", ctx.entries, var, got)
             return TypingDerivation("sub", "check", ctx.entries, var, d.ty, (node, sd))
@@ -498,6 +496,34 @@ class Checker:
                 d.span,
             )
         return TypingDerivation("ivar", "check", ctx.entries, Var(d.name), None)
+
+    # -- subsort refutation ------------------------------------------------------
+
+    def _refute(self, ctx: Context, name: str, goal: Type) -> Optional[tuple]:
+        """(c, the failure of `c <= goal`) when variable `name` has declared
+        atom type c, and goal is a declared atom other than c and not above
+        it; None when the subsort order does not decide `name` against goal."""
+        if type(goal) is TAtom:
+            got, atoms = ctx.lookup_var(name), self.sig.atoms
+            if (
+                type(got) is TAtom and got.name != goal.name
+                and got.name in atoms and goal.name in atoms
+                and not self.sig.atom_le(got.name, goal.name)
+            ):
+                self.stats.refuted += 1
+                return got, not_subsort(got, goal)
+        return None
+
+    def _refuted_check(self, ctx: Context, e: Var, ty: Type) -> Optional[Fail]:
+        """What `_check(ctx, e, ty)` returns when `_refute` decides it."""
+        r = self._refute(ctx, e.name, ty)
+        return r and _cannot_check(e, ty, (_not_subtype(e, r[0], ty, r[1]),))
+
+    def _refuted_guard(self, ctx: Context, g: Union[Guard, CtxVar]) -> Optional[Fail]:
+        """The failure of guard (or typing) g when `_refute` decides it."""
+        d = g.decl
+        r = self._refute(ctx, d.name, d.ty) if type(d) is VarDecl else None
+        return r and _unsatisfied(d, g.span, _not_entailed(d, *r))
 
     # -- synthesis ---------------------------------------------------------------
 
@@ -547,7 +573,7 @@ class Checker:
                 mark = self.metas.mark()
                 ev = self.check_guard(ctx, decl)
                 if isinstance(ev, Fail):
-                    fails.append(_unsatisfied(e, ev))
+                    fails.append(_unsatisfied(decl, e.span, ev))
                     self.metas.undo(mark)
                     return
                 for ty, d in self._synth(ctx, body, fails):
@@ -609,18 +635,11 @@ class Checker:
                 stamp0 = self.metas.stamp
                 start = len(fails)
                 for fty, fd in self._synth(ctx, fn, fails):
-                    for aty, rty, fd2 in self._elim_arrow(ctx, fty, fd, fails):
+                    for aty, rty, fd2 in self._elim_arrow(ctx, fty, fd, fails, arg):
                         mark = self.metas.mark()
                         ad = self._check(ctx, arg, aty)
                         if isinstance(ad, Fail):
-                            fails.append(
-                                Fail(
-                                    "argument does not check against {}",
-                                    arg.span,
-                                    (ad,),
-                                    args=(zonk(self.metas, aty),),
-                                )
-                            )
+                            fails.append(_bad_arg(arg, zonk(self.metas, aty), ad))
                             self.metas.undo(mark)
                             continue
                         d = TypingDerivation(
@@ -668,19 +687,24 @@ class Checker:
                     )
                 )
 
-    def _elim_arrow(self, ctx, ty: Type, d: TypingDerivation, fails):
+    def _elim_arrow(self, ctx, ty: Type, d: TypingDerivation, fails, arg: Term):
         """Arrow views of a synthesized type, via intersection projections
-        and Pi instantiation."""
+        and Pi instantiation, for an application to arg.  A conjunct
+        `A -> B` that `_refute` decides the variable arg against is skipped:
+        its failure is recorded, and it gets no node and no frame."""
         ty = zonk(self.metas, ty)
         if isinstance(ty, TArrow):
             yield ty.arg, ty.res, d
             return
         if isinstance(ty, TSect):
             for rule, side in (("sect-e1", ty.lhs), ("sect-e2", ty.rhs)):
-                node = TypingDerivation(
-                    rule, "synth", ctx.entries, d.term, side, (d,)
-                )
-                yield from self._elim_arrow(ctx, side, node, fails)
+                if type(side) is TArrow and type(arg) is Var:
+                    ad = self._refuted_check(ctx, arg, side.arg)
+                    if ad is not None:
+                        fails.append(_bad_arg(arg, side.arg, ad))
+                        continue
+                node = TypingDerivation(rule, "synth", ctx.entries, d.term, side, (d,))
+                yield from self._elim_arrow(ctx, side, node, fails, arg)
             return
         if isinstance(ty, TPi):
             m, inst = instantiate(
@@ -689,7 +713,7 @@ class Checker:
             node = TypingDerivation(
                 "pi-e", "synth", ctx.entries, d.term, inst, (d,), witness=m
             )
-            yield from self._elim_arrow(ctx, inst, node, fails)
+            yield from self._elim_arrow(ctx, inst, node, fails, arg)
             return
         fails.append(Fail("{} is not a function type", d.term.span, args=(ty,)))
 
@@ -698,9 +722,28 @@ class Checker:
 _ANNOTATION_FORMS = frozenset((Anno, Guard, Merge, Some, CtxAnno))
 
 
-def _unsatisfied(e: Guard, ev: Fail) -> Fail:
-    """The failure of a rule that needs e's guard, whose decision gave ev."""
-    return Fail("guard not satisfied: {}", e.span or e.decl.span, (ev,), args=(e.decl,))
+# The failures of rules, built here for the rules and for the alternatives
+# that `Checker._refute` skips.
+def _unsatisfied(decl: Decl, span: Optional[Span], ev: Fail) -> Fail:
+    """The failure of a rule needing the guard on decl at span, decided ev."""
+    return Fail("guard not satisfied: {}", span or decl.span, (ev,), args=(decl,))
+
+
+def _not_entailed(d: VarDecl, got: Type, sd: Fail) -> Fail:
+    args = (d.name, got, d.ty)
+    return Fail("'{}' has type {}, which does not entail {}", d.span, (sd,), args=args)
+
+
+def _not_subtype(e: Term, sty: Type, ty: Type, sub: Fail) -> Fail:
+    return Fail("synthesized {} is not a subtype of {}", e.span, (sub,), args=(sty, ty))
+
+
+def _cannot_check(e: Term, ty: Type, fails: tuple) -> Fail:
+    return Fail("cannot check {} against {}", e.span, fails, args=(e, ty))
+
+
+def _bad_arg(arg: Term, aty: Type, ad: Fail) -> Fail:
+    return Fail("argument does not check against {}", arg.span, (ad,), args=(aty,))
 
 
 # ---------------------------------------------------------------------------

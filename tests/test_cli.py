@@ -95,6 +95,7 @@ class TestCheck:
             "synth_memo_misses",
             "sub_memo_hits",
             "sub_memo_misses",
+            "refuted",
             "wall_ms",
         ):
             assert key in stats
@@ -233,15 +234,15 @@ class TestDesugar:
         assert "unrecognized arguments: --no-ctx-anno" in err
 
     def test_verify_original_out_of_budget(self, capsys):
-        # parity_ctxanno.gl is well typed and verifies from --max-depth 20.
+        # parity_ctxanno.gl is well typed and verifies from --max-depth 15.
         code, _, err = run_cli(
-            capsys, "desugar", "--verify", "--max-depth", "15",
+            capsys, "desugar", "--verify", "--max-depth", "14",
             program_path("parity_ctxanno.gl"),
         )
         assert code == 1
         assert err == (
             "error: encoding not verified: checking the original program "
-            "exceeded its budget of 15 rule applications (--max-depth)\n"
+            "exceeded its budget of 14 rule applications (--max-depth)\n"
         )
 
     def test_a_sorting_only_the_subject_determines_verifies(self, capsys, tmp_path):

@@ -790,7 +790,9 @@ class TestWorkNotRead:
             prog = kway_program(8, variant)
             report = typecheck_program(prog, max_depth=10**6)
             assert report.accepted, variant
-            assert report.stats.backtracks > 0, variant
+            # Failures were recorded: the conjuncts and branches the
+            # subsort order refutes.
+            assert report.stats.refuted > 0, variant
         assert calls == []
 
     def test_message_renders_after_the_store_is_undone(self):
@@ -1044,12 +1046,17 @@ class TestAnnotationRulesAreFree:
             assert _min_depth(kway_program(k, "ctxanno")) == guarded, k
 
     def test_kway_variants_agree_at_the_default_budget(self):
-        for k in range(2, 23):
+        # The refuted alternatives take no budget, so the default budget
+        # holds plain up to k = 73 and guarded and ctxanno up to 64.
+        for k in (*range(2, 23), 63, 64, 65, 73, 74):
             verdicts = {
-                typecheck_program(kway_program(k, v)).verdict
+                v: typecheck_program(kway_program(k, v)).verdict
                 for v in ("plain", "guarded", "ctxanno")
             }
-            assert verdicts == {"accept" if k <= 19 else "reject"}, k
+            assert verdicts == {
+                v: "accept" if k <= (73 if v == "plain" else 64) else "reject"
+                for v in verdicts
+            }, k
 
 
 class TestBudgetExhaustion:
@@ -1103,11 +1110,31 @@ class TestSearchCounts:
         assert got == {
             "idx-chain(8)": (53, 8, 17),
             "snoc-chain(128)": (773, 128, 257),
-            "kway-guarded(16)": (806, 240, 304),
-            "kway-plain(16)": (503, 120, 152),
-            "kway-ctxanno(16)": (687, 240, 304),
-            "kway-swapped(16)": (91, 48, 33),
+            "kway-guarded(16)": (326, 0, 64),
+            "kway-plain(16)": (143, 0, 32),
+            "kway-ctxanno(16)": (207, 0, 64),
+            "kway-swapped(16)": (31, 18, 3),
         }
+
+    def test_kway_counts_are_linear(self):
+        # Plain costs 9k - 1 rules and ctxanno 13k - 1, with 2k and 4k
+        # subtype queries; guarded costs 12k - 1 rules plus its
+        # k(k + 1)/2 - 1 merge-chk nodes.  The subsort order refutes every
+        # conjunct and branch that does not match, so none is tried.
+        for k in (8, 16, 32):
+            assert _counts(kway_program(k, "plain")) == (9 * k - 1, 0, 2 * k), k
+            assert _counts(kway_program(k, "ctxanno")) == (13 * k - 1, 0, 4 * k), k
+            guarded = (12 * k - 1 + k * (k + 1) // 2 - 1, 0, 4 * k)
+            assert _counts(kway_program(k, "guarded")) == guarded, k
+
+    def test_refuted_alternatives_of_kway(self):
+        # Skipped untried: one argument check per unmatched conjunct, and
+        # in guarded and ctxanno one guard per unmatched branch or typing.
+        got = {
+            v: typecheck_program(kway_program(16, v), max_depth=10**6).stats.refuted
+            for v in ("plain", "guarded", "ctxanno")
+        }
+        assert got == {"plain": 120, "guarded": 240, "ctxanno": 240}
 
 
 class TestEliminationPaths:
@@ -1268,3 +1295,154 @@ class TestIndexedDifferentialOracle:
                 unresolved_gaps += 1
         assert agreed_accepts > 80
         assert unresolved_gaps > 20  # the carve-out is actually exercised
+
+
+def _walk_keys(f: Fail) -> list:
+    return [(node.reason, node.span) for node in f.walk()]
+
+
+class TestSubsortRefutation:
+    """A variable whose type is a declared atom c checks against no
+    declared atom d that c is not below, and passes no guard on d.  The
+    checker skips such alternatives (`Checker._refute`) and records the
+    failure the rule would have given; here the rule runs on every pair of
+    atoms of random lattices, and the two are compared."""
+
+    def test_refutation_matches_the_rules(self):
+        import random
+
+        rng = random.Random(20261020)
+        refuted = 0
+        for _ in range(40):
+            names = ["odd", "even", "bits"] + [f"s{i}" for i in range(rng.randint(0, 4))]
+            rng.shuffle(names)
+            sig, edges = Signature(), {n: frozenset() for n in names}
+            for n in names:
+                sig.declare_atom(n)
+            # Edges go to later names only, so the order stays acyclic; the
+            # order is queried between declarations, so a stale up-closure
+            # would show.
+            for i, n in enumerate(names):
+                later = names[i + 1:]
+                for up in rng.sample(later, min(len(later), rng.randint(0, 2))):
+                    sig.declare_atom(n, up)
+                    edges[n] |= {up}
+                    below = lattice_closure(edges)
+                    for c in names:
+                        for d in names:
+                            assert sig.atom_le(c, d) == (d in below[c]), (c, d)
+            below = lattice_closure(edges)
+            var = parse_term("x")
+            for c in names:
+                for d in names:
+                    checker = Checker(sig)
+                    ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom(c)))
+                    recorded = checker._refuted_check(ctx, var, TAtom(d))
+                    assert (recorded is not None) == (d not in below[c]), (c, d)
+                    guard = parse_term(f"where x : {d} do x")
+                    skipped = checker._refuted_guard(ctx, guard)
+                    assert (skipped is None) == (recorded is None)
+                    if recorded is None:
+                        continue
+                    refuted += 1
+                    res = Checker(sig).check(ctx, var, TAtom(d))
+                    assert isinstance(res, Fail)
+                    assert _walk_keys(res) == _walk_keys(recorded)
+                    res = Checker(sig).check(ctx, guard, TAtom(c))
+                    assert isinstance(res, Fail)
+                    assert _walk_keys(res) == _walk_keys(skipped)
+        assert refuted > 300
+
+    def test_undeclared_and_non_atom_types_are_tried(self, psig):
+        checker = Checker(psig)
+        ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom("odd")))
+        ctx = ctx.extend(VarDecl("y", TAtom("nosuch")))
+        ctx = ctx.extend(VarDecl("z", parse_type("odd /\\ bits")))
+        for name, goal in (("x", "nosuch"), ("y", "odd"), ("z", "even"), ("x", "unit")):
+            assert checker._refute(ctx, name, parse_type(goal)) is None, (name, goal)
+        assert checker._refute(ctx, "x", TAtom("bits")) is None
+        assert checker._refute(ctx, "x", TAtom("even")) is not None
+        assert checker.stats.refuted == 1
+
+
+def _bench_pools() -> list:
+    """The programs of both benchmark workloads, seed 1, read from
+    `bench/workloads.py` without importing the benchmark's runner."""
+    import importlib.util
+    import sys
+
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    spec = importlib.util.spec_from_file_location(
+        "guardlang_bench_workloads", os.path.join(root, "bench", "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+        return [
+            (case.name, parse_program(case.source))
+            for w in ("search", "annotations")
+            for case in workloads.pool(w, 1, os.path.join(root, "programs"))
+        ]
+    finally:
+        del sys.modules[spec.name]
+
+
+class TestSelectionDifferential:
+    """Selection by the subsort order changes no verdict, derivation or
+    diagnostic: with `Checker._refute` switched off, every alternative is
+    tried, and the reports agree, apart from what running out of budget
+    without selection hides.  Derivations are compared field by field,
+    which decides their `format_derivation` text as well."""
+
+    def test_reports_agree_with_selection_off(self, monkeypatch):
+        import random
+
+        from helpers import gen_ctxanno_program, gen_indexed_program
+
+        progs = [(n, load_program(program_path(n))) for n in ACCEPTED_PROGRAMS + REJECTED_PROGRAMS]
+        # Guarded branches that fail against an intersection or a Pi goal,
+        # where guard-chk is not a guard's only rule: none is skipped there.
+        header = "datasort odd <: bits\ndatasort even <: bits\nindexcon list :: int\n"
+        progs += [
+            (goal, parse_program(
+                header + f"prim f : {goal}\nval main : even -> {goal} =\n"
+                "  fn x => ((where x : odd do f) ,, (where x : odd do f))\n"
+            ))
+            for goal in ("even /\\ bits", "Pi a : int . list(a) -> list(a)")
+        ]
+        progs += _bench_pools()
+        progs += [
+            (f"kway({k}, {v})", kway_program(k, v))
+            for k in range(2, 23) for v in KWAY_VARIANTS
+        ]
+        for seed, gen in ((20260808, gen_ctxanno_program), (20260809, gen_indexed_program)):
+            rng = random.Random(seed)
+            progs += [(f"{gen.__name__} {i}", gen(rng)) for i in range(100)]
+
+        def reports():
+            out = {}
+            for name, prog in progs:
+                for memoize in (True, False):
+                    r = typecheck_program(prog, memoize=memoize)
+                    out[name, memoize] = (
+                        r.verdict, r.exhausted, r.derivation,
+                        [(d.message, d.span) for d in r.diagnostics],
+                    )
+            return out
+
+        on = reports()
+        monkeypatch.setattr(Checker, "_refute", lambda self, ctx, name, goal: None)
+        off = reports()
+        hidden = set()
+        for key, got in on.items():
+            if off[key][1] and not got[1]:
+                hidden.add(key)
+            else:
+                assert got == off[key], key
+        # Out of budget without selection only: the wide kway programs.
+        assert hidden == {
+            (f"kway({k}, {v})", memoize)
+            for k in (20, 21, 22) for v in ("guarded", "plain", "ctxanno")
+            for memoize in (True, False)
+        }
