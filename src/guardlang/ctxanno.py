@@ -9,8 +9,8 @@ guards and its sortings `some` binders, around a right-hand annotation of
 the subject, and a sorting named like an index variable free in the
 subject is renamed rather than capture it.
 
-`check_ctx_anno`, the synthesis rule, synthesizes the typings' branches in
-order, as merge-syn does, so no typing is committed to; its derivation is
+`check_ctx_anno`, the synthesis rule, picks among the typings' branches
+with merge-syn's own loop, so no typing is committed to; its derivation is
 its branch's under a `ctx-anno` node, which `replay` checks against
 `encode_typing`.  `encode` removes every contextual annotation, and
 `verify_encoding` checks the translation end to end, in both directions, on
@@ -29,7 +29,6 @@ from .subtyping import Fail, subtype
 from .syntax import (
     Context,
     CtxAnno,
-    CtxVar,
     Merge,
     Program,
     Term,
@@ -51,30 +50,22 @@ from .typecheck import (
 def check_ctx_anno(
     checker: Checker, ctx: Context, e: CtxAnno, fails: list[Fail]
 ) -> Iterator[tuple[Type, TypingDerivation]]:
-    """Synthesis rule for contextual annotations.
-
-    Each typing in order synthesizes its branch of the encoding, and each
-    type the branch gives, the annotation gives.  A typing whose branch
-    gives none leaves one failure at the typing, over the branch's.  A
-    typing whose first guard `Checker._refute` decides leaves that guard's
-    failure, and its branch is neither built nor tried."""
+    """Synthesis rule for contextual annotations: merge-syn's loop
+    (`Checker._synth_branches`) over the typings' encoded branches, built
+    once per occurrence and checker.  Each type branch k gives, the
+    annotation gives by a `ctx-anno` node with `branch=k`; when none gives
+    one, one failure at the annotation holds the branches' failures."""
+    branches = checker._ctx_branches.get((e, e.span))
+    if branches is None:
+        branches = tuple(encode_typing(t, e.body) for t in e.typings)
+        checker._ctx_branches[e, e.span] = branches
     reasons: list[Fail] = []
-    for k, typing in enumerate(e.typings, 1):
-        ev = checker._refuted_guard(ctx, typing) if type(typing) is CtxVar else None
-        branch_fails: list[Fail] = [] if ev is None else [ev]
-        d = None
-        if ev is None:
-            for ty, d in checker._synth(ctx, encode_typing(typing, e.body), branch_fails):
-                yield ty, TypingDerivation(
-                    "ctx-anno", "synth", ctx.entries, e, ty, (d,), branch=k
-                )
-            checker.stats.backtracks += 1
-        if d is None:
-            reasons.append(Fail(f"typing {k} fails", typing.span, tuple(branch_fails)))
-    if len(reasons) == len(e.typings):
-        fails.append(Fail("no contextual typing applies", e.span, tuple(reasons)))
-    else:
-        fails.extend(reasons)
+    d = None
+    for k, ty, d in checker._synth_branches(ctx, branches, reasons):
+        yield ty, TypingDerivation("ctx-anno", "synth", ctx.entries, e, ty, (d,), branch=k)
+    if d is None:
+        reasons = [Fail("no contextual typing applies", e.span, tuple(reasons))]
+    fails.extend(reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +80,8 @@ def encode(e: Term) -> Term:
 def _encode_hook(e, state):
     if type(e) is CtxAnno:
         subject = rewrite(e.body, _encode_hook, state)
-        branches = [encode_typing(t, subject) for t in e.typings]
-        out = branches[-1]
-        for b in reversed(branches[:-1]):
+        out, *rest = reversed([encode_typing(t, subject) for t in e.typings])
+        for b in rest:
             out = Merge(b, out)
         return out
     return state if isinstance(e, Term) else e

@@ -13,7 +13,8 @@ does: zonking stops at a ground one without walking it.
 - Typing (`TypingDerivation`): var, prim, unit-i, arrow-i, arrow-e, sect-i,
   sect-e1, sect-e2, sub, merge-chk, merge-syn, right-anno, guard-chk,
   guard-syn, ivar (the evidence of an index guard), pi-i, pi-i-explicit,
-  pi-e, some and ctx-anno.  A contextual annotation is derived through its
+  pi-e, some and ctx-anno.  The branch of a merge node indexes
+  `syntax.merge_branches`.  A contextual annotation is derived through its
   encoding: the one premise of ctx-anno synthesizes the node's type for the
   branch that `syntax.encode_typing` builds from the chosen typing.
 - Subtyping (`SubDerivation`): refl, atom, arrow, sect-r, sect-l1, sect-l2,
@@ -40,7 +41,7 @@ from .syntax import (
     _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, Decl, Guard, IVar, IdxDecl,
     IdxLam, IndexExpr, Lam, Merge, MetaStore, Prim, Signature, Some, TArrow, TAtom,
     TCon, TPi, TSect, TUnit, Term, Type, Unit, Var, VarDecl, _aeq, _bind, alpha_eq,
-    encode_typing, record, subst, zonk,
+    encode_typing, merge_branches, record, subst, zonk,
 )
 
 
@@ -239,8 +240,8 @@ def _sub(sig, d):
 
 def _merge(sig, d):
     e, (p,) = d.term, d.premises
-    branch = {1: e.lhs, 2: e.rhs}.get(d.branch) if type(e) is Merge else None
-    if branch is None or not _is(p, branch, d.ty):
+    bs = merge_branches(e) if type(e) is Merge else ()
+    if d.branch not in range(1, len(bs) + 1) or not _is(p, bs[d.branch - 1], d.ty):
         return "premise is not the branch"
 
 

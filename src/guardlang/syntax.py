@@ -888,6 +888,16 @@ def bind_fresh(x: Syntax, avoid: frozenset[str]) -> Syntax:
     return replace(x, var=name, body=subst(_VARIABLE[ns](name), x.var, x.body))
 
 
+def merge_branches(e: Merge) -> list[Term]:
+    """The branches of merge e, the leaves of its right spine: `a ,, b ,, c`
+    (that is, `a ,, (b ,, c)`) has the three branches a, b and c."""
+    out = []
+    while type(e) is Merge:
+        out.append(e.lhs)
+        e = e.rhs
+    return out + [e]
+
+
 def encode_typing(t: CtxTyping, subject: Term) -> Term:
     """The branch that encodes the contextual typing t of `subject`: a
     `some` binder per sorting and a guard per variable typing, in t's order,

@@ -3,22 +3,24 @@
 The checker is a backtracking search over the rules, with a fixed order:
 in checking mode the invertible rules come first (intersection introduction,
 Pi introduction, arrow introduction, unit, `some`), then guard-chk or
-merge-chk, and finally subsumption (synthesize, then subtype).  A guard or a
-merge gets no subsumption after its own rule: its body or branches end in
-subsumption, which tries every type the guard or merge would synthesize.
-`some` keeps it, because its checking rule commits to the body's first
-derivation, while its synthesis rule skips the candidates that leave its
-variable unsolved.  Elimination positions instantiate synthesized Pi types
-with metavariables; the indexed subtyping equalities solve them.  Each rule
-tried takes one unit of the typing budget, except the rules of annotation
-forms (right-hand and contextual annotations, guards, merges, `some`): they
-only narrow the search, and each leads to the rules of a smaller term.
+merge-chk, and finally subsumption (synthesize, then subtype).  A merge's
+branches are the leaves of its right spine (`syntax.merge_branches`), which
+merge-chk and merge-syn pick among.  A guard or a merge gets no subsumption
+after its own rule: its body or branches end in subsumption, which tries
+every type the guard or merge would synthesize.  `some` keeps it, because
+its checking rule commits to the body's first derivation, while its
+synthesis rule skips the candidates that leave its variable unsolved.
+Elimination positions instantiate synthesized Pi types with metavariables;
+the indexed subtyping equalities solve them.  Each rule tried takes one
+unit of the typing budget, except the rules of annotation forms (right-hand
+and contextual annotations, guards, merges, `some`): they only narrow the
+search, and each leads to the rules of a smaller term.
 
 The subsort order refutes a variable of declared datasort c against a
 declared datasort d that c is not below (`_refute`).  Refuted conjuncts of a
-function applied to the variable, guarded merge branches and contextual
-typings are skipped: each keeps its rule's failure, but takes no rule,
-budget or backtrack.
+function applied to the variable and guarded merge branches, the encoded
+typings' branches of a contextual annotation among them, are skipped: each
+keeps its rule's failure, but takes no rule, budget or backtrack.
 
 A `some` binder instantiates its variable with a fresh metavariable
 (`syntax.instantiate`) and requires it solved by the end of that subterm's
@@ -87,7 +89,6 @@ from .syntax import (
     App,
     Context,
     CtxAnno,
-    CtxVar,
     Decl,
     Guard,
     IVar,
@@ -117,6 +118,7 @@ from .syntax import (
     children,
     free_vars,
     instantiate,
+    merge_branches,
     meta_free,
     subst,
     zonk,
@@ -199,6 +201,8 @@ class Checker:
         self._synth_memo: dict[tuple, tuple] = {}
         # One subtyping memo for the run; None gives each query its own.
         self._sub_memo: Optional[dict] = {} if memoize else None
+        # The encoded branches of each contextual annotation occurrence.
+        self._ctx_branches: dict[tuple, tuple] = {}
         self._budget = max_depth
 
     def fresh_ctx(self) -> Context:
@@ -442,9 +446,8 @@ class Checker:
         fails = []
         # Unless ty is an intersection or a Pi, a guard has guard-chk only.
         decide = type(ty) is not TSect and type(ty) is not TPi
-        for k, branch in ((1, e.lhs), (2, e.rhs)):
-            guarded = decide and type(branch) is Guard
-            d = self._refuted_guard(ctx, branch) if guarded else None
+        for k, branch in enumerate(merge_branches(e), 1):
+            d = self._refuted_guard(ctx, branch) if decide else None
             if d is None:
                 mark = self.metas.mark()
                 d = self._check(ctx, branch, ty)
@@ -519,9 +522,9 @@ class Checker:
         r = self._refute(ctx, e.name, ty)
         return r and _cannot_check(e, ty, (_not_subtype(e, r[0], ty, r[1]),))
 
-    def _refuted_guard(self, ctx: Context, g: Union[Guard, CtxVar]) -> Optional[Fail]:
-        """The failure of guard (or typing) g when `_refute` decides it."""
-        d = g.decl
+    def _refuted_guard(self, ctx: Context, g: Term) -> Optional[Fail]:
+        """The failure of g when g is a guard that `_refute` decides."""
+        d = g.decl if type(g) is Guard else None
         r = self._refute(ctx, d.name, d.ty) if type(d) is VarDecl else None
         return r and _unsatisfied(d, g.span, _not_entailed(d, *r))
 
@@ -581,15 +584,11 @@ class Checker:
                         "guard-syn", "synth", ctx.entries, e, ty, (ev, d)
                     )
                 self.metas.undo(mark)
-            case Merge(lhs, rhs):
-                for k, branch in ((1, lhs), (2, rhs)):
-                    mark = self.metas.mark()
-                    for ty, d in self._synth(ctx, branch, fails):
-                        yield ty, TypingDerivation(
-                            "merge-syn", "synth", ctx.entries, e, ty, (d,), branch=k
-                        )
-                    self.metas.undo(mark)
-                    self.stats.backtracks += 1
+            case Merge(_, _):
+                for k, ty, d in self._synth_branches(ctx, merge_branches(e), fails):
+                    yield ty, TypingDerivation(
+                        "merge-syn", "synth", ctx.entries, e, ty, (d,), branch=k
+                    )
             case Some(var, sort, body):
                 m, inner = instantiate(
                     self.metas, ctx.index_vars(), var, sort, body, e.span
@@ -686,6 +685,21 @@ class Checker:
                         args=(e,),
                     )
                 )
+
+    def _synth_branches(self, ctx: Context, branches, fails: list[Fail]):
+        """(k, type, derivation) for each type branch k synthesizes, in order:
+        merge-syn's choice, and the contextual rule's.  guard-syn is a guard's
+        only synthesis rule, so a refuted guard leaves its failure, untried."""
+        for k, branch in enumerate(branches, 1):
+            ev = self._refuted_guard(ctx, branch)
+            if ev is not None:
+                fails.append(ev)
+                continue
+            mark = self.metas.mark()
+            for ty, d in self._synth(ctx, branch, fails):
+                yield k, ty, d
+            self.metas.undo(mark)
+            self.stats.backtracks += 1
 
     def _elim_arrow(self, ctx, ty: Type, d: TypingDerivation, fails, arg: Term):
         """Arrow views of a synthesized type, via intersection projections
@@ -804,46 +818,30 @@ def _diagnostics_from(f: Fail) -> list[Diagnostic]:
 
 
 def validate_program(prog: Program) -> list[Diagnostic]:
-    """Header and scope checks that precede typechecking proper."""
-    diags: list[Diagnostic] = []
+    """Header and scope checks that precede typechecking proper.  The types
+    of the primitives and the goal are well formed in the empty context, so
+    they are closed."""
     try:
         prog.sig.validate()
     except Exception as ex:
-        diags.append(Diagnostic(str(ex)))
-        return diags
+        return [Diagnostic(str(ex))]
+    diags: list[Diagnostic] = []
     ctx = Context(prog.sig)
     for name, ty in prog.sig.prims.items():
         try:
             check_type_wf(ctx, ty)
         except IllFormedType as ex:
             diags.append(Diagnostic(f"primitive '{name}': {ex}", ty.span))
-        if free_vars(ty, INDEX):
-            diags.append(
-                Diagnostic(
-                    f"primitive '{name}' must have a closed type", ty.span
-                )
-            )
     if prog.goal is not None:
         try:
             check_type_wf(ctx, prog.goal)
         except IllFormedType as ex:
             diags.append(Diagnostic(f"goal type: {ex}", prog.goal.span))
-        if free_vars(prog.goal, INDEX):
-            diags.append(
-                Diagnostic("goal type must be closed", prog.goal.span)
-            )
-    unbound = free_vars(prog.main, TERM)
-    for name in sorted(unbound):
+    for name in sorted(free_vars(prog.main, TERM)):
         diags.append(Diagnostic(f"unbound variable '{name}'", prog.main.span))
-    free_idx = free_vars(prog.main, INDEX)
-    for name in sorted(free_idx):
-        diags.append(
-            Diagnostic(
-                f"index variable '{name}' is not bound by a `some` or "
-                "`idxfn` binder",
-                prog.main.span,
-            )
-        )
+    for name in sorted(free_vars(prog.main, INDEX)):
+        msg = f"index variable '{name}' is not bound by a `some` or `idxfn` binder"
+        diags.append(Diagnostic(msg, prog.main.span))
     return diags
 
 

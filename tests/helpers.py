@@ -53,6 +53,7 @@ from guardlang.syntax import (
     VarDecl,
     free_vars,
     fresh_name,
+    merge_branches,
     subst,
 )
 from guardlang.typecheck import TypingDerivation
@@ -628,7 +629,11 @@ def _walk(
     elif rule == "sub":
         yield from _walk(d.premises[0], path, bound)
     elif rule in ("merge-chk", "merge-syn"):
-        yield from _walk(d.premises[0], path + (d.branch - 1,), bound)
+        # Branch k of n: k - 1 steps down the right spine, then to the left
+        # unless k is the last.
+        k, n = d.branch, len(merge_branches(d.term))
+        step = (1,) * (k - 1) + ((0,) if k < n else ())
+        yield from _walk(d.premises[0], path + step, bound)
     elif rule == "right-anno":
         yield from _walk(d.premises[0], path + (0,), bound)
     elif rule in ("guard-chk", "guard-syn"):

@@ -47,6 +47,7 @@ from guardlang.syntax import (
     Var,
     VarDecl,
     alpha_eq,
+    merge_branches,
 )
 from guardlang.typecheck import (
     Checker,
@@ -137,8 +138,10 @@ class TestCheckCtxAnno:
         term = "((snoc1 x) :: [x : odd |- odd])"
         res = self._synth(psig, "even", term)
         assert isinstance(res, Fail)
-        assert "typing 1 fails" in res.messages()
+        assert "no contextual typing applies" in res.messages()
         entry = parse_term(term, prims=frozenset(psig.prims)).typings[0]
+        (guard,) = [f for f in res.walk() if f.reason == "guard not satisfied: x : odd"]
+        assert guard.span == entry.span
         (unmet,) = [
             f for f in res.walk() if f.reason == "'x' has type even, which does not entail odd"
         ]
@@ -205,7 +208,7 @@ class TestIllFormedTyping:
     def test_undeclared_datasort_in_entry(self):
         diags = _diagnostics("b : int, x : nope |- list(b*2)")
         assert ("no contextual typing applies", 5, 11, 5, 59) in diags
-        assert ("typing 1 fails", 5, 27, 5, 57) in diags
+        assert ("guard not satisfied: x : nope", 5, 36, 5, 57) in diags
         assert (
             "ill-formed annotation: undeclared datasort 'nope'", 5, 40, 5, 44
         ) in diags
@@ -231,7 +234,7 @@ class TestIllFormedTyping:
 
 class TestTypingDiagnostics:
     """A typing fails as its branch of the encoding does, at the entry or
-    sorting that fails; each failing typing leaves one failure at its span,
+    sorting that fails; each failing typing leaves its branch's failure,
     and the annotation one over all of them when none applies."""
 
     def test_an_unmet_entry_at_its_span(self):
@@ -258,8 +261,8 @@ class TestTypingDiagnostics:
         (top,) = fails
         assert top.reason == "no contextual typing applies" and top.span == anno.span
         assert [(f.reason, f.span) for f in top.parts] == [
-            ("typing 1 fails", anno.typings[0].span),
-            ("typing 2 fails", anno.typings[1].span),
+            ("guard not satisfied: x : odd", anno.typings[0].span),
+            ("guard not satisfied: x : nope", anno.typings[1].body.span),
         ]
 
 
@@ -383,6 +386,13 @@ class TestVerifyEncoding:
         a, b = check.sizes
         assert a > 0 and b > 0
 
+    def test_kway_encoding_derives_as_many_nodes(self):
+        # The encoding of kway(k, ctxanno) is the guarded k-way merge, whose
+        # one merge-chk node per conjunct stands where the original has its
+        # ctx-anno node.
+        for k, size in ((4, 76), (8, 170), (16, 406)):
+            assert verify_encoding(kway_program(k, "ctxanno")).sizes == (size, size), k
+
     def test_annotation_free_program_trivial(self):
         prog = load_program(program_path("parity.gl"))
         assert alpha_eq(encode_program(prog).main, prog.main)
@@ -496,7 +506,7 @@ class TestTypingsAreNotCommitted:
         assert not check.original.accepted and not check.original.exhausted
         assert check.encoded.accepted
         assert [d.message for d in check.original.diagnostics][-2:] == [
-            "typing 1 fails", "no index expression determined for `some a`",
+            "no contextual typing applies", "no index expression determined for `some a`",
         ]
 
     def test_a_program_both_reject_is_no_gap(self):
@@ -595,17 +605,13 @@ def _rule_branches(d, rule):
 
 
 def _merge_leaf_index(d, n_typings):
-    """Decode the chain of merge choices in the encoded derivation back to
-    the 1-based index of the selected branch of a right-nested merge."""
-    chain = _rule_nodes(d, "merge-chk") + _rule_nodes(d, "merge-syn")
-    index = 1
-    for node in chain:
-        if node.branch == 1:
-            return index
-        index += 1
-    # Every choice went right: the last branch was selected.
-    assert index == n_typings, (index, n_typings)
-    return index
+    """The 1-based index of the branch that the encoded merge of
+    n_typings branches selected: its one merge node records it."""
+    (node,) = [
+        n for n in _rule_nodes(d, "merge-chk") + _rule_nodes(d, "merge-syn")
+        if len(merge_branches(n.term)) == n_typings
+    ]
+    return node.branch
 
 
 class TestEncodingBudget:

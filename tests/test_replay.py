@@ -25,7 +25,7 @@ from helpers import (
 )
 from guardlang import replay
 from guardlang.ctxanno import encode_program
-from guardlang.parser import parse_program, parse_type
+from guardlang.parser import parse_program, parse_term, parse_type
 from guardlang.replay import (
     SubDerivation,
     TypingDerivation,
@@ -52,6 +52,7 @@ from guardlang.syntax import (
     alpha_eq,
     children,
     free_vars,
+    merge_branches,
     subst,
 )
 from guardlang.typecheck import Checker, _check_program, typecheck_program
@@ -223,8 +224,14 @@ def _mutants(d):
     if d.witness is not None:
         yield "witness", replace(d, witness=IAdd(d.witness, ILit(1)))
     if getattr(d, "branch", None) is not None:
-        n = len(d.term.typings) if d.rule == "ctx-anno" else 2
+        n = len(_branches(d))
         yield "branch", replace(d, branch=d.branch - 1 if d.branch == n else d.branch + 1)
+
+
+def _branches(d) -> list:
+    """The alternatives that d's `branch` indexes: its typings, or its
+    merge's branches."""
+    return list(d.term.typings) if d.rule == "ctx-anno" else merge_branches(d.term)
 
 
 def _still_valid(d, field: str, is_root: bool):
@@ -240,11 +247,9 @@ def _still_valid(d, field: str, is_root: bool):
         if var not in free_vars(body, INDEX):
             return "the bound variable does not occur, so any witness instantiates it"
     if field == "branch":
-        e = d.term
-        same = alpha_eq(e.lhs, e.rhs) if d.rule != "ctx-anno" else all(
-            alpha_eq(t, e.typings[0]) for t in e.typings
-        )
-        if same:
+        n, k = len(_branches(d)), d.branch
+        alt = _branches(d)[k - 2 if k == n else k]
+        if alpha_eq(alt, _branches(d)[k - 1]):
             return "the branches are the same, so either one derives the node"
     if field == "context" and is_root and not d.premises:
         return "a rule without premises holds in a larger context"
@@ -285,6 +290,31 @@ def test_tamper_suite_rejects_every_changed_node():
         assert {"term", "type", "context"} & rejected[key], key
     # The changes that leave a valid derivation are few, each with its reason.
     assert len(skipped) * 20 < n_rejected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_n_ary_merge_replays_at_every_branch(psig, n):
+    # Under x : odd, goal k checks first by branch k of the merge
+    # `(() : unit) ,, (fn y => y) ,, x ,, snoc1` cut to n branches, and
+    # synthesis gives its branches 1, 3 and 4.  Each node replays at its
+    # own branch and at no other index, 0 and n + 1 included.
+    branches = ["(() : unit)", "(fn y => y)", "x", "snoc1"][:n]
+    term = parse_term(" ,, ".join(branches), prims=frozenset(psig.prims))
+    checker = Checker(psig)
+    ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom("odd")))
+    goals = ["unit", "odd -> odd", "odd", "odd -> even"][:n]
+    nodes = [checker.check(ctx, term, parse_type(g)) for g in goals]
+    nodes += [d for _, d in checker.synth(ctx, term) if d.rule == "merge-syn"]
+    assert [(d.rule, d.branch) for d in nodes] == (
+        [("merge-chk", k) for k in range(1, n + 1)]
+        + [("merge-syn", k) for k in (1, 3, 4)[: n - 1]]
+    )
+    for d in nodes:
+        verify_typing(psig, d)
+        for k in range(n + 2):
+            if k != d.branch:
+                with pytest.raises(VerifyError, match="premise is not the branch"):
+                    verify_typing(psig, replace(d, branch=k))
 
 
 # ---------------------------------------------------------------------------

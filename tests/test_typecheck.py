@@ -11,6 +11,7 @@ from helpers import (
     kway_source,
     lattice_closure,
     load_program,
+    rewrap,
     snoc_chain_program,
     walk_nodes,
 )
@@ -32,6 +33,7 @@ from guardlang.syntax import (
     VarDecl,
     Zonker,
     alpha_eq,
+    merge_branches,
     meta_free,
     subst,
 )
@@ -43,6 +45,7 @@ from guardlang.typecheck import (
     _check_program,
     check_type_wf,
     typecheck_program,
+    validate_program,
     verify_typing,
 )
 from guardlang.indices import entails
@@ -380,6 +383,17 @@ class TestMergeAsAnnotation:
                 doubled = duplicate_with_merge(prog, info)
                 assert typecheck_program(doubled).accepted, (name, info.path)
 
+    def test_paths_reach_each_branch_of_an_n_ary_merge(self):
+        # Branch k of a k-way merge is k - 1 steps down its right spine.
+        prog = kway_program(3, "guarded")
+        report = typecheck_program(prog)
+        reached = []
+        for info in walk_nodes(report.derivation):
+            rewrap(prog.main, info.path, lambda t: reached.append(t) or t)
+        for branch in merge_branches(prog.main.body):
+            assert any(t is branch for t in reached), branch
+            assert any(t is branch.body for t in reached), branch
+
 
 class TestBindersAndShadowing:
     def test_lambda_shadowing(self, psig):
@@ -439,6 +453,22 @@ class TestWellFormedness:
             ("list(1) /\\ odd(1)", "undeclared indexed constructor 'odd'"),
         ]:
             assert self._error(isig, parse_type(text)) == want, text
+
+
+class TestValidateProgram:
+    def test_one_diagnostic_per_open_type(self):
+        # A free index variable makes a primitive's or the goal's type
+        # ill-formed in the empty context: one fault, reported once.
+        prog = parse_program(
+            "indexcon list :: int\nprim p : list(a)\nval main : list(b) = p\n"
+        )
+        want = [
+            ("primitive 'p': unbound index variable 'a'", prog.sig.prims["p"].span),
+            ("goal type: unbound index variable 'b'", prog.goal.span),
+        ]
+        assert [(d.message, d.span) for d in validate_program(prog)] == want
+        report = typecheck_program(prog)
+        assert [(d.message, d.span) for d in report.diagnostics] == want
 
 
 class TestSynthDirections:
@@ -1013,7 +1043,7 @@ class TestFailureTreesGrowLinearly:
     the failure tree of a k-way merge of failing guards grows with k."""
 
     def test_swapped_kway_tree_sizes(self):
-        for k, nodes in ((4, 44), (8, 84), (16, 164)):
+        for k, nodes in ((4, 40), (8, 72), (16, 136)):
             prog = kway_program(k, "swapped")
             for memoize in (True, False):
                 checker = Checker(prog.sig, memoize=memoize)
@@ -1110,22 +1140,38 @@ class TestSearchCounts:
         assert got == {
             "idx-chain(8)": (53, 8, 17),
             "snoc-chain(128)": (773, 128, 257),
-            "kway-guarded(16)": (326, 0, 64),
+            "kway-guarded(16)": (207, 0, 64),
             "kway-plain(16)": (143, 0, 32),
             "kway-ctxanno(16)": (207, 0, 64),
-            "kway-swapped(16)": (31, 18, 3),
+            "kway-swapped(16)": (17, 4, 3),
         }
 
     def test_kway_counts_are_linear(self):
-        # Plain costs 9k - 1 rules and ctxanno 13k - 1, with 2k and 4k
-        # subtype queries; guarded costs 12k - 1 rules plus its
-        # k(k + 1)/2 - 1 merge-chk nodes.  The subsort order refutes every
-        # conjunct and branch that does not match, so none is tried.
+        # Plain costs 9k - 1 rules and 2k subtype queries; guarded and
+        # ctxanno, its encoding, cost 13k - 1 and 4k.  The subsort order
+        # refutes every conjunct and branch that does not match, so none is
+        # tried.
         for k in (8, 16, 32):
             assert _counts(kway_program(k, "plain")) == (9 * k - 1, 0, 2 * k), k
             assert _counts(kway_program(k, "ctxanno")) == (13 * k - 1, 0, 4 * k), k
-            guarded = (12 * k - 1 + k * (k + 1) // 2 - 1, 0, 4 * k)
-            assert _counts(kway_program(k, "guarded")) == guarded, k
+            assert _counts(kway_program(k, "guarded")) == (13 * k - 1, 0, 4 * k), k
+
+    def test_one_merge_chk_node_per_conjunct(self):
+        # A merge is checked by one rule over all its branches, so each of
+        # the k conjuncts of guarded kway(k) takes one merge-chk node.
+        for k in (2, 4, 8, 16):
+            prog = kway_program(k, "guarded")
+            root = typecheck_program(prog).derivation
+            nodes, todo = {}, [root]
+            while todo:
+                d = todo.pop()
+                if id(d) not in nodes:
+                    nodes[id(d)] = d
+                    todo += d.premises
+            merges = [d for d in nodes.values() if d.rule == "merge-chk"]
+            assert len(merges) == k, k
+            assert sorted(d.branch for d in merges) == list(range(1, k + 1)), k
+            verify_typing(prog.sig, root)
 
     def test_refuted_alternatives_of_kway(self):
         # Skipped untried: one argument check per unmatched conjunct, and
@@ -1410,6 +1456,23 @@ class TestSelectionDifferential:
                 "  fn x => ((where x : odd do f) ,, (where x : odd do f))\n"
             ))
             for goal in ("even /\\ bits", "Pi a : int . list(a) -> list(a)")
+        ]
+        # Guarded merges in synthesis position, where merge-syn skips the
+        # refuted branches: in function position, under a goal and in a
+        # goal-less main, accepted and rejected.
+        merge = (
+            "((where x : even do snoc1) ,, (where x : bits do snoc1)"
+            " ,, (where x : odd do snoc1)) x"
+        )
+        header += "prim snoc1 : (odd -> even) /\\ (even -> odd)\n"
+        progs += [
+            (main, parse_program(header + f"val main {main}\n"))
+            for main in (
+                f": odd -> even = fn x => {merge}",
+                f": odd -> odd = fn x => {merge}",
+                f"= ((fn x => {merge}) : (odd -> even) /\\ (even -> odd))",
+                f"= ((fn x => {merge}) : odd -> odd)",
+            )
         ]
         progs += _bench_pools()
         progs += [
