@@ -11,14 +11,15 @@ construction, that carry the metavariable bit of their fields, as syntax
 does: zonking stops at a ground one without walking it.
 
 - Typing (`TypingDerivation`): var, prim, unit-i, arrow-i, arrow-e, sect-i,
-  sect-e1, sect-e2, sub, merge-chk, merge-syn, right-anno, guard-chk,
-  guard-syn, ivar (the evidence of an index guard), pi-i, pi-i-explicit,
-  pi-e, some and ctx-anno.  The branch of a merge node indexes
-  `syntax.merge_branches`.  A contextual annotation is derived through its
-  encoding: the one premise of ctx-anno synthesizes the node's type for the
-  branch that `syntax.encode_typing` builds from the chosen typing.
-- Subtyping (`SubDerivation`): refl, atom, arrow, sect-r, sect-l1, sect-l2,
-  ilr, pi-r and pi-l.
+  sect-e, sub, merge-chk, merge-syn, right-anno, guard-chk, guard-syn, ivar
+  (the evidence of an index guard), pi-i, pi-i-explicit, pi-e, some and
+  ctx-anno.  The branch k of a merge or sect-e node, as of a sect-l node,
+  is leaf k of a right spine (`syntax.spine`).  A contextual annotation is
+  derived through its encoding: the one premise of ctx-anno synthesizes the
+  node's type for the branch that `syntax.encode_typing` builds from the
+  chosen typing.
+- Subtyping (`SubDerivation`): refl, atom, arrow, sect-r, sect-l, ilr, pi-r
+  and pi-l.
 
 The context invariant: a premise is derived in its conclusion's context,
 except that of a binding rule (arrow-i, pi-i, pi-i-explicit, pi-r), whose
@@ -41,7 +42,7 @@ from .syntax import (
     _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, Decl, Guard, IVar, IdxDecl,
     IdxLam, IndexExpr, Lam, Merge, MetaStore, Prim, Signature, Some, TArrow, TAtom,
     TCon, TPi, TSect, TUnit, Term, Type, Unit, Var, VarDecl, _aeq, _bind, alpha_eq,
-    encode_typing, merge_branches, record, subst, zonk,
+    encode_typing, record, subst, zonk,
 )
 
 
@@ -85,6 +86,7 @@ class SubDerivation(_Node):
     rhs: Type
     premises: tuple["SubDerivation", ...] = ()
     witness: Optional[IndexExpr] = None
+    branch: Optional[int] = None
 
 
 def verify_typing(sig: Signature, d) -> None:
@@ -224,11 +226,22 @@ def _sect_right(sig, d):
         return "premises are not the conjuncts"
 
 
+def _leaf(x, k):
+    """Leaf k of x's right spine (`syntax.spine`), or None; builds no list."""
+    cls, i = type(x), 1
+    while type(x) is cls:
+        if i == k:
+            return x.lhs
+        x, i = x.rhs, i + 1
+    return x if i == k else None
+
+
 def _sect_e(sig, d):
     (p,) = d.premises
     if type(p.ty) is not TSect or not alpha_eq(p.term, d.term):
         return "premise"
-    if not alpha_eq(d.ty, p.ty.lhs if d.rule == "sect-e1" else p.ty.rhs):
+    x = _leaf(p.ty, d.branch)
+    if x is None or not alpha_eq(d.ty, x):
         return "projection differs"
 
 
@@ -240,8 +253,8 @@ def _sub(sig, d):
 
 def _merge(sig, d):
     e, (p,) = d.term, d.premises
-    bs = merge_branches(e) if type(e) is Merge else ()
-    if d.branch not in range(1, len(bs) + 1) or not _is(p, bs[d.branch - 1], d.ty):
+    x = _leaf(e, d.branch) if type(e) is Merge else None
+    if x is None or not _is(p, x, d.ty):
         return "premise is not the branch"
 
 
@@ -359,7 +372,8 @@ def _sect_l(sig, d):
     a, (p,) = d.lhs, d.premises
     if type(a) is not TSect:
         return "sect-l on non-intersection"
-    if not _is(p, a.lhs if d.rule == "sect-l1" else a.rhs, d.rhs):
+    x = _leaf(a, d.branch)
+    if x is None or not _is(p, x, d.rhs):
         return "sect-l premise"
 
 
@@ -391,8 +405,7 @@ _RULES: dict[tuple[type, str], tuple] = {
     (_T, "arrow-i"): (_arrow_i, (_T,), True),
     (_T, "arrow-e"): (_arrow_e, (_T, _T), False),
     (_T, "sect-i"): (_sect_right, (_T, _T), False),
-    (_T, "sect-e1"): (_sect_e, (_T,), False),
-    (_T, "sect-e2"): (_sect_e, (_T,), False),
+    (_T, "sect-e"): (_sect_e, (_T,), False),
     (_T, "sub"): (_sub, (_T, _S), False),
     (_T, "merge-chk"): (_merge, (_T,), False),
     (_T, "merge-syn"): (_merge, (_T,), False),
@@ -409,8 +422,7 @@ _RULES: dict[tuple[type, str], tuple] = {
     (_S, "atom"): (_atom, (), False),
     (_S, "arrow"): (_sub_arrow, (_S, _S), False),
     (_S, "sect-r"): (_sect_right, (_S, _S), False),
-    (_S, "sect-l1"): (_sect_l, (_S,), False),
-    (_S, "sect-l2"): (_sect_l, (_S,), False),
+    (_S, "sect-l"): (_sect_l, (_S,), False),
     (_S, "ilr"): (_ilr, (), False),
     (_S, "pi-r"): (_pi_right, (_S,), True),
     (_S, "pi-l"): (_pi_l, (_S,), False),

@@ -2,7 +2,7 @@
 
 The search tries invertible rules first (intersection-right, Pi-right), then
 reflexivity / declared atom order, the arrow rule, indexed-constructor
-equality, the two intersection-left projections, and finally Pi-left.
+equality, a left projection per conjunct (sect-l), and finally Pi-left.
 Pi-left introduces a metavariable for the instantiation witness and lets the
 indexed-constructor equality solve it; a derivation that completes with the
 witness unsolved fails.
@@ -20,6 +20,7 @@ answered from the memo.  Failure messages are rendered only when read (see
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional, Union
 
 from . import indices
@@ -43,6 +44,7 @@ from .syntax import (
     bind_fresh,
     instantiate,
     meta_free,
+    spine,
     zonk,
 )
 
@@ -205,8 +207,7 @@ class _Search:
         if isinstance(a, TCon) and isinstance(b, TCon):
             attempts.append(self._con)
         if isinstance(a, TSect):
-            attempts.append(self._sect_l1)
-            attempts.append(self._sect_l2)
+            attempts += (partial(self._sect_l, k, x) for k, x in enumerate(spine(a), 1))
         if isinstance(a, TPi):
             attempts.append(self._pi_l)
 
@@ -254,17 +255,11 @@ class _Search:
             return Fail("right intersection, right conjunct", None, (p2,))
         return SubDerivation("sect-r", ctx.entries, a, b, (p1, p2))
 
-    def _sect_l1(self, ctx, a: TSect, b):
-        p = self.sub(ctx, a.lhs, b)
+    def _sect_l(self, k, conjunct, ctx, a: TSect, b):
+        p = self.sub(ctx, conjunct, b)
         if isinstance(p, Fail):
-            return Fail("left projection 1", None, (p,))
-        return SubDerivation("sect-l1", ctx.entries, a, b, (p,))
-
-    def _sect_l2(self, ctx, a: TSect, b):
-        p = self.sub(ctx, a.rhs, b)
-        if isinstance(p, Fail):
-            return Fail("left projection 2", None, (p,))
-        return SubDerivation("sect-l2", ctx.entries, a, b, (p,))
+            return Fail(f"left projection {k}", None, (p,))
+        return SubDerivation("sect-l", ctx.entries, a, b, (p,), branch=k)
 
     def _con(self, ctx, a: TCon, b: TCon):
         if a.con != b.con:

@@ -888,14 +888,14 @@ def bind_fresh(x: Syntax, avoid: frozenset[str]) -> Syntax:
     return replace(x, var=name, body=subst(_VARIABLE[ns](name), x.var, x.body))
 
 
-def merge_branches(e: Merge) -> list[Term]:
-    """The branches of merge e, the leaves of its right spine: `a ,, b ,, c`
-    (that is, `a ,, (b ,, c)`) has the three branches a, b and c."""
-    out = []
-    while type(e) is Merge:
-        out.append(e.lhs)
-        e = e.rhs
-    return out + [e]
+def spine(x: Syntax) -> list[Syntax]:
+    """The leaves of x's right spine: a merge's branches, an intersection's
+    conjuncts.  `a ,, b ,, c`, that is `a ,, (b ,, c)`, has three branches."""
+    cls, out = type(x), []
+    while type(x) is cls:
+        out.append(x.lhs)
+        x = x.rhs
+    return out + [x]
 
 
 def encode_typing(t: CtxTyping, subject: Term) -> Term:

@@ -3,13 +3,13 @@
 The checker is a backtracking search over the rules, with a fixed order:
 in checking mode the invertible rules come first (intersection introduction,
 Pi introduction, arrow introduction, unit, `some`), then guard-chk or
-merge-chk, and finally subsumption (synthesize, then subtype).  A merge's
-branches are the leaves of its right spine (`syntax.merge_branches`), which
-merge-chk and merge-syn pick among.  A guard or a merge gets no subsumption
-after its own rule: its body or branches end in subsumption, which tries
-every type the guard or merge would synthesize.  `some` keeps it, because
-its checking rule commits to the body's first derivation, while its
-synthesis rule skips the candidates that leave its variable unsolved.
+merge-chk, and finally subsumption (synthesize, then subtype).  merge-chk,
+merge-syn and sect-e pick leaf k of a right spine (`syntax.spine`): a
+merge's branch k or an intersection's conjunct k.  A guard or a merge gets
+no subsumption after its own rule: its body or branches end in subsumption,
+which tries every type the guard or merge would synthesize.  `some` keeps
+it, because its checking rule commits to the body's first derivation, while
+its synthesis rule skips the candidates that leave its variable unsolved.
 Elimination positions instantiate synthesized Pi types with metavariables;
 the indexed subtyping equalities solve them.  Each rule tried takes one
 unit of the typing budget, except the rules of annotation forms (right-hand
@@ -118,8 +118,8 @@ from .syntax import (
     children,
     free_vars,
     instantiate,
-    merge_branches,
     meta_free,
+    spine,
     subst,
     zonk,
 )
@@ -231,7 +231,7 @@ class Checker:
     def synth(
         self, ctx: Context, e: Term
     ) -> Union[list[tuple[Type, TypingDerivation]], Fail]:
-        """All ground synthesis candidates, intersection projections included."""
+        """All ground synthesis candidates, intersections unprojected (see sect-l)."""
         self._budget = self.max_depth
         fails: list[Fail] = []
         out: list[tuple[Type, TypingDerivation]] = []
@@ -239,21 +239,12 @@ class Checker:
             for ty, d in self._synth(ctx, e, fails):
                 zd, leftover = self._unsolved_in(d)
                 if not leftover:
-                    out.extend(self._projections(ctx, zd.ty, zd))
+                    out.append((zd.ty, zd))
         except DepthExceeded as ex:
             fails.append(ex.args[0])
         if out:
             return out
         return Fail("no type synthesized for {}", e.span, tuple(fails), args=(e,))
-
-    def _projections(self, ctx, ty, d):
-        yield ty, d
-        if isinstance(ty, TSect):
-            for rule, side in (("sect-e1", ty.lhs), ("sect-e2", ty.rhs)):
-                node = TypingDerivation(
-                    rule, "synth", ctx.entries, d.term, side, (d,)
-                )
-                yield from self._projections(ctx, side, node)
 
     def _unsolved_in(
         self, d: TypingDerivation
@@ -446,7 +437,7 @@ class Checker:
         fails = []
         # Unless ty is an intersection or a Pi, a guard has guard-chk only.
         decide = type(ty) is not TSect and type(ty) is not TPi
-        for k, branch in enumerate(merge_branches(e), 1):
+        for k, branch in enumerate(spine(e), 1):
             d = self._refuted_guard(ctx, branch) if decide else None
             if d is None:
                 mark = self.metas.mark()
@@ -585,7 +576,7 @@ class Checker:
                     )
                 self.metas.undo(mark)
             case Merge(_, _):
-                for k, ty, d in self._synth_branches(ctx, merge_branches(e), fails):
+                for k, ty, d in self._synth_branches(ctx, spine(e), fails):
                     yield ty, TypingDerivation(
                         "merge-syn", "synth", ctx.entries, e, ty, (d,), branch=k
                     )
@@ -702,22 +693,24 @@ class Checker:
             self.stats.backtracks += 1
 
     def _elim_arrow(self, ctx, ty: Type, d: TypingDerivation, fails, arg: Term):
-        """Arrow views of a synthesized type, via intersection projections
-        and Pi instantiation, for an application to arg.  A conjunct
-        `A -> B` that `_refute` decides the variable arg against is skipped:
-        its failure is recorded, and it gets no node and no frame."""
+        """Arrow views of a synthesized type for an application to arg, depth
+        first, by one sect-e node per conjunct and by Pi instantiation.  A
+        conjunct `A -> B` that `_refute` decides the variable arg against is
+        skipped: its failure is recorded, and it gets no node and no frame."""
         ty = zonk(self.metas, ty)
         if isinstance(ty, TArrow):
             yield ty.arg, ty.res, d
             return
         if isinstance(ty, TSect):
-            for rule, side in (("sect-e1", ty.lhs), ("sect-e2", ty.rhs)):
+            for k, side in enumerate(spine(ty), 1):
                 if type(side) is TArrow and type(arg) is Var:
                     ad = self._refuted_check(ctx, arg, side.arg)
                     if ad is not None:
                         fails.append(_bad_arg(arg, side.arg, ad))
                         continue
-                node = TypingDerivation(rule, "synth", ctx.entries, d.term, side, (d,))
+                node = TypingDerivation(
+                    "sect-e", "synth", ctx.entries, d.term, side, (d,), branch=k
+                )
                 yield from self._elim_arrow(ctx, side, node, fails, arg)
             return
         if isinstance(ty, TPi):

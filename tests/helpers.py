@@ -53,7 +53,7 @@ from guardlang.syntax import (
     VarDecl,
     free_vars,
     fresh_name,
-    merge_branches,
+    spine,
     subst,
 )
 from guardlang.typecheck import TypingDerivation
@@ -631,7 +631,7 @@ def _walk(
     elif rule in ("merge-chk", "merge-syn"):
         # Branch k of n: k - 1 steps down the right spine, then to the left
         # unless k is the last.
-        k, n = d.branch, len(merge_branches(d.term))
+        k, n = d.branch, len(spine(d.term))
         step = (1,) * (k - 1) + ((0,) if k < n else ())
         yield from _walk(d.premises[0], path + step, bound)
     elif rule == "right-anno":
@@ -643,7 +643,7 @@ def _walk(
     elif rule == "pi-i-explicit":
         last = d.premises[0].ctx_entries[-1]
         yield from _walk(d.premises[0], path + (0,), bound | {last.name})
-    elif rule in ("pi-e", "sect-e1", "sect-e2"):
+    elif rule in ("pi-e", "sect-e"):
         yield from _walk(d.premises[0], path, bound)
     elif rule == "some":
         yield from _walk(d.premises[0], path + (0,), bound)

@@ -47,7 +47,7 @@ from guardlang.syntax import (
     Var,
     VarDecl,
     alpha_eq,
-    merge_branches,
+    spine,
 )
 from guardlang.typecheck import (
     Checker,
@@ -390,7 +390,7 @@ class TestVerifyEncoding:
         # The encoding of kway(k, ctxanno) is the guarded k-way merge, whose
         # one merge-chk node per conjunct stands where the original has its
         # ctx-anno node.
-        for k, size in ((4, 76), (8, 170), (16, 406)):
+        for k, size in ((4, 71), (8, 143), (16, 287)):
             assert verify_encoding(kway_program(k, "ctxanno")).sizes == (size, size), k
 
     def test_annotation_free_program_trivial(self):
@@ -609,7 +609,7 @@ def _merge_leaf_index(d, n_typings):
     n_typings branches selected: its one merge node records it."""
     (node,) = [
         n for n in _rule_nodes(d, "merge-chk") + _rule_nodes(d, "merge-syn")
-        if len(merge_branches(n.term)) == n_typings
+        if len(spine(n.term)) == n_typings
     ]
     return node.branch
 

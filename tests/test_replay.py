@@ -52,7 +52,7 @@ from guardlang.syntax import (
     alpha_eq,
     children,
     free_vars,
-    merge_branches,
+    spine,
     subst,
 )
 from guardlang.typecheck import Checker, _check_program, typecheck_program
@@ -79,10 +79,11 @@ EXTRA_PROGRAMS = [
 ]
 
 # (signature header, A, B) of subtyping queries A <= B for the subtyping
-# rules the typing search never asks: arrow, sect-r, sect-l1, sect-l2, pi-r
-# and pi-l.
+# rules the typing search never asks (arrow, sect-r, pi-r and pi-l), and for
+# sect-l beyond conjunct 1, up to conjunct 3 of a 3-ary intersection.
 EXTRA_SUBTYPINGS = [
     (PARITY, "(odd -> even) /\\ (even -> odd)", "(odd -> bits) /\\ (even -> bits)"),
+    (PARITY, "even /\\ bits /\\ odd", "odd"),
     (IDCAST, LIST_ID, "Pi b : int . list(b*2) -> list(b*2)"),
 ]
 
@@ -229,9 +230,13 @@ def _mutants(d):
 
 
 def _branches(d) -> list:
-    """The alternatives that d's `branch` indexes: its typings, or its
-    merge's branches."""
-    return list(d.term.typings) if d.rule == "ctx-anno" else merge_branches(d.term)
+    """The alternatives that d's `branch` indexes: its typings, its merge's
+    branches, or the conjuncts of the intersection it projects."""
+    if d.rule == "ctx-anno":
+        return list(d.term.typings)
+    if d.rule == "sect-e":
+        return spine(d.premises[0].ty)
+    return spine(d.lhs if d.rule == "sect-l" else d.term)
 
 
 def _still_valid(d, field: str, is_root: bool):
@@ -315,6 +320,33 @@ def test_n_ary_merge_replays_at_every_branch(psig, n):
             if k != d.branch:
                 with pytest.raises(VerifyError, match="premise is not the branch"):
                     verify_typing(psig, replace(d, branch=k))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_n_ary_intersection_replays_at_every_conjunct(n):
+    # step : /\_i (c_i -> c_{i+1 mod n}) of kway(n).  Applied to x : c_{k-1},
+    # it is eliminated at conjunct k by one sect-e node, and it is a subtype
+    # of conjunct k by one sect-l node.  Each node replays at its own
+    # conjunct and at no other index, 0 and n + 1 included.
+    wrong = "projection differs|sect-l premise"  # the two rules' messages
+    sig = kway_program(n, "plain").sig
+    step = sig.prims["step"]
+    app = parse_term("step x", prims=frozenset(sig.prims))
+    checker = Checker(sig)
+    nodes = []
+    for conjunct in spine(step):
+        ctx = checker.fresh_ctx().extend(VarDecl("x", conjunct.arg))
+        ((_, d),) = checker.synth(ctx, app)
+        nodes += [d.premises[0], subtype(ctx, step, conjunct)]
+    assert [(d.rule, d.branch) for d in nodes] == [
+        (rule, k) for k in range(1, n + 1) for rule in ("sect-e", "sect-l")
+    ]
+    for d in nodes:
+        verify_typing(sig, d)
+        for k in range(n + 2):
+            if k != d.branch:
+                with pytest.raises(VerifyError, match=wrong):
+                    verify_typing(sig, replace(d, branch=k))
 
 
 # ---------------------------------------------------------------------------
