@@ -43,16 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
         return int(text)
 
-    def common(p: argparse.ArgumentParser, ctx_anno_flag: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("path", help="a .gl source file")
         p.add_argument("--max-depth", type=budget, default=512, metavar="N",
                        help="budget of typing rules for one program check, where "
                        "the rules of annotation forms are free, and a separate one "
                        "of N subtyping rules for each subtype query; not a bound "
                        "on total work (default 512)")
-        if ctx_anno_flag:
-            p.add_argument("--no-ctx-anno", action="store_true",
-                           help="disable the contextual-annotation rule")
 
     p_check = sub.add_parser("check", help="typecheck a program")
     common(p_check)
@@ -78,10 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_desugar = sub.add_parser(
         "desugar", help="translate contextual annotations away"
     )
-    common(p_desugar, ctx_anno_flag=False)
+    common(p_desugar)
     p_desugar.add_argument("--verify", action="store_true",
-                           help="re-check the translated program with the "
-                           "contextual-annotation rule disabled")
+                           help="check the original and the translated program "
+                           "and compare the verdicts")
     return ap
 
 
@@ -145,9 +142,7 @@ def _collect_sub(d) -> list:
 
 def cmd_check(args) -> int:
     prog = _load(args.path)
-    report = typecheck_program(
-        prog, max_depth=args.max_depth, ctx_anno=not args.no_ctx_anno
-    )
+    report = typecheck_program(prog, max_depth=args.max_depth)
     _print_report(report, args)
     if not report.accepted:
         return EXIT_TYPE_ERROR
@@ -164,9 +159,7 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     prog = _load(args.path)
     if not args.unsafe_eval:
-        report = typecheck_program(
-            prog, max_depth=args.max_depth, ctx_anno=not args.no_ctx_anno
-        )
+        report = typecheck_program(prog, max_depth=args.max_depth)
         if not report.accepted:
             print("rejected", file=sys.stderr)
             for d in report.diagnostics:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-# `entails`, `solve_meta` and `subtype` are imported for the benchmark's
-# tracer, which wraps them here.
+# `entails`, `solve_meta`, `subtype` and `typecheck_program` are imported
+# for the benchmark's tracer, which wraps them here.
 from .indices import entails, solve_meta
 from .subtyping import Fail, subtype
 from .syntax import (
@@ -113,16 +113,18 @@ class EncodingCheck:
 
 
 class EncodingGapError(Exception):
-    """The original program and its encoding got different verdicts, or
-    synthesize different types.  Where the encoding is checked, the goal
-    may determine an encoded `some` binder, while the contextual rule, a
-    synthesis rule, has no goal: a program that only its encoding accepts
-    for that reason shows the one known difference of the two.  Any other
-    gap is a bug."""
+    """The encoding keeps a contextual annotation, or the original program
+    and its encoding got different verdicts or synthesize different types.
+    Where the encoding is checked, the goal may determine an encoded `some`
+    binder, while the contextual rule, a synthesis rule, has no goal: a
+    program that only its encoding accepts for that reason shows the one
+    known difference of the two.  Any other gap is a bug."""
 
     def __init__(self, check: EncodingCheck) -> None:
         original, encoded = check.original, check.encoded
-        if original.accepted == encoded.accepted:
+        if encoded is None:
+            detail = "the encoded program keeps a contextual annotation"
+        elif original.accepted == encoded.accepted:
             detail = "the encoded program synthesizes another type"
         else:
             rejected = encoded if original.accepted else original
@@ -145,35 +147,29 @@ class EncodingBudgetError(Exception):
 
 
 def verify_encoding(prog: Program, *, max_depth: int = 512) -> EncodingCheck:
-    """Typecheck with contextual annotations, translate, re-check without,
-    and compare the verdicts.
+    """Typecheck, translate, check the translation, and compare the verdicts.
 
     Both checks run on one `Checker`, so the second reuses what the first
     decided: the checking, candidate and subtyping memos and the
     metavariable store.  `encode` returns every subterm outside a `CtxAnno`
     as the same object, so for the encoded program only what the
-    translation built is derived again.  This is sound because the checker
-    reads its contextual-annotation switch only at a `CtxAnno` node, and the
-    encoded program holds none: no memo entry that a query of the second
-    check can match depends on the switch.  An encoded program that still
-    holds a `CtxAnno` (a bug of the translation) is checked on a fresh
-    checker instead, which rejects the annotation.
+    translation built is derived again.  This is sound because memo entries
+    hold for any program over the same signature.
 
-    Raises EncodingGapError when one of the two programs is accepted and the
-    other rejected for a type error, or when goal-free programs synthesize
-    different types; EncodingBudgetError instead when either check ran out
-    of budget.
+    Raises EncodingGapError, before the encoded program is checked, when it
+    keeps a contextual annotation (a bug of the translation); after, when
+    one of the two programs is accepted and the other rejected for a type
+    error, or when goal-free programs synthesize different types.  Raises
+    EncodingBudgetError instead when either check ran out of budget.
     """
-    checker = Checker(prog.sig, max_depth=max_depth, ctx_anno=True)
+    checker = Checker(prog.sig, max_depth=max_depth)
     original = _check_program(checker, prog)
     if original.exhausted:
         raise EncodingBudgetError(EncodingCheck(original, None, None), max_depth)
     enc = encode_program(prog)
     if any(type(e) is CtxAnno for e in subterms(enc.main)):
-        encoded = typecheck_program(enc, max_depth=max_depth, ctx_anno=False)
-    else:
-        checker.ctx_anno_enabled = False
-        encoded = _check_program(checker, enc)
+        raise EncodingGapError(EncodingCheck(original, enc, None))
+    encoded = _check_program(checker, enc)
     check = EncodingCheck(original, enc, encoded)
     if encoded.exhausted:
         raise EncodingBudgetError(check, max_depth)

@@ -639,18 +639,21 @@ def pretty_program(prog: Program) -> str:
 def format_derivation(d) -> str:
     """Indented rule tree for typing and subtyping derivations, in
     preorder.  A contextual annotation shows as its `ctx-anno` node over the
-    derivation of the chosen typing's encoded branch."""
+    derivation of the chosen typing's encoded branch.  A node that picks a
+    conjunct, a merge branch or a typing shows its index after the rule,
+    as in `[sect-l 30]`."""
     lines: list[str] = []
     todo = [(d, 0)]
     while todo:
         d, depth = todo.pop()
         ctx = _context(d.ctx_entries)
+        rule = d.rule if d.branch is None else f"{d.rule} {d.branch}"
         if hasattr(d, "mode"):  # typing node
             arrow = "<=" if d.mode == "check" else "=>"
             ty = pretty(d.ty) if d.ty is not None else "-"
-            head = f"[{d.rule}] {ctx} |- {pretty(d.term)} {arrow} {ty}"
+            head = f"[{rule}] {ctx} |- {pretty(d.term)} {arrow} {ty}"
         else:  # subtyping node
-            head = f"[{d.rule}] {ctx} |- {pretty(d.lhs)} <= {pretty(d.rhs)}"
+            head = f"[{rule}] {ctx} |- {pretty(d.lhs)} <= {pretty(d.rhs)}"
         if getattr(d, "witness", None) is not None:
             head += f"   with {pretty(d.witness)}"
         lines.append("  " * depth + head)

@@ -775,18 +775,24 @@ def subterms(e: Term) -> Iterator[Term]:
 
 def free_vars(x: Syntax, ns: str) -> frozenset[str]:
     """Names of the variables of namespace `ns` that occur free in x."""
-    out: set[str] = set()
-    stack: list[tuple[Syntax, frozenset[str]]] = [(x, frozenset())]
+    return frozenset(free_names(x)[ns])
+
+
+def free_names(x: Syntax) -> dict[str, set[str]]:
+    """The names free in x, by namespace (`TERM`, `INDEX`), from one walk."""
+    out: dict[str, set[str]] = {TERM: set(), INDEX: set()}
+    stack: list[tuple[Syntax, frozenset[tuple[str, str]]]] = [(x, frozenset())]
     while stack:
         y, bound = stack.pop()
-        cls = type(y)
-        if OCCURRENCES.get(cls) == ns and y.name not in bound:
-            out.add(y.name)
-        if BINDERS.get(cls) == ns:
-            bound = bound | {y.var}
+        ns = OCCURRENCES.get(type(y))
+        if ns:
+            if (ns, y.name) not in bound:
+                out[ns].add(y.name)
+        elif ns := BINDERS.get(type(y)):
+            bound = bound | {(ns, y.var)}
         for z in children(y):
             stack.append((z, bound))
-    return frozenset(out)
+    return out
 
 
 def meta_free(x) -> bool:

@@ -116,6 +116,7 @@ from .syntax import (
     Zonker,
     bind_fresh,
     children,
+    free_names,
     free_vars,
     instantiate,
     meta_free,
@@ -183,16 +184,10 @@ class Checker:
     """One typechecking run: rule search, metavariable store, statistics."""
 
     def __init__(
-        self,
-        sig: Signature,
-        *,
-        max_depth: int = 512,
-        ctx_anno: bool = True,
-        memoize: bool = True,
+        self, sig: Signature, *, max_depth: int = 512, memoize: bool = True
     ) -> None:
         self.sig = sig
         self.max_depth = max_depth
-        self.ctx_anno_enabled = ctx_anno
         self.memoize = memoize
         self.metas = MetaStore()
         self.stats = Stats()
@@ -660,11 +655,6 @@ class Checker:
                     events.extend(fails[start:])
                     memo[key] = tuple(events)
             case CtxAnno(_, _):
-                if not self.ctx_anno_enabled:
-                    fails.append(
-                        Fail("contextual annotations are disabled", e.span)
-                    )
-                    return
                 from . import ctxanno
 
                 yield from ctxanno.check_ctx_anno(self, ctx, e, fails)
@@ -830,24 +820,19 @@ def validate_program(prog: Program) -> list[Diagnostic]:
             check_type_wf(ctx, prog.goal)
         except IllFormedType as ex:
             diags.append(Diagnostic(f"goal type: {ex}", prog.goal.span))
-    for name in sorted(free_vars(prog.main, TERM)):
+    free = free_names(prog.main)
+    for name in sorted(free[TERM]):
         diags.append(Diagnostic(f"unbound variable '{name}'", prog.main.span))
-    for name in sorted(free_vars(prog.main, INDEX)):
+    for name in sorted(free[INDEX]):
         msg = f"index variable '{name}' is not bound by a `some` or `idxfn` binder"
         diags.append(Diagnostic(msg, prog.main.span))
     return diags
 
 
 def typecheck_program(
-    prog: Program,
-    *,
-    max_depth: int = 512,
-    ctx_anno: bool = True,
-    memoize: bool = True,
+    prog: Program, *, max_depth: int = 512, memoize: bool = True
 ) -> Report:
-    checker = Checker(
-        prog.sig, max_depth=max_depth, ctx_anno=ctx_anno, memoize=memoize
-    )
+    checker = Checker(prog.sig, max_depth=max_depth, memoize=memoize)
     return _check_program(checker, prog)
 
 

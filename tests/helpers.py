@@ -55,6 +55,7 @@ from guardlang.syntax import (
     fresh_name,
     spine,
     subst,
+    subterms,
 )
 from guardlang.typecheck import TypingDerivation
 
@@ -110,6 +111,11 @@ GOAL_ONLY = (
     "indexcon list :: int\n"
     "val main : list(3) -> list(3) = ((fn x => x) :: [a : int |- list(a) -> list(a)])\n"
 )
+
+
+def no_ctx_anno(e: Term) -> bool:
+    """e holds no contextual annotation, as an encoded term must not."""
+    return not any(isinstance(s, CtxAnno) for s in subterms(e))
 
 
 def ctx_typing(entries, goal: Type):

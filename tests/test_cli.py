@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import ACCEPTED_PROGRAMS, PROGRAMS_DIR, program_path
-from helpers import ENCODED_COSTS_MORE, GOAL_ONLY, kway_source
+from helpers import ENCODED_COSTS_MORE, GOAL_ONLY, kway_source, no_ctx_anno
 from guardlang.cli import main
 from guardlang.parser import parse_program
 from guardlang.typecheck import typecheck_program
@@ -131,22 +131,25 @@ class TestCheck:
         assert code == 0
         assert "<=" in out
 
+    def test_trace_sub_prints_the_projected_conjunct(self, tmp_path, capsys):
+        src = tmp_path / "wide30.gl"
+        src.write_text(
+            "".join(f"datasort a{i}\n" for i in range(30))
+            + "prim f : " + " /\\ ".join(f"a{i}" for i in range(30))
+            + "\nval main : a29 = f\n"
+        )
+        code, out, _ = run_cli(capsys, "check", "--trace-sub", str(src))
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "accepted : a29"
+        assert lines[1].startswith("[sect-l 30] . |- a0 /\\ a1 /\\ ")
+        assert lines[2] == "  [refl] . |- a29 <= a29"
+
     def test_max_depth_flag(self, capsys):
         code, _, err = run_cli(
             capsys, "check", "--max-depth", "3", program_path("parity.gl")
         )
         assert code == 1
         assert "exceeded" in err
-
-    def test_no_ctx_anno_flag(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "check",
-            "--no-ctx-anno",
-            program_path("parity_ctxanno.gl"),
-        )
-        assert code == 1
-        assert "disabled" in err
 
 
 @pytest.mark.parametrize(
@@ -205,7 +208,8 @@ class TestDesugar:
         code, out, _ = run_cli(capsys, "desugar", program_path("parity_ctxanno.gl"))
         assert code == 0
         prog = parse_program(out)
-        assert typecheck_program(prog, ctx_anno=False).accepted
+        assert no_ctx_anno(prog.main)
+        assert typecheck_program(prog).accepted
         assert ",," in out and "where" in out
 
     def test_annotation_free_output_unchanged(self, capsys):
@@ -224,11 +228,11 @@ class TestDesugar:
         assert code == 0
         assert "verified" in err
 
-    def test_no_ctx_anno_is_not_an_option(self, capsys):
-        # The desugar check always runs the contextual rule on the original.
+    @pytest.mark.parametrize("command", ["check", "eval", "desugar"])
+    def test_no_ctx_anno_is_not_an_option(self, capsys, command):
+        # The contextual rule is always on.
         code, _, err = run_cli(
-            capsys, "desugar", "--no-ctx-anno", "--verify",
-            program_path("parity_ctxanno.gl"),
+            capsys, command, "--no-ctx-anno", program_path("parity_ctxanno.gl")
         )
         assert code == 2
         assert "unrecognized arguments: --no-ctx-anno" in err

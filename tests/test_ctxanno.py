@@ -15,6 +15,7 @@ from helpers import (
     idx_chain_program,
     kway_program,
     load_program,
+    no_ctx_anno,
 )
 from guardlang import ctxanno
 from guardlang.ctxanno import (
@@ -52,6 +53,7 @@ from guardlang.syntax import (
 from guardlang.typecheck import (
     Checker,
     TypingDerivation,
+    _check_program,
     typecheck_program,
     verify_typing,
 )
@@ -157,14 +159,6 @@ class TestCheckCtxAnno:
         ty, d = res[0]
         assert ty == TAtom("even") and d.branch == 2
         verify_typing(psig, d)
-
-    def test_disabled(self, psig):
-        checker = Checker(psig, ctx_anno=False)
-        ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom("odd")))
-        term = parse_term(SNOC_ANNO, prims=frozenset(psig.prims))
-        res = checker.synth(ctx, term)
-        assert isinstance(res, Fail)
-        assert any("disabled" in m for m in res.messages())
 
 
 def _chain(node: TypingDerivation) -> list:
@@ -358,7 +352,7 @@ class TestEncode:
     @settings(max_examples=200)
     def test_idempotent(self, e):
         once = encode(e)
-        assert _no_ctx_anno(once)
+        assert no_ctx_anno(once)
         assert encode(once) == once
 
     @given(e=strategies.terms())
@@ -369,12 +363,6 @@ class TestEncode:
         except MergeMismatchError:
             assume(False)
         assert alpha_eq(erase(encode(e)), before)
-
-
-def _no_ctx_anno(e) -> bool:
-    from guardlang.syntax import subterms
-
-    return not any(isinstance(s, CtxAnno) for s in subterms(e))
 
 
 class TestVerifyEncoding:
@@ -402,7 +390,9 @@ class TestVerifyEncoding:
     def test_branch_correspondence_on_golden(self, psig):
         prog = load_program(program_path("parity_ctxanno.gl"))
         report = typecheck_program(prog)
-        encoded = typecheck_program(encode_program(prog), ctx_anno=False)
+        enc = encode_program(prog)
+        assert no_ctx_anno(enc.main)
+        encoded = typecheck_program(enc)
         pairs = list(
             zip(
                 _rule_branches(report.derivation, "ctx-anno"),
@@ -550,7 +540,8 @@ class TestSharedChecker:
             check = verify_encoding(prog)
             assert _same_report(check.original, typecheck_program(prog)), name
             assert check.encoded.verdict == check.original.verdict, name
-            fresh = typecheck_program(encode_program(prog), ctx_anno=False)
+            assert no_ctx_anno(check.encoded_program.main), name
+            fresh = typecheck_program(encode_program(prog))
             assert _same_report(check.encoded, fresh), name
             if check.encoded.accepted:
                 verify_typing(prog.sig, check.encoded.derivation)
@@ -568,12 +559,20 @@ class TestSharedChecker:
         assert check.encoded.stats.rule_applications == 0
         assert check.encoded.stats.memo_hits == 1
 
-    def test_leftover_ctx_anno_is_checked_afresh(self, monkeypatch):
-        # A translation that leaves a contextual annotation behind must not
-        # reach the memos filled with the contextual rule switched on.
+    def test_leftover_ctx_anno_is_reported_as_a_gap(self, monkeypatch):
+        # A translation that leaves a contextual annotation behind is a gap,
+        # reported before the encoded program is checked.
+        checked = []
+
+        def recorded(checker, prog):
+            checked.append(prog)
+            return _check_program(checker, prog)
+
+        monkeypatch.setattr(ctxanno, "_check_program", recorded)
         monkeypatch.setattr(ctxanno, "encode_program", lambda prog: prog)
-        with pytest.raises(EncodingGapError):
+        with pytest.raises(EncodingGapError, match="keeps a contextual annotation"):
             verify_encoding(load_program(program_path("parity_ctxanno.gl")))
+        assert len(checked) == 1
 
     def test_check_does_not_keep_the_checker_alive(self, monkeypatch):
         made = []
