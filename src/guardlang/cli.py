@@ -46,10 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("path", help="a .gl source file")
         p.add_argument("--max-depth", type=budget, default=512, metavar="N",
-                       help="budget of typing rules for one program check, where "
-                       "the rules of annotation forms are free, and a separate one "
-                       "of N subtyping rules for each subtype query; not a bound "
-                       "on total work (default 512)")
+                       help="budget of rules for one program check: typing and "
+                       "subtyping rules take one each, the rules of annotation "
+                       "forms none; desugar --verify checks two programs, each "
+                       "with a budget of its own (default 512)")
 
     p_check = sub.add_parser("check", help="typecheck a program")
     common(p_check)

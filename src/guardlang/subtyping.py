@@ -108,8 +108,8 @@ class Fail:
 
 
 class DepthExceeded(Exception):
-    """A search ran out of its budget.  The checker's carries the
-    `Exhausted` failure it reports."""
+    """A search ran out of its budget (`charge`).  It carries the
+    `Exhausted` failure that reports it."""
 
 
 class Exhausted(Fail):
@@ -136,10 +136,20 @@ class Stats:
     sub_memo_misses: int = 0
     # Alternatives skipped untried (`Checker._refute`): not backtracks.
     refuted: int = 0
+    # The rules charged to the budget: all but those of annotation forms.
+    budget_used: int = 0
     wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
         return asdict(self) | {"wall_ms": round(self.wall_ms, 3)}
+
+
+def charge(stats: Stats, max_depth: int) -> None:
+    """Count one rule against the budget of max_depth rules kept in stats."""
+    if stats.budget_used >= max_depth:
+        raise DepthExceeded(Exhausted(f"search exceeded {max_depth} rule applications"))
+    stats.budget_used += 1
+    stats.rule_applications += 1
 
 
 def not_subsort(a: TAtom, b: TAtom) -> Fail:
@@ -148,23 +158,20 @@ def not_subsort(a: TAtom, b: TAtom) -> Fail:
 
 
 class _Search:
+    """One subtype query.  Each rule tried is charged to the budget in
+    `stats`, which a checker's typing rules draw on as well."""
+
     def __init__(
         self,
         store: MetaStore,
         stats: Stats,
-        budget: int,
+        max_depth: int,
         memo: dict,
     ) -> None:
         self.store = store
         self.stats = stats
-        self.budget = budget
+        self.max_depth = max_depth
         self.memo = memo
-
-    def tick(self) -> None:
-        self.stats.rule_applications += 1
-        self.budget -= 1
-        if self.budget < 0:
-            raise DepthExceeded()
 
     def sub(self, ctx: Context, a: Type, b: Type) -> Union[SubDerivation, Fail]:
         # A store that has created no metavariable has nothing to zonk.
@@ -212,7 +219,7 @@ class _Search:
             attempts.append(self._pi_l)
 
         for i, rule in enumerate(attempts):
-            self.tick()
+            charge(self.stats, self.max_depth)
             mark = self.store.mark()
             res = rule(ctx, a, b)
             if not isinstance(res, Fail):
@@ -315,6 +322,8 @@ def subtype(
     the call starts from an empty memo.  Whether a query holds a
     metavariable is read from the bits its syntax carries (see
     `syntax.meta_free`), and the final zonk stops at ground syntax and derivations.
+    Its rules are charged to the budget of max_depth rules in `stats`; a
+    query that runs out of it returns the `Exhausted` failure.
     """
     if store is None:
         store = ctx.metas if ctx.metas is not None else MetaStore()
@@ -325,8 +334,8 @@ def subtype(
     mark = store.mark()
     try:
         res = search.sub(ctx, a, b)
-    except DepthExceeded:
-        res = Exhausted(f"subtyping search exceeded {max_depth} rule applications")
+    except DepthExceeded as ex:
+        res = ex.args[0]
     if isinstance(res, Fail):
         store.undo(mark)
         return res

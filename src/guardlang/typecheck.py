@@ -11,10 +11,12 @@ which tries every type the guard or merge would synthesize.  `some` keeps
 it, because its checking rule commits to the body's first derivation, while
 its synthesis rule skips the candidates that leave its variable unsolved.
 Elimination positions instantiate synthesized Pi types with metavariables;
-the indexed subtyping equalities solve them.  Each rule tried takes one
-unit of the typing budget, except the rules of annotation forms (right-hand
-and contextual annotations, guards, merges, `some`): they only narrow the
-search, and each leads to the rules of a smaller term.
+the indexed subtyping equalities solve them.  A program check has one
+budget of `max_depth` rules, which every typing rule tried and every rule of
+its subtype queries takes a unit of (`subtyping.charge`), except the rules
+of annotation forms (right-hand and contextual annotations, guards, merges,
+`some`): they only narrow the search, and each leads to the rules of a
+smaller term.
 
 The subsort order refutes a variable of declared datasort c against a
 declared datasort d that c is not below (`_refute`).  Refuted conjuncts of a
@@ -81,7 +83,7 @@ from typing import Iterator, Optional, Union
 from .indices import UnboundIndexVariable, sort_of
 from .parser import pretty as pretty_term  # the benchmark's tracer wraps this name
 from .replay import TypingDerivation, verify_typing  # the replay, for its callers
-from .subtyping import DepthExceeded, Exhausted, Fail, Stats, not_subsort, subtype
+from .subtyping import DepthExceeded, Exhausted, Fail, Stats, charge, not_subsort, subtype
 from .syntax import (
     INDEX,
     TERM,
@@ -181,7 +183,8 @@ def check_type_wf(ctx: Context, ty: Type) -> None:
 
 
 class Checker:
-    """One typechecking run: rule search, metavariable store, statistics."""
+    """One typechecking run: rule search, metavariable store, statistics.
+    The budget runs over `self.stats`, which `_check_program` starts afresh."""
 
     def __init__(
         self, sig: Signature, *, max_depth: int = 512, memoize: bool = True
@@ -198,7 +201,6 @@ class Checker:
         self._sub_memo: Optional[dict] = {} if memoize else None
         # The encoded branches of each contextual annotation occurrence.
         self._ctx_branches: dict[tuple, tuple] = {}
-        self._budget = max_depth
 
     def fresh_ctx(self) -> Context:
         return Context(self.sig, (), self.metas)
@@ -207,7 +209,6 @@ class Checker:
 
     def check(self, ctx: Context, e: Term, ty: Type) -> Union[TypingDerivation, Fail]:
         """Top-level checking judgment; result derivations are ground."""
-        self._budget = self.max_depth
         try:
             res = self._check(ctx, e, ty)
         except DepthExceeded as ex:
@@ -227,7 +228,6 @@ class Checker:
         self, ctx: Context, e: Term
     ) -> Union[list[tuple[Type, TypingDerivation]], Fail]:
         """All ground synthesis candidates, intersections unprojected (see sect-l)."""
-        self._budget = self.max_depth
         fails: list[Fail] = []
         out: list[tuple[Type, TypingDerivation]] = []
         try:
@@ -260,18 +260,6 @@ class Checker:
 
     # -- search plumbing ------------------------------------------------------
 
-    def _tick(self) -> None:
-        self.stats.rule_applications += 1
-        self._budget -= 1
-        if self._budget < 0:
-            raise DepthExceeded(
-                Exhausted(f"typing search exceeded {self.max_depth} rule applications")
-            )
-
-    def _count(self) -> None:
-        """A rule of an annotation form: counted, but it takes no budget."""
-        self.stats.rule_applications += 1
-
     def _wf(self, ctx: Context, ty: Type) -> Optional[Fail]:
         try:
             check_type_wf(ctx, ty)
@@ -285,8 +273,7 @@ class Checker:
             max_depth=self.max_depth, memo=self._sub_memo,
         )
         if type(res) is Exhausted:
-            # A query out of its budget ends the check, as the typing
-            # search's own budget does.
+            # The budget is the check's: a query out of it ends the check.
             raise DepthExceeded(res)
         return res
 
@@ -318,33 +305,35 @@ class Checker:
         return res
 
     def _check_dispatch(self, ctx, e, ty) -> Union[TypingDerivation, Fail]:
-        # (what applying the rule costs, the rule)
-        tick, count = self._tick, self._count
+        # (whether the rule is charged to the budget, the rule)
         alts = []
         if isinstance(ty, TSect):
-            alts.append((tick, self._chk_sect_i))
+            alts.append((True, self._chk_sect_i))
         if isinstance(ty, TPi):
-            alts.append((tick, (
+            alts.append((True, (
                 self._chk_pi_explicit if isinstance(e, IdxLam) else self._chk_pi_i
             )))
         if isinstance(e, Lam) and isinstance(ty, TArrow):
-            alts.append((tick, self._chk_arrow_i))
+            alts.append((True, self._chk_arrow_i))
         if isinstance(e, Unit) and isinstance(ty, TUnit):
-            alts.append((tick, self._chk_unit_i))
+            alts.append((True, self._chk_unit_i))
         if isinstance(e, Some):
-            alts.append((count, self._chk_some))
+            alts.append((False, self._chk_some))
         # Subsumption comes last, except after guard-chk and merge-chk: the
         # body or branch they check ends in subsumption of its own.
         if isinstance(e, Guard):
-            alts.append((count, self._chk_guard))
+            alts.append((False, self._chk_guard))
         elif isinstance(e, Merge):
-            alts.append((count, self._chk_merge))
+            alts.append((False, self._chk_merge))
         else:
-            alts.append((tick, self._chk_sub))
+            alts.append((True, self._chk_sub))
 
         fails: list[Fail] = []
-        for i, (cost, rule) in enumerate(alts):
-            cost()
+        for i, (charged, rule) in enumerate(alts):
+            if charged:
+                charge(self.stats, self.max_depth)
+            else:
+                self.stats.rule_applications += 1
             mark = self.metas.mark()
             res = rule(ctx, e, ty)
             if not isinstance(res, Fail):
@@ -518,9 +507,9 @@ class Checker:
 
     def _synth(self, ctx: Context, e: Term, fails: list[Fail]) -> CandidateStream:
         if type(e) in _ANNOTATION_FORMS:
-            self._count()
+            self.stats.rule_applications += 1
         else:
-            self._tick()
+            charge(self.stats, self.max_depth)
         match e:
             case Var(name):
                 ty = ctx.lookup_var(name)
@@ -715,7 +704,7 @@ class Checker:
         fails.append(Fail("{} is not a function type", d.term.span, args=(ty,)))
 
 
-# The terms whose synthesis rule takes no budget (see `Checker._count`).
+# The terms whose synthesis rule is counted but takes no budget.
 _ANNOTATION_FORMS = frozenset((Anno, Guard, Merge, Some, CtxAnno))
 
 

@@ -94,7 +94,7 @@ def load_program(path: str) -> Program:
         return parse_program(fh.read(), path)
 
 
-# Accepted from --max-depth 18, where its encoding is out of budget: typing
+# Accepted from --max-depth 22, where its encoding is out of budget: typing
 # 1's sorting is determined by the subject only, and its branch fails.
 ENCODED_COSTS_MORE = (
     "indexcon list :: int\n"

@@ -628,8 +628,8 @@ class TestEncodingBudget:
 
     def test_exhausted_encoded_check_names_the_budget(self):
         prog = parse_program(ENCODED_COSTS_MORE)
-        with pytest.raises(EncodingBudgetError, match="budget of 18 rule") as info:
-            verify_encoding(prog, max_depth=18)
+        with pytest.raises(EncodingBudgetError, match="budget of 22 rule") as info:
+            verify_encoding(prog, max_depth=22)
         assert not isinstance(info.value, EncodingGapError)
         check = info.value.check
         assert check.original.accepted and not check.original.exhausted

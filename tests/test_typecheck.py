@@ -1065,14 +1065,14 @@ class TestAnnotationRulesAreFree:
 
     def test_kway_variants_agree_at_the_default_budget(self):
         # The refuted alternatives take no budget, so the default budget
-        # holds plain up to k = 73 and guarded and ctxanno up to 64.
-        for k in (*range(2, 23), 63, 64, 65, 73, 74):
+        # holds plain up to k = 57 and guarded and ctxanno up to 51.
+        for k in (*range(2, 23), 50, 51, 52, 57, 58):
             verdicts = {
                 v: typecheck_program(kway_program(k, v)).verdict
                 for v in ("plain", "guarded", "ctxanno")
             }
             assert verdicts == {
-                v: "accept" if k <= (73 if v == "plain" else 64) else "reject"
+                v: "accept" if k <= (57 if v == "plain" else 51) else "reject"
                 for v in verdicts
             }, k
 
@@ -1085,17 +1085,20 @@ class TestBudgetExhaustion:
     )
 
     def test_subtype_query_out_of_budget_is_exhausted(self):
-        # Projecting a29 out of the 30-way intersection takes 60 subtyping
-        # rules: one sect-l attempt per conjunct, then the atom rule on each
-        # of a0..a28 and refl on a29.  With a budget of 59 there is no type
-        # error: the budget ran out.
+        # The check takes f's prim rule, the sub rule, then 60 subtyping
+        # rules to project a29 out of the 30-way intersection: one sect-l
+        # attempt per conjunct, then the atom rule on each of a0..a28 and
+        # refl on a29.  One rule short, the last query runs out: there is
+        # no type error, the budget ran out.
         prog = parse_program(self.WIDE)
-        report = typecheck_program(prog, max_depth=59)
+        need = typecheck_program(prog).stats.budget_used
+        assert need == 62
+        report = typecheck_program(prog, max_depth=need - 1)
         assert not report.accepted and report.exhausted
         assert [d.message for d in report.diagnostics] == [
-            "subtyping search exceeded 59 rule applications"
+            f"search exceeded {need - 1} rule applications"
         ]
-        assert typecheck_program(prog, max_depth=60).accepted
+        assert typecheck_program(prog, max_depth=need).accepted
 
     def test_synth_out_of_budget(self, psig):
         checker = Checker(psig, max_depth=2)
@@ -1103,7 +1106,7 @@ class TestBudgetExhaustion:
         term = parse_term("snoc1 (snoc1 x)", prims=frozenset(psig.prims))
         res = checker.synth(ctx, term)
         assert isinstance(res, Fail)
-        assert "typing search exceeded 2 rule applications" in res.messages()
+        assert "search exceeded 2 rule applications" in res.messages()
 
     def test_goal_free_program_out_of_budget_is_exhausted(self):
         text = (
@@ -1114,6 +1117,48 @@ class TestBudgetExhaustion:
         report = typecheck_program(parse_program(text), max_depth=2)
         assert not report.accepted and report.exhausted
         assert typecheck_program(parse_program(text)).accepted
+
+
+class TestOneBudgetPerCheck:
+    """The typing and subtyping rules of one program check draw on one
+    budget, which `Stats.budget_used` counts: a check fits a budget exactly
+    when it fits its own `budget_used`."""
+
+    def test_budget_used_is_the_least_budget_that_accepts(self):
+        import random
+
+        from helpers import gen_ctxanno_program
+
+        kways = [kway_program(k, v) for k in range(1, 23) for v in KWAY_VARIANTS]
+        progs = [load_program(program_path(n)) for n in ACCEPTED_PROGRAMS + REJECTED_PROGRAMS]
+        progs += [mk(n) for mk in (snoc_chain_program, idx_chain_program) for n in (1, 5, 20, 60)]
+        rng = random.Random(20260808)
+        progs += [gen_ctxanno_program(rng) for _ in range(300)]
+        accepted = 0
+        for prog in kways + progs:
+            report = typecheck_program(prog)
+            used = report.stats.budget_used
+            assert used <= 512
+            if not report.accepted:
+                continue
+            accepted += 1
+            assert typecheck_program(prog, max_depth=used).accepted
+            if prog.goal is not None:
+                short = typecheck_program(prog, max_depth=used - 1)
+                assert short.exhausted and short.stats.budget_used == used - 1
+        assert accepted == 357
+        # The binary search over budgets agrees on a sample of the kways.
+        for k in (4, 11, 22):
+            for v in ("plain", "guarded", "ctxanno"):
+                prog = kway_program(k, v)
+                assert _min_depth(prog) == typecheck_program(prog).stats.budget_used
+
+    def test_max_depth_bounds_total_work(self):
+        # Each level of the chain takes a few typing rules and a subtype
+        # query, each well under the budget; together they exceed it.
+        report = typecheck_program(idx_chain_program(100))
+        assert not report.accepted and report.exhausted
+        assert report.stats.budget_used == 512
 
 
 class TestSearchCounts:
@@ -1499,9 +1544,13 @@ class TestSelectionDifferential:
                 hidden.add(key)
             else:
                 assert got == off[key], key
-        # Out of budget without selection only: the wide kway programs.
+        # Out of budget without selection only: the kway programs from a
+        # width that depends on the variant and the memo (on, off).
+        first = {"plain": (17, 17), "guarded": (16, 14), "ctxanno": (16, 14)}
         assert hidden == {
-            (f"kway({k}, {v})", memoize)
-            for k in (20, 21, 22) for v in ("guarded", "plain", "ctxanno")
-            for memoize in (True, False)
+            (name, memoize)
+            for v, widths in first.items() for memoize in (True, False)
+            for k in range(widths[not memoize], 23)
+            for name in (f"kway({k}, {v})", f"kway-{v}({k})")
+            if (name, memoize) in on
         }
