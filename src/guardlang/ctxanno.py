@@ -55,17 +55,18 @@ def check_ctx_anno(
     once per occurrence and checker.  Each type branch k gives, the
     annotation gives by a `ctx-anno` node with `branch=k`; when none gives
     one, one failure at the annotation holds the branches' failures."""
-    branches = checker._ctx_branches.get((e, e.span))
-    if branches is None:
-        branches = tuple(encode_typing(t, e.body) for t in e.typings)
-        checker._ctx_branches[e, e.span] = branches
-    reasons: list[Fail] = []
+    alts = checker._alternatives((e, e.span), e, _encoded_branches)
+    reasons: list = []
     d = None
-    for k, ty, d in checker._synth_branches(ctx, branches, reasons):
+    for k, ty, d in checker._synth_branches(ctx, alts, reasons):
         yield ty, TypingDerivation("ctx-anno", "synth", ctx.entries, e, ty, (d,), branch=k)
     if d is None:
         reasons = [Fail("no contextual typing applies", e.span, tuple(reasons))]
     fails.extend(reasons)
+
+
+def _encoded_branches(e: CtxAnno) -> tuple[Term, ...]:
+    return tuple(encode_typing(t, e.body) for t in e.typings)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import indices
 # `entails` and `solve_meta` are imported for the benchmark's tracer, which
@@ -58,23 +58,25 @@ class Fail:
     and numbers are used as they are), and the text is kept.  The
     pretty-printers do not read the metavariable store, so the text does not
     depend on when it is read; a message that shows solved metavariables
-    zonks its args when the failure is built.
+    zonks its args when the failure is built.  The parts may hold `Deferred`
+    records, which the first read of `.parts` replaces by the failures they
+    build.
     """
 
-    __slots__ = ("_reason", "_args", "span", "parts")
+    __slots__ = ("_reason", "_args", "span", "_parts")
 
     def __init__(
         self,
         reason: str,
         span: Optional[Span] = None,
-        parts: tuple["Fail", ...] = (),
+        parts: tuple = (),
         *,
         args: tuple = (),
     ) -> None:
         self._reason = reason
         self._args = args
         self.span = span
-        self.parts = parts
+        self._parts = parts
 
     @property
     def reason(self) -> str:
@@ -85,10 +87,23 @@ class Fail:
             self._args = ()
         return self._reason
 
+    @property
+    def parts(self) -> tuple["Fail", ...]:
+        parts = self._parts
+        if Deferred in map(type, parts):
+            parts = self._parts = tuple(
+                f for p in parts for f in (p.expand() if type(p) is Deferred else (p,))
+            )
+        return parts
+
     def walk(self) -> list["Fail"]:
-        out: list[Fail] = [self]
-        for p in self.parts:
-            out.extend(p.walk())
+        """This failure and its parts, in preorder."""
+        out: list[Fail] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(reversed(node.parts))
         return out
 
     def messages(self) -> list[str]:
@@ -105,6 +120,24 @@ class Fail:
 
     def __repr__(self) -> str:
         return f"Fail({self.reason!r}, {self.span!r}, {self.parts!r})"
+
+
+class Deferred:
+    """The failures of alternatives lo..hi-1 of a sequence, `build(i)` for
+    each, recorded without being built: a search that picks among many
+    alternatives rejects most of them, and an accepted check never reads
+    their failures.  It stands among the parts of a `Fail`, which builds it
+    when its parts are first read."""
+
+    __slots__ = ("build", "lo", "hi")
+
+    def __init__(self, build: Callable[[int], Fail], lo: int, hi: int) -> None:
+        self.build = build
+        self.lo = lo
+        self.hi = hi
+
+    def expand(self) -> list[Fail]:
+        return [self.build(i) for i in range(self.lo, self.hi)]
 
 
 class DepthExceeded(Exception):
@@ -134,7 +167,7 @@ class Stats:
     # Lookups in the subtyping memo, one per `_Search.sub` call.
     sub_memo_hits: int = 0
     sub_memo_misses: int = 0
-    # Alternatives skipped untried (`Checker._refute`): not backtracks.
+    # Alternatives skipped untried (`Checker._chosen`): not backtracks.
     refuted: int = 0
     # The rules charged to the budget: all but those of annotation forms.
     budget_used: int = 0
@@ -154,7 +187,7 @@ def charge(stats: Stats, max_depth: int) -> None:
 
 def not_subsort(a: TAtom, b: TAtom) -> Fail:
     """The failure of the atom rule on `a <= b`."""
-    return Fail(f"datasort {a.name} is not a subsort of {b.name}")
+    return Fail("datasort {} is not a subsort of {}", args=(a.name, b.name))
 
 
 class _Search:

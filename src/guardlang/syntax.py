@@ -382,7 +382,7 @@ class Signature:
         self.atoms: dict[str, frozenset[str]] = dict(atoms or {})
         self.cons: dict[str, IndexSort] = dict(cons or {})
         self.prims: dict[str, Type] = dict(prims or {})
-        # The up-closures `atom_le` has found, until the next declaration.
+        # The up-closures `up_closure` has found, until the next declaration.
         self._ups: dict[str, set[str]] = {}
 
     def declare_atom(self, name: str, supersort: Optional[str] = None) -> None:
@@ -421,8 +421,13 @@ class Signature:
 
     def atom_le(self, sub: str, sup: str) -> bool:
         """Whether the declared supersort edges lead from sub to sup, or sub
-        is sup.  sub's up-closure is found by a walk on an explicit stack,
-        and kept: only the atoms asked about have one stored."""
+        is sup."""
+        return sup in self.up_closure(sub)
+
+    def up_closure(self, sub: str) -> set[str]:
+        """sub and every atom the declared supersort edges lead to from it.
+        It is found by a walk on an explicit stack, and kept: only the atoms
+        asked about have one stored.  The caller must not change it."""
         seen = self._ups.get(sub)
         if seen is None:
             seen, stack = {sub}, [sub]
@@ -431,7 +436,7 @@ class Signature:
                 seen |= ups
                 stack.extend(ups)
             self._ups[sub] = seen
-        return sup in seen
+        return seen
 
 
 @dataclass

@@ -19,10 +19,16 @@ of annotation forms (right-hand and contextual annotations, guards, merges,
 smaller term.
 
 The subsort order refutes a variable of declared datasort c against a
-declared datasort d that c is not below (`_refute`).  Refuted conjuncts of a
-function applied to the variable and guarded merge branches, the encoded
-typings' branches of a contextual annotation among them, are skipped: each
-keeps its rule's failure, but takes no rule, budget or backtrack.
+declared datasort d that c is not below.  Refuted conjuncts of a function
+applied to the variable and guarded merge branches, the encoded typings'
+branches of a contextual annotation among them, are skipped: each keeps its
+rule's failure, but takes no rule, budget or backtrack.  They are found
+without a scan: each intersection type, merge and contextual annotation has
+an index (`_Alternatives`) from the datasorts its alternatives need to
+their positions, and the positions to try are those of the datasorts at or
+above c (`_chosen`).  A run of refuted positions goes into the failure list
+as one `Deferred` record, which builds their failures when a diagnostic
+reads them, so an accepted check builds none.
 
 A `some` binder instantiates its variable with a fresh metavariable
 (`syntax.instantiate`) and requires it solved by the end of that subterm's
@@ -78,12 +84,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .indices import UnboundIndexVariable, sort_of
 from .parser import pretty as pretty_term  # the benchmark's tracer wraps this name
 from .replay import TypingDerivation, verify_typing  # the replay, for its callers
-from .subtyping import DepthExceeded, Exhausted, Fail, Stats, charge, not_subsort, subtype
+from .subtyping import (
+    DepthExceeded, Deferred, Exhausted, Fail, Stats, charge, not_subsort, subtype,
+)
 from .syntax import (
     INDEX,
     TERM,
@@ -199,8 +208,9 @@ class Checker:
         self._synth_memo: dict[tuple, tuple] = {}
         # One subtyping memo for the run; None gives each query its own.
         self._sub_memo: Optional[dict] = {} if memoize else None
-        # The encoded branches of each contextual annotation occurrence.
-        self._ctx_branches: dict[tuple, tuple] = {}
+        # The indexed alternatives of each metavariable-free intersection
+        # type, merge occurrence and contextual annotation occurrence.
+        self._choices: dict = {}
 
     def fresh_ctx(self) -> Context:
         return Context(self.sig, (), self.metas)
@@ -418,21 +428,20 @@ class Checker:
         return TypingDerivation("guard-chk", "check", ctx.entries, e, ty, (ev, d))
 
     def _chk_merge(self, ctx, e: Merge, ty):
-        fails = []
+        alts = self._alternatives((e, e.span), e, spine)
+        branches, fails = alts.alts, []
         # Unless ty is an intersection or a Pi, a guard has guard-chk only.
-        decide = type(ty) is not TSect and type(ty) is not TPi
-        for k, branch in enumerate(spine(e), 1):
-            d = self._refuted_guard(ctx, branch) if decide else None
-            if d is None:
-                mark = self.metas.mark()
-                d = self._check(ctx, branch, ty)
-                if not isinstance(d, Fail):
-                    return TypingDerivation(
-                        "merge-chk", "check", ctx.entries, e, ty, (d,), branch=k
-                    )
-                self.metas.undo(mark)
-                self.stats.backtracks += 1
-            fails.append(Fail(f"merge branch {k} fails", branch.span, (d,)))
+        lookup = ctx.lookup_var if type(ty) is not TSect and type(ty) is not TPi else None
+        for i in self._chosen(alts, lookup, fails, _refuted_branch, ctx, branches):
+            mark = self.metas.mark()
+            d = self._check(ctx, branches[i], ty)
+            if not isinstance(d, Fail):
+                return TypingDerivation(
+                    "merge-chk", "check", ctx.entries, e, ty, (d,), branch=i + 1
+                )
+            self.metas.undo(mark)
+            self.stats.backtracks += 1
+            fails.append(_branch_fails(branches, i, d))
         return Fail(
             "no merge branch checks against {}", e.span, tuple(fails), args=(ty,)
         )
@@ -475,33 +484,61 @@ class Checker:
             )
         return TypingDerivation("ivar", "check", ctx.entries, Var(d.name), None)
 
-    # -- subsort refutation ------------------------------------------------------
+    # -- selection among alternatives ---------------------------------------------
 
-    def _refute(self, ctx: Context, name: str, goal: Type) -> Optional[tuple]:
-        """(c, the failure of `c <= goal`) when variable `name` has declared
-        atom type c, and goal is a declared atom other than c and not above
-        it; None when the subsort order does not decide `name` against goal."""
-        if type(goal) is TAtom:
-            got, atoms = ctx.lookup_var(name), self.sig.atoms
-            if (
-                type(got) is TAtom and got.name != goal.name
-                and got.name in atoms and goal.name in atoms
-                and not self.sig.atom_le(got.name, goal.name)
-            ):
-                self.stats.refuted += 1
-                return got, not_subsort(got, goal)
+    def _alternatives(self, key, x, build: Callable) -> _Alternatives:
+        """The alternatives build(x) gives, indexed (`_Alternatives`): once
+        per checker and key, which names x, when x holds no metavariable,
+        else once per call."""
+        alts = self._choices.get(key)
+        if alts is None:
+            alts = _Alternatives(build(x), self.sig)
+            if meta_free(x):
+                self._choices[key] = alts
+        return alts
+
+    def _up_closure(self, ty: Optional[Type]) -> Optional[set[str]]:
+        """The datasorts at or above ty when ty is a declared datasort, else
+        None.  Selection reads the subsort order through this method only."""
+        if type(ty) is TAtom and ty.name in self.sig.atoms:
+            return self.sig.up_closure(ty.name)
         return None
 
-    def _refuted_check(self, ctx: Context, e: Var, ty: Type) -> Optional[Fail]:
-        """What `_check(ctx, e, ty)` returns when `_refute` decides it."""
-        r = self._refute(ctx, e.name, ty)
-        return r and _cannot_check(e, ty, (_not_subtype(e, r[0], ty, r[1]),))
+    def _chosen(
+        self, alts: _Alternatives, lookup: Optional[Callable], fails: list,
+        refuted: Callable[..., Fail], *args,
+    ) -> Iterable[int]:
+        """The positions of the alternatives to try, in order.  With lookup,
+        which gives each subject's type, an alternative that needs its
+        subject at a datasort not above that type is refuted and skipped.
+        Each run of refuted positions goes to fails as one `Deferred` record
+        of their failures, `refuted(*args, i)`, and into `stats.refuted`,
+        when the iteration passes it: where and when a scan would have put
+        them."""
+        n = len(alts.alts)
+        if lookup is None or not alts.subjects:
+            return range(n)
+        picked = list(alts.undecided)
+        for subject, by_atom in alts.subjects.items():
+            ups = self._up_closure(lookup(subject))
+            for atom in by_atom if ups is None else by_atom.keys() & ups:
+                picked += by_atom[atom]
+        if len(picked) == n:
+            return range(n)
+        picked.sort()
+        return self._passing(picked, n, fails, partial(refuted, *args))
 
-    def _refuted_guard(self, ctx: Context, g: Term) -> Optional[Fail]:
-        """The failure of g when g is a guard that `_refute` decides."""
-        d = g.decl if type(g) is Guard else None
-        r = self._refute(ctx, d.name, d.ty) if type(d) is VarDecl else None
-        return r and _unsatisfied(d, g.span, _not_entailed(d, *r))
+    def _passing(self, picked: list[int], n: int, fails: list, build) -> Iterator[int]:
+        """picked, a sorted list of positions below n, with the runs of the
+        others recorded as `_chosen` says."""
+        done = 0
+        for i in (*picked, n):
+            if i > done:
+                fails.append(Deferred(build, done, i))
+                self.stats.refuted += i - done
+            if i < n:
+                yield i
+            done = i + 1
 
     # -- synthesis ---------------------------------------------------------------
 
@@ -560,7 +597,8 @@ class Checker:
                     )
                 self.metas.undo(mark)
             case Merge(_, _):
-                for k, ty, d in self._synth_branches(ctx, spine(e), fails):
+                alts = self._alternatives((e, e.span), e, spine)
+                for k, ty, d in self._synth_branches(ctx, alts, fails):
                     yield ty, TypingDerivation(
                         "merge-syn", "synth", ctx.entries, e, ty, (d,), branch=k
                     )
@@ -589,7 +627,8 @@ class Checker:
                 # The candidate memo.  It is written inline, not as a wrapper
                 # generator, so that an application level costs no extra
                 # frame.  An entry holds the events of one enumeration: the
-                # zonked candidates and the failures it appended, in order;
+                # zonked candidates, as tuples, and the failures and
+                # `Deferred` records it appended, in order;
                 # the consumer's own appends between yields are left out.
                 memo = self._synth_memo if self.memoize else None
                 key = (e, e.span, ctx.entries)
@@ -598,10 +637,10 @@ class Checker:
                     if hit is not None:
                         self.stats.synth_memo_hits += 1
                         for event in hit:
-                            if type(event) is Fail:
-                                fails.append(event)
-                            else:
+                            if type(event) is tuple:
                                 yield event
+                            else:
+                                fails.append(event)
                         return
                 if memo is not None:
                     self.stats.synth_memo_misses += 1
@@ -656,41 +695,38 @@ class Checker:
                     )
                 )
 
-    def _synth_branches(self, ctx: Context, branches, fails: list[Fail]):
+    def _synth_branches(self, ctx: Context, alts: _Alternatives, fails: list):
         """(k, type, derivation) for each type branch k synthesizes, in order:
         merge-syn's choice, and the contextual rule's.  guard-syn is a guard's
         only synthesis rule, so a refuted guard leaves its failure, untried."""
-        for k, branch in enumerate(branches, 1):
-            ev = self._refuted_guard(ctx, branch)
-            if ev is not None:
-                fails.append(ev)
-                continue
+        branches = alts.alts
+        for i in self._chosen(alts, ctx.lookup_var, fails, _refuted_guard, ctx, branches):
             mark = self.metas.mark()
-            for ty, d in self._synth(ctx, branch, fails):
-                yield k, ty, d
+            for ty, d in self._synth(ctx, branches[i], fails):
+                yield i + 1, ty, d
             self.metas.undo(mark)
             self.stats.backtracks += 1
 
     def _elim_arrow(self, ctx, ty: Type, d: TypingDerivation, fails, arg: Term):
         """Arrow views of a synthesized type for an application to arg, depth
         first, by one sect-e node per conjunct and by Pi instantiation.  A
-        conjunct `A -> B` that `_refute` decides the variable arg against is
-        skipped: its failure is recorded, and it gets no node and no frame."""
+        conjunct `a -> B` that a variable arg's datasort refutes is skipped:
+        its failure is recorded, and it gets no node and no frame."""
         ty = zonk(self.metas, ty)
         if isinstance(ty, TArrow):
             yield ty.arg, ty.res, d
             return
         if isinstance(ty, TSect):
-            for k, side in enumerate(spine(ty), 1):
-                if type(side) is TArrow and type(arg) is Var:
-                    ad = self._refuted_check(ctx, arg, side.arg)
-                    if ad is not None:
-                        fails.append(_bad_arg(arg, side.arg, ad))
-                        continue
+            alts = self._alternatives(ty, ty, spine)
+            sides, got, lookup = alts.alts, None, None
+            if type(arg) is Var:  # the one subject, None, is arg
+                got = ctx.lookup_var(arg.name)
+                lookup = lambda _: got
+            for i in self._chosen(alts, lookup, fails, _refuted_arg, arg, got, sides):
                 node = TypingDerivation(
-                    "sect-e", "synth", ctx.entries, d.term, side, (d,), branch=k
+                    "sect-e", "synth", ctx.entries, d.term, sides[i], (d,), branch=i + 1
                 )
-                yield from self._elim_arrow(ctx, side, node, fails, arg)
+                yield from self._elim_arrow(ctx, sides[i], node, fails, arg)
             return
         if isinstance(ty, TPi):
             m, inst = instantiate(
@@ -708,8 +744,36 @@ class Checker:
 _ANNOTATION_FORMS = frozenset((Anno, Guard, Merge, Some, CtxAnno))
 
 
+class _Alternatives:
+    """A sequence of alternatives (an intersection's conjuncts, a merge's
+    branches, the encoded branches of a contextual annotation), indexed by
+    the datasort each needs of a subject.  A conjunct `a -> B` needs the
+    argument it is applied to (subject None) at a; a branch `where x : a do
+    ...` needs x at a.  Where a is a declared datasort the alternative is
+    decided by the subject's type; the others are undecided and always tried.
+    The index holds for the signature it was built over, as the memos do."""
+
+    __slots__ = ("alts", "undecided", "subjects")
+
+    def __init__(self, alts, sig: Signature) -> None:
+        self.alts = alts
+        self.undecided: list[int] = []
+        # subject -> datasort -> the positions that need the subject at it
+        self.subjects: dict[Optional[str], dict[str, list[int]]] = {}
+        for i, alt in enumerate(alts):
+            subject = need = None
+            if type(alt) is TArrow and type(alt.arg) is TAtom:
+                need = alt.arg.name
+            elif type(alt) is Guard and type(d := alt.decl) is VarDecl and type(d.ty) is TAtom:
+                subject, need = d.name, d.ty.name
+            if need is not None and need in sig.atoms:
+                self.subjects.setdefault(subject, {}).setdefault(need, []).append(i)
+            else:
+                self.undecided.append(i)
+
+
 # The failures of rules, built here for the rules and for the alternatives
-# that `Checker._refute` skips.
+# that `Checker._chosen` skips.
 def _unsatisfied(decl: Decl, span: Optional[Span], ev: Fail) -> Fail:
     """The failure of a rule needing the guard on decl at span, decided ev."""
     return Fail("guard not satisfied: {}", span or decl.span, (ev,), args=(decl,))
@@ -730,6 +794,32 @@ def _cannot_check(e: Term, ty: Type, fails: tuple) -> Fail:
 
 def _bad_arg(arg: Term, aty: Type, ad: Fail) -> Fail:
     return Fail("argument does not check against {}", arg.span, (ad,), args=(aty,))
+
+
+def _branch_fails(branches, i: int, d: Fail) -> Fail:
+    return Fail("merge branch {} fails", branches[i].span, (d,), args=(i + 1,))
+
+
+def _refuted_arg(arg: Var, got: TAtom, sides, i: int) -> Fail:
+    """What applying conjunct i, `a -> B`, to arg of datasort got fails with
+    when a is not above got."""
+    goal = sides[i].arg
+    sub = _not_subtype(arg, got, goal, not_subsort(got, goal))
+    return _bad_arg(arg, goal, _cannot_check(arg, goal, (sub,)))
+
+
+def _refuted_guard(ctx: Context, branches, i: int) -> Fail:
+    """What guard-syn fails with on branch i, `where x : a do ...`, when a is
+    not above the datasort of x."""
+    g = branches[i]
+    got = ctx.lookup_var(g.decl.name)
+    ev = _not_entailed(g.decl, got, not_subsort(got, g.decl.ty))
+    return _unsatisfied(g.decl, g.span, ev)
+
+
+def _refuted_branch(ctx: Context, branches, i: int) -> Fail:
+    """What merge-chk records of branch i when its guard is refuted."""
+    return _branch_fails(branches, i, _refuted_guard(ctx, branches, i))
 
 
 # ---------------------------------------------------------------------------

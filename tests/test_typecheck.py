@@ -1388,12 +1388,25 @@ def _walk_keys(f: Fail) -> list:
     return [(node.reason, node.span) for node in f.walk()]
 
 
+class _NoSelection(Checker):
+    """A checker that tries every alternative: the subsort order refutes
+    none (`Checker._up_closure` gives None)."""
+
+    def _up_closure(self, ty):
+        return None
+
+
+def _outcome(res):
+    return _walk_keys(res) if isinstance(res, Fail) else res
+
+
 class TestSubsortRefutation:
     """A variable whose type is a declared atom c checks against no
     declared atom d that c is not below, and passes no guard on d.  The
-    checker skips such alternatives (`Checker._refute`) and records the
-    failure the rule would have given; here the rule runs on every pair of
-    atoms of random lattices, and the two are compared."""
+    checker skips such alternatives (`Checker._chosen`) and records their
+    failures as `Deferred` records, built when read.  Here every pair of
+    atoms of random lattices is checked with selection on and off, and the
+    expanded failures are compared with the rules' own."""
 
     def test_refutation_matches_the_rules(self):
         import random
@@ -1419,37 +1432,78 @@ class TestSubsortRefutation:
                         for d in names:
                             assert sig.atom_le(c, d) == (d in below[c]), (c, d)
             below = lattice_closure(edges)
-            var = parse_term("x")
             for c in names:
                 for d in names:
-                    checker = Checker(sig)
-                    ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom(c)))
-                    recorded = checker._refuted_check(ctx, var, TAtom(d))
-                    assert (recorded is not None) == (d not in below[c]), (c, d)
-                    guard = parse_term(f"where x : {d} do x")
-                    skipped = checker._refuted_guard(ctx, guard)
-                    assert (skipped is None) == (recorded is None)
-                    if recorded is None:
-                        continue
-                    refuted += 1
-                    res = Checker(sig).check(ctx, var, TAtom(d))
-                    assert isinstance(res, Fail)
-                    assert _walk_keys(res) == _walk_keys(recorded)
-                    res = Checker(sig).check(ctx, guard, TAtom(c))
-                    assert isinstance(res, Fail)
-                    assert _walk_keys(res) == _walk_keys(skipped)
+                    ctx = Checker(sig).fresh_ctx().extend(
+                        VarDecl("f", parse_type(f"({d} -> {d}) /\\ ({d} -> {d})"))
+                    ).extend(VarDecl("x", TAtom(c)))
+                    merge = parse_term(f"(where x : {d} do x) ,, (where x : {d} do x)")
+                    # An application of a two-conjunct intersection, and a
+                    # two-branch guarded merge synthesized and checked.
+                    for term, goal in ((parse_term("f x"), None), (merge, None), (merge, TAtom(c))):
+                        outcomes, counts = [], []
+                        for checker in (Checker(sig), _NoSelection(sig)):
+                            res = (
+                                checker.synth(ctx, term) if goal is None
+                                else checker.check(ctx, term, goal)
+                            )
+                            outcomes.append(_outcome(res))
+                            counts.append(checker.stats.refuted)
+                        assert outcomes[0] == outcomes[1], (c, d, term)
+                        assert counts == [0 if d in below[c] else 2, 0], (c, d, term)
+                    refuted += d not in below[c]
         assert refuted > 300
 
+    def test_deferred_failures_of_kway_swapped(self):
+        # Every branch of the swapped merge fails; all but one are refuted.
+        for k in (4, 8, 16):
+            prog = kway_program(k, "swapped")
+            on, off = Checker(prog.sig), _NoSelection(prog.sig)
+            got, want = (
+                c.check(c.fresh_ctx(), prog.main, prog.goal) for c in (on, off)
+            )
+            assert isinstance(got, Fail) and on.stats.refuted > 0, k
+            assert _walk_keys(got) == _walk_keys(want), k
+
     def test_undeclared_and_non_atom_types_are_tried(self, psig):
-        checker = Checker(psig)
-        ctx = checker.fresh_ctx().extend(VarDecl("x", TAtom("odd")))
-        ctx = ctx.extend(VarDecl("y", TAtom("nosuch")))
-        ctx = ctx.extend(VarDecl("z", parse_type("odd /\\ bits")))
-        for name, goal in (("x", "nosuch"), ("y", "odd"), ("z", "even"), ("x", "unit")):
-            assert checker._refute(ctx, name, parse_type(goal)) is None, (name, goal)
-        assert checker._refute(ctx, "x", TAtom("bits")) is None
-        assert checker._refute(ctx, "x", TAtom("even")) is not None
-        assert checker.stats.refuted == 1
+        # Of f's four conjuncts, only the one on even is refuted for x : odd;
+        # the undeclared goal nosuch, the non-atom unit and bits above odd
+        # are tried.  A subject of undeclared or non-atom type refutes none.
+        f = parse_type("(nosuch -> unit) /\\ (unit -> unit) /\\ (bits -> unit) /\\ (even -> unit)")
+        ctx = Checker(psig).fresh_ctx().extend(VarDecl("f", f))
+        for name, ty, refuted in (("x", "odd", 1), ("y", "nosuch", 0), ("z", "odd /\\ bits", 0)):
+            checker = Checker(psig)
+            checker.synth(ctx.extend(VarDecl(name, parse_type(ty))), parse_term(f"f {name}"))
+            assert checker.stats.refuted == refuted, name
+
+
+class TestSelectionIsLinear:
+    """Selection looks a subject's datasort up in an index of the
+    alternatives instead of scanning them, and a refuted alternative's
+    failures are built only when read.  So an accepted kway(k) check builds
+    a number of `Fail` objects at most linear in k: when each refuted
+    alternative built four, they grew by 4x per doubling of k."""
+
+    def test_failures_built_grow_linearly(self, monkeypatch):
+        built = [0]
+        init = Fail.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Fail, "__init__", counting)
+        # The alternatives skipped are as many as a scan would skip.
+        refuted = {"plain": lambda k: k * (k - 1) // 2, "guarded": lambda k: k * (k - 1)}
+        refuted["ctxanno"] = refuted["guarded"]
+        for variant, want in refuted.items():
+            counts = []
+            for k in (16, 32, 64, 128):
+                built[0] = 0
+                report = typecheck_program(kway_program(k, variant), max_depth=10**6)
+                assert report.accepted and report.stats.refuted == want(k), (variant, k)
+                counts.append(built[0])
+            assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), (variant, counts)
 
 
 def _bench_pools() -> list:
@@ -1477,7 +1531,7 @@ def _bench_pools() -> list:
 
 class TestSelectionDifferential:
     """Selection by the subsort order changes no verdict, derivation or
-    diagnostic: with `Checker._refute` switched off, every alternative is
+    diagnostic: with `Checker._up_closure` switched off, every alternative is
     tried, and the reports agree, apart from what running out of budget
     without selection hides.  Derivations are compared field by field,
     which decides their `format_derivation` text as well."""
@@ -1536,7 +1590,7 @@ class TestSelectionDifferential:
             return out
 
         on = reports()
-        monkeypatch.setattr(Checker, "_refute", lambda self, ctx, name, goal: None)
+        monkeypatch.setattr(Checker, "_up_closure", lambda self, ty: None)
         off = reports()
         hidden = set()
         for key, got in on.items():
