@@ -1,12 +1,15 @@
 """Command-line driver: `guardlang check|eval|desugar FILE.gl`.
 
+Every accept is replayed by `replay.verify_typing` before it is reported,
+so "accepted" and exit 0 mean a derivation the kernel checked.
+
 Exit codes: 0 on acceptance/success, 1 on type errors (and on stuck or
 out-of-fuel evaluation, an encoding gap, or an encoded check out of
-budget), 2 on usage, missing-file and parse errors, 3 when `check
---certify` finds that the accepted derivation does not replay, and 4, no
-verdict, when the input nests too deeply for the checker, for erasure or
-for the desugaring encoding to walk within Python's recursion limit (the
-parser reads any depth).
+budget), 2 on usage, missing-file and parse errors, 3 on an accepted
+derivation that does not replay, in `check`, `eval` or `desugar --verify`,
+and 4, no verdict, when the input nests too deeply for the checker, for
+erasure or for the desugaring encoding to walk within Python's recursion
+limit (the parser reads any depth).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional
 from . import ctxanno, interp
 from .parser import ParseError, format_derivation, parse_program, pretty, pretty_program
 from .replay import SubDerivation, VerifyError, verify_typing
-from .syntax import Program
+from .syntax import Program, Signature
 from .typecheck import Report, typecheck_program
 
 EXIT_OK = 0
@@ -59,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the typing derivation")
     p_check.add_argument("--trace-sub", action="store_true",
                          help="print the subtyping derivations used")
-    p_check.add_argument("--certify", action="store_true",
-                         help="replay the accepted derivation rule by rule")
 
     p_eval = sub.add_parser("eval", help="typecheck, then evaluate main")
     common(p_eval)
@@ -140,20 +141,25 @@ def _collect_sub(d) -> list:
     return out
 
 
+def _replays(sig: Signature, *reports: Report) -> bool:
+    """Whether the derivation of each accepted report replays; the first
+    that does not is reported on stderr."""
+    try:
+        for report in reports:
+            verify_typing(sig, report.derivation)
+    except VerifyError as ex:
+        print(f"error: derivation does not replay: {ex}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_check(args) -> int:
     prog = _load(args.path)
     report = typecheck_program(prog, max_depth=args.max_depth)
+    if report.accepted and not _replays(prog.sig, report):
+        return EXIT_NOT_CERTIFIED
     _print_report(report, args)
-    if not report.accepted:
-        return EXIT_TYPE_ERROR
-    if args.certify:
-        try:
-            verify_typing(prog.sig, report.derivation)
-        except VerifyError as ex:
-            print(f"error: derivation does not replay: {ex}", file=sys.stderr)
-            return EXIT_NOT_CERTIFIED
-        print("certified", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if report.accepted else EXIT_TYPE_ERROR
 
 
 def cmd_eval(args) -> int:
@@ -166,6 +172,8 @@ def cmd_eval(args) -> int:
                 where = f"{d.span}: " if d.span else ""
                 print(f"  {where}{d.message}", file=sys.stderr)
             return EXIT_TYPE_ERROR
+        if not _replays(prog.sig, report):
+            return EXIT_NOT_CERTIFIED
     if args.mode == "erase":
         try:
             term = interp.erase(prog.main)
@@ -203,6 +211,8 @@ def cmd_desugar(args) -> int:
             print(f"error: {ex}", file=sys.stderr)
             return EXIT_TYPE_ERROR
         if check.original.accepted:
+            if not _replays(prog.sig, check.original, check.encoded):
+                return EXIT_NOT_CERTIFIED
             a, b = check.sizes
             print(
                 f"-- verified: derivation sizes {a} (contextual) / {b} (encoded)",

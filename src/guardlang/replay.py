@@ -1,4 +1,5 @@
-"""Independent replay of derivations: the trusted base of `check --certify`.
+"""Independent replay of derivations: the trusted base of every accept the
+CLI reports.
 
 A program is accepted when the checker returns a derivation that
 `verify_typing` replays.  This module holds the two kinds of derivation
@@ -26,7 +27,9 @@ except that of a binding rule (arrow-i, pi-i, pi-i-explicit, pi-r), whose
 context adds exactly the declaration the rule binds, under a new name.
 
 The instance of a Pi body (pi-e, pi-i, pi-i-explicit, pi-r, pi-l) is
-matched by `inst_eq` without being built; term-level premises (arrow-i,
+matched by `inst_eq` without being built: it is alpha equivalence
+(`syntax._aeq`) with the Pi's variable standing for the witness, so the
+kernel walks syntax with one matcher.  Term-level premises (arrow-i,
 pi-i-explicit, some) build the substitution and use `alpha_eq`.
 An `ilr` equation holds at once when its sides are equal, else when their
 linear normal forms are.
@@ -39,10 +42,10 @@ from typing import Optional
 from .indices import UnboundIndexVariable, entails, sort_of
 from .parser import pretty
 from .syntax import (
-    _ATOMIC, _FIELDS, INDEX, Anno, App, Context, CtxAnno, Decl, Guard, IVar, IdxDecl,
-    IdxLam, IndexExpr, Lam, Merge, MetaStore, Prim, Signature, Some, TArrow, TAtom,
-    TCon, TPi, TSect, TUnit, Term, Type, Unit, Var, VarDecl, _aeq, _bind, alpha_eq,
-    encode_typing, record, subst, zonk,
+    INDEX, Anno, App, Context, CtxAnno, Decl, Guard, IVar, IdxDecl, IdxLam, IndexExpr,
+    Lam, Merge, MetaStore, Prim, Signature, Some, TArrow, TAtom, TCon, TPi, TSect,
+    TUnit, Term, Type, Unit, Var, VarDecl, _aeq, alpha_eq, encode_typing, record,
+    subst, zonk,
 )
 
 
@@ -128,9 +131,6 @@ def _replay(sig: Signature, d, seen: set) -> None:
         raise VerifyError(f"[{d.rule}] {msg}{where}")
 
 
-_NONE: dict = {}  # no variable bound; never written to
-
-
 def _lookup(ctx: tuple, cls: type, name: str):
     for d in ctx:
         if type(d) is cls and d.name == name:
@@ -147,33 +147,11 @@ def _bad_witness(sig: Signature, d, sort) -> Optional[str]:
     return f"the witness is not an index of sort {sort} here"
 
 
-def inst_eq(x, y, var: str, w: IndexExpr, lmap=_NONE, rmap=_NONE, depth=0) -> bool:
+def inst_eq(x, y, var: str, w: IndexExpr) -> bool:
     """Whether y is alpha-equivalent to `subst(w, var, x)`, for a type x,
-    walking the two with the binder maps of `syntax._aeq` instead of building
-    the substitution.  No binder of y may capture a free variable of w, and
-    no part of x is taken to be equal to itself."""
-    cls = type(x)
-    if cls is IVar:
-        if x.name == var and (INDEX, var) not in lmap:
-            return _aeq(w, y, rmap if not rmap else _NONE, rmap, depth)
-        return _aeq(x, y, lmap, rmap, depth)
-    if cls is not type(y):
-        return False
-    if cls is TPi:
-        if x.sort != y.sort:
-            return False
-        lmap, rmap = _bind(lmap, rmap, INDEX, x.var, y.var, depth)
-        if x.var == var:  # var is shadowed: the body is left as it is
-            return _aeq(x.body, y.body, lmap, rmap, depth + 1)
-        return inst_eq(x.body, y.body, var, w, lmap, rmap, depth + 1)
-    for name in _FIELDS[cls]:
-        a, b = getattr(x, name), getattr(y, name)
-        if isinstance(a, _ATOMIC):
-            if a != b:
-                return False
-        elif not inst_eq(a, b, var, w, lmap, rmap, depth):
-            return False
-    return True
+    without building the substitution: `syntax._aeq` with var standing for
+    w, until a binder of the same name hides it."""
+    return _aeq(x, y, {(INDEX, var): w}, {}, 0)
 
 
 # The rules.  Each returns None when its node replays, else the reason.

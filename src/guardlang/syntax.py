@@ -572,7 +572,8 @@ class Context:
         return None
 
     def lookup_index(self, name: str) -> Optional[IndexSort]:
-        for d in self.entries:
+        # Innermost first: a Pi's variable hides an outer one (`check_type_wf`).
+        for d in reversed(self.entries):
             if isinstance(d, IdxDecl) and d.name == name:
                 return d.sort
         return None
@@ -945,23 +946,31 @@ def alpha_eq(x: Syntax, y: Syntax) -> bool:
 def _aeq(x, y, lmap: dict, rmap: dict, depth: int) -> bool:
     # Each side maps its bound variables, keyed (namespace, name), to the
     # depth of their binder.  While the two sides share one map they have
-    # bound the same names, so there an object is equal to itself.
+    # bound the same names, so there an object is equal to itself.  A left
+    # variable that maps to an index expression w instead stands for w, whose
+    # variables no right binder may capture (`replay.inst_eq`).
     if x is y and lmap is rmap:
         return True
     cls = type(x)
-    if cls is not type(y):
-        return False
-    skip = None
     ns = OCCURRENCES.get(cls)
     if ns is not None:
-        i, j = lmap.get((ns, x.name)), rmap.get((ns, y.name))
+        i = lmap.get((ns, x.name))
+        if i is not None and type(i) is not int:
+            return _aeq(i, y, rmap if not rmap else {}, rmap, depth)
+        if cls is not type(y):
+            return False
+        j = rmap.get((ns, y.name))
         if i != j or (i is None and x.name != y.name):
             return False
         skip = "name"
+    elif cls is not type(y):
+        return False
     elif cls in BINDERS:
         lmap, rmap = _bind(lmap, rmap, BINDERS[cls], x.var, y.var, depth)
         depth += 1
         skip = "var"
+    else:
+        skip = None
     for name in _FIELDS[cls]:
         a, b = getattr(x, name), getattr(y, name)
         if type(a) is tuple:

@@ -143,14 +143,6 @@ class IllFormedType(Exception):
     pass
 
 
-class _Scope(dict):
-    """The sorts of the index variables in scope, read by `sort_of` as it
-    reads a context's."""
-
-    __slots__ = ("metas",)
-    lookup_index = dict.get
-
-
 def check_type_wf(ctx: Context, ty: Type) -> None:
     """Every atom and constructor declared, every index variable in scope.
 
@@ -179,13 +171,10 @@ def check_type_wf(ctx: Context, ty: Type) -> None:
                     f"index of '{con}' has sort {got}, expected {ctx.sig.cons[con]}"
                 )
         elif cls is TPi:
-            inner = _Scope(scope if scope is not ctx else (
-                (d.name, d.sort) for d in ctx.entries if type(d) is IdxDecl
-            ))
-            inner[ty.var], inner.metas = ty.sort, ctx.metas
             todo += (scope, ty.body)  # the scope comes back after the body
-            scope = inner
-        elif cls is _Scope or cls is Context:
+            decl = IdxDecl(ty.var, ty.sort)
+            scope = Context(ctx.sig, scope.entries + (decl,), ctx.metas)
+        elif cls is Context:
             scope = ty
         elif cls is not TUnit:
             raise IllFormedType(f"unexpected type {ty!r}")
@@ -834,13 +823,7 @@ class Diagnostic:
     def as_dict(self) -> dict:
         d: dict = {"message": self.message}
         if self.span is not None:
-            d.update(
-                file=self.span.file,
-                start_line=self.span.start_line,
-                start_col=self.span.start_col,
-                end_line=self.span.end_line,
-                end_col=self.span.end_col,
-            )
+            d.update(self.span._asdict())
         return d
 
 
@@ -911,6 +894,10 @@ def validate_program(prog: Program) -> list[Diagnostic]:
 def typecheck_program(
     prog: Program, *, max_depth: int = 512, memoize: bool = True
 ) -> Report:
+    """The search's verdict on prog.  An accept carries its derivation,
+    which this does not replay: a caller certifies it with
+    `replay.verify_typing(prog.sig, report.derivation)`, as the CLI does
+    for every accept it reports."""
     checker = Checker(prog.sig, max_depth=max_depth, memoize=memoize)
     return _check_program(checker, prog)
 

@@ -157,6 +157,13 @@ class TestEvaluate:
         assert res.steps == 1
         assert res.reason == "cannot apply ()"
 
+    @pytest.mark.parametrize("prim", ["id", "idcast"])
+    def test_identity_prims_step_by_delta_to_their_argument(self, prim):
+        arg = Lam("y", Var("y"))
+        assert step(App(Prim(prim), arg)) == Stepped(arg, "delta")
+        res = evaluate(App(Prim(prim), App(Prim(prim), Unit())))
+        assert (res.outcome, res.term, res.steps) == ("value", Unit(), 2)
+
     def test_inert_prim_spine(self):
         # snoc1 applied to a non-bitstring value has no reduction rule and
         # is treated as an inert constant application.

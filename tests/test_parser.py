@@ -84,6 +84,10 @@ class TestParseProgram:
         with pytest.raises(ParseError):
             parse_program("val main = fn x =>")
 
+    def test_the_value_must_be_main(self):
+        with pytest.raises(ParseError, match="expected 'main', found 'foo'"):
+            parse_program("val foo = ()")
+
     def test_error_has_span(self):
         try:
             parse_program("val main : unit = (")
@@ -116,6 +120,12 @@ class TestParseType:
     def test_truncated(self):
         with pytest.raises(ParseError):
             parse_type("unit ->")
+
+    @pytest.mark.parametrize("text, coeff", [("list(-a)", -1), ("list(-(2*a))", -2)])
+    def test_negated_factor(self, text, coeff):
+        got = parse_type(text)
+        assert got == TCon("list", IMul(coeff, IVar("a")))
+        assert parse_type(pretty(got)) == got
 
     def test_nonlinear_rejected(self):
         with pytest.raises(ParseError):

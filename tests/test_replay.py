@@ -41,6 +41,7 @@ from guardlang.syntax import (
     IMeta,
     IdxDecl,
     ILit,
+    IndexSort,
     MetaStore,
     Node,
     TAtom,
@@ -205,8 +206,10 @@ def _swap(d, target, new, memo):
 
 def _mutants(d):
     """(field, node) for each one-field change of node d: its term, its
-    type, one context entry, its witness and its branch.  The term and the
-    type of a subtyping node are its two sides."""
+    type, one context entry, its witness, its branch, its premises reversed
+    and its rule renamed.  The term and the type of a subtyping node are its
+    two sides.  The new rule is the first other rule of the kernel for the
+    same kind of node and of premises, so that its check runs."""
     zz = TAtom("zz")
     if type(d) is TypingDerivation:
         yield "term", replace(d, term=Var("zz") if type(d.term) is Unit else Unit())
@@ -227,6 +230,13 @@ def _mutants(d):
     if getattr(d, "branch", None) is not None:
         n = len(_branches(d))
         yield "branch", replace(d, branch=d.branch - 1 if d.branch == n else d.branch + 1)
+    if len(d.premises) > 1:
+        yield "premises", replace(d, premises=d.premises[::-1])
+    kinds = tuple(map(type, d.premises))
+    for kind, rule in replay._RULES:
+        if kind is type(d) and rule != d.rule and replay._RULES[kind, rule][1] == kinds:
+            yield "rule", replace(d, rule=rule)
+            break
 
 
 def _branches(d) -> list:
@@ -258,6 +268,12 @@ def _still_valid(d, field: str, is_root: bool):
             return "the branches are the same, so either one derives the node"
     if field == "context" and is_root and not d.premises:
         return "a rule without premises holds in a larger context"
+    if field == "premises":
+        (a, b), (c, e) = map(replay._sides, d.premises)
+        if alpha_eq(a, c) and alpha_eq(b, e):
+            return "the premises conclude the same judgment"
+    if field == "rule" and not d.premises and alpha_eq(*replay._sides(d)):
+        return "equal sides hold by refl, and by atom and ilr where those apply"
     return None
 
 
@@ -295,6 +311,94 @@ def test_tamper_suite_rejects_every_changed_node():
         assert {"term", "type", "context"} & rejected[key], key
     # The changes that leave a valid derivation are few, each with its reason.
     assert len(skipped) * 20 < n_rejected
+
+
+# Rejections the tamper suite does not reach, each by its own message.
+
+
+def _guard_case(evidence: str, goal: str):
+    """The guard-chk node of `where x : odd do y` checked against odd under
+    x : odd, y : odd, with its evidence replaced by a derivation of
+    `evidence <= goal`."""
+    sig = parse_program(PARITY + "val main = ()").sig
+    checker = Checker(sig)
+    odd = TAtom("odd")
+    ctx = checker.fresh_ctx().extend(VarDecl("x", odd)).extend(VarDecl("y", odd))
+    d = checker.check(ctx, parse_term("where x : odd do y"), odd)
+    ev = checker.check(ctx, Var(evidence), TAtom(goal))
+    assert d.rule == "guard-chk" and ev.rule == "sub"
+    return sig, replace(d, premises=(ev, d.premises[1]))
+
+
+def _changed(text: str, **fields):
+    """(signature, the root of text's derivation with `fields` changed); each
+    new value is a function of the root."""
+    prog = parse_program(text)
+    d = typecheck_program(prog).derivation
+    return prog.sig, replace(d, **{k: f(d) for k, f in fields.items()})
+
+
+def _arrow_sub_case():
+    header, a, b = EXTRA_SUBTYPINGS[0]
+    sig = parse_program(header + "val main = ()").sig
+    d = subtype(Checker(sig).fresh_ctx(), parse_type(a), parse_type(b))
+    (node,) = [n for n in _nodes(d) if n.rule == "arrow" and n.lhs.res == TAtom("even")]
+    return sig, replace(node, rhs=parse_type("odd -> odd"))
+
+
+TARGETED = {
+    "not-a-derivation": (lambda: (None, Unit()), r"^not a derivation: Unit\(\)$"),
+    "unknown-rule": (
+        lambda: _changed(PARITY + "val main : odd -> even = snoc1", rule=lambda d: "zz"),
+        r"^unknown rule 'zz'$",
+    ),
+    "premises-of-the-wrong-kind": (
+        lambda: _changed(
+            PARITY + "val main : odd -> bits = snoc1", premises=lambda d: d.premises[::-1]
+        ),
+        r"^\[sub\] premises of the wrong kind: snoc1$",
+    ),
+    "var-not-in-context": (
+        lambda: (None, TypingDerivation("var", "synth", (), Var("x"), TAtom("odd"))),
+        r"^\[var\] context lookup differs: x$",
+    ),
+    "arrow-i-bound-type": (
+        lambda: _changed(
+            PARITY + "val main : even -> even = fn x => x",
+            ty=lambda d: parse_type("odd -> even"),
+        ),
+        r"^\[arrow-i\] bound variable type or premise: ",
+    ),
+    "guard-evidence-about-another-variable": (
+        lambda: _guard_case("y", "odd"),
+        r"^\[guard-chk\] guard evidence is about another variable: ",
+    ),
+    "guard-evidence-of-another-type": (
+        lambda: _guard_case("x", "bits"),
+        r"^\[guard-chk\] guard evidence does not check the subject: ",
+    ),
+    "pi-i-explicit-sort": (
+        lambda: _changed(
+            EXTRA_PROGRAMS[0], term=lambda d: replace(d.term, sort=IndexSort("nat"))
+        ),
+        r"^\[pi-i-explicit\] bound sort: idxfn a : nat => ",
+    ),
+    "pi-i-explicit-premise": (
+        lambda: _changed(
+            EXTRA_PROGRAMS[0], ty=lambda d: parse_type("Pi a : int . list(a) -> list(a+1)")
+        ),
+        r"^\[pi-i-explicit\] premise: ",
+    ),
+    "arrow-sub-premises": (_arrow_sub_case, r"^\[arrow\] arrow premise mismatch$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TARGETED))
+def test_targeted_rejection(case):
+    build, message = TARGETED[case]
+    sig, d = build()
+    with pytest.raises(VerifyError, match=message):
+        verify_typing(sig, d)
 
 
 @pytest.mark.parametrize("n", [3, 4])
